@@ -1,8 +1,9 @@
 """Exact desk-scale solving: decision, smallest torus, tile packing.
 
-The decision solver sweeps the grid cell by cell, keeping every reachable
-boundary coloring; answers are proofs, and an explicit state budget turns
-memory blow-up into an honest CAPPED status.
+The decision solver, the torus counter and the max-cover oracle sweep the
+grid cell by cell, keeping every reachable boundary coloring; answers are
+proofs, and an explicit state budget turns memory blow-up into an honest
+CAPPED status.
 """
 
 import wangtiler as wt

@@ -8,6 +8,7 @@ randomized-restart protocol used for the published quality tables.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass
 
@@ -28,6 +29,10 @@ def resolve_set(spec: str) -> TileSet:
         return complete_stochastic_set(int(spec.split(":", 1)[1]))
     if spec in builtin_names():
         return builtin_set(spec)
+    if not os.path.isfile(spec):
+        raise ConfigurationError(
+            f"unknown tile set {spec!r}: not a file, a built-in set "
+            f"({', '.join(builtin_names())}) or complete:<n>")
     from .fileio import load_tileset
     return load_tileset(spec)
 

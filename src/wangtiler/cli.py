@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 solved/completed, 1 INFEASIBLE (or nothing found), 2 CAPPED or
-deadline hit, 3 usage error.  The default seed is 0, overridable with the
-WANGTILER_SEED environment variable or --seed; the effective seed is printed
-so every run can be reproduced.
+Exit codes: 0 solved/completed, 1 INFEASIBLE (or nothing found, or a witness
+that fails its check), 2 CAPPED, deadline hit or state budget exceeded, 3
+usage error.  The default seed is 0, overridable with the WANGTILER_SEED
+environment variable or --seed; the effective seed is printed so every run
+can be reproduced.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import time
 
 from . import fileio
 from .bench import BenchConfig, resolve_set, run_algorithm, run_benchmark
-from .errors import ConfigurationError
-from .exact import (CAPPED, INFEASIBLE, VALID, pack_tiles, smallest_torus,
-                    solve_decision)
+from .errors import BudgetExceededError, ConfigurationError
+from .exact import (CAPPED, DEFAULT_STATE_CAP, INFEASIBLE, VALID, pack_tiles,
+                    smallest_torus, solve_decision)
 from .extensions import (DifferentEdgeColors, DifferentTile, EqualEdgeColors,
                          ForbidEdgeColor, ForbidTile, ForceEdgeColor,
                          ForceTile, Packing, PeriodicFixed, PeriodicVariable,
@@ -108,7 +109,11 @@ def cmd_solve(args) -> int:
     res = solve_decision(ts, args.height, args.width, bcs, cap=args.cap)
     print(f"status: {res.status} (states {res.stats.get('states', 0)})")
     if res.witness is not None:
-        assert validate_tiling(ts, res.witness).is_valid
+        report = validate_tiling(ts, res.witness)
+        if not report.is_valid:
+            sys.stderr.write(f"error: the witness breaks the edge "
+                             f"{report.mismatches[0]}\n")
+            return EXIT_INFEASIBLE
         _write_outputs(ts, res.witness, args)
     return _STATUS_EXIT[res.status]
 
@@ -289,7 +294,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--ext", action="append", default=[],
                    help="per-cell condition, e.g. force:1,1,0 or forbidcol:1,2,e,1")
-    p.add_argument("--cap", type=int, default=1 << 22,
+    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP,
                    help="stored frontier state budget")
     p.set_defaults(func=cmd_solve)
 
@@ -370,6 +375,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BudgetExceededError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CAPPED
     except (ConfigurationError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

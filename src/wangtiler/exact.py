@@ -1,8 +1,12 @@
 """Desk-scale exact solvers.
 
 All solvers here give provable answers or an honest CAPPED status; none of
-them guesses.  They share the frontier idea: the only information a partial
-tiling exposes to its unfilled remainder is the coloring of its boundary.
+them guesses.  The decision solver, the torus counter and the max-cover
+oracle share one iterative frontier sweep, the transfer-matrix method applied
+cell by cell: the only information a partial tiling exposes to its unfilled
+remainder is the coloring of its boundary, so partial tilings with equal
+boundaries merge into one state.  Packing is a backtracking search, because
+its use-every-tile-once rule has no small frontier.
 """
 
 from __future__ import annotations
@@ -88,6 +92,134 @@ def _reflect_bc(bc):
     return bc
 
 
+_NONE = -2  # exposure of a VOID cell, or of an edge that is never read
+
+
+def _sweep(ts: TileSet, height: int, width: int, allowed, void: bool,
+           torus: bool, links: int, cap: int):
+    """Fill the grid cell by cell, row-major, merging equal frontiers.
+
+    A state is a flat tuple: a head, then one record per column, rotated so
+    that the current cell's column comes first.  The head holds the pending
+    east color and the records the exposed south colors.  On a torus the
+    head also holds the row's first west color and each record the first
+    row's north color, which the row's last east color and the last row's
+    south colors must match.  Edges nothing will read again are stored as
+    _NONE, so the last layer holds at most one state.  Each state's value is
+    a list: the most tiles placed, the number of ways to place that many,
+    then up to ``links`` (parent index, tile) pairs.  With ``void`` a cell
+    may stay empty.
+
+    Returns (most placed or None if no state survives, ways, link layers,
+    stored states); raises BudgetExceededError past ``cap`` stored states.
+    """
+    norths, wests, souths, easts = ts.norths, ts.wests, ts.souths, ts.easts
+    size = 2 if torus else 1
+    frontier = {(_NONE,) * (size * (width + 1)): [0, 1]}
+    layers: list[list[list[int]]] = []
+    stored = 0
+    for p in range(height * width):
+        i, j = divmod(p, width)
+        last_row, last_col = i == height - 1, j == width - 1
+
+        def pool_for(req: tuple) -> list[tuple]:
+            """(tile, gain, head, record) for each tile fitting ``req``."""
+            west, north = req[0], req[size]
+            pool = []
+            for k in allowed[i][j]:
+                if ((west != _NONE and wests[k] != west)
+                        or (north != _NONE and norths[k] != north)):
+                    continue
+                east = _NONE if last_col else easts[k]
+                south = _NONE if last_row else souths[k]
+                if not torus:
+                    pool.append((k, 1, (east,), (south,)))
+                    continue
+                first_w = wests[k] if j == 0 else req[1]
+                first_n = norths[k] if i == 0 else req[3]
+                if ((last_col and easts[k] != first_w)
+                        or (last_row and souths[k] != first_n)):
+                    continue
+                pool.append((k, 1, (east, _NONE if last_col else first_w),
+                             (south, _NONE if last_row else first_n)))
+            if void:
+                pool.append((VOID, 0, (_NONE,), (_NONE,)))
+            return pool
+
+        pools: dict[tuple, list[tuple]] = {}
+        level: dict[tuple, list[int]] = {}
+        for idx, (state, value) in enumerate(frontier.items()):
+            req = state[:2 * size]
+            pool = pools.get(req)
+            if pool is None:
+                pool = pools[req] = pool_for(req)
+            rest = state[2 * size:]
+            placed, ways = value[0], value[1]
+            for k, gain, head, record in pool:
+                key = head + rest + record
+                got = placed + gain
+                old = level.get(key)
+                if old is None:
+                    stored += 1
+                    if stored > cap:
+                        raise BudgetExceededError(
+                            f"frontier sweep exceeded {cap} stored states")
+                    level[key] = [got, ways, idx, k]
+                elif got > old[0]:
+                    level[key] = [got, ways, idx, k]
+                elif got == old[0]:
+                    old[1] += ways
+                    if len(old) < 2 + 2 * links:
+                        old += (idx, k)
+        if not level:
+            return None, 0, layers, stored
+        layers.append(list(level.values()))
+        frontier = level
+    (best, ways, *_), = frontier.values()
+    return best, ways, layers, stored
+
+
+def _read_back(layers, height: int, width: int, limit: int) -> list[np.ndarray]:
+    """Up to ``limit`` distinct tilings, depth first through the parent links."""
+    found: list[np.ndarray] = []
+    stack = [(len(layers) - 1, 0, ())]
+    while stack and len(found) < limit:
+        p, idx, tail = stack.pop()
+        if p < 0:
+            cells = []
+            while tail:
+                k, tail = tail
+                cells.append(k)
+            found.append(np.array(cells, dtype=np.int32).reshape(height, width))
+            continue
+        value = layers[p][idx]
+        for n in range(len(value) - 2, 0, -2):
+            stack.append((p - 1, value[n], (value[n + 1], tail)))
+    return found
+
+
+def _frontier(ts: TileSet, height: int, width: int, cap: int,
+              bcs: Iterable = (), void: bool = False, torus: bool = False,
+              limit: int = 1):
+    """Sweep the instance in its narrower orientation.
+
+    Returns (most placed or None, ways, up to ``limit`` witnesses, stored).
+    """
+    if height < 1 or width < 1:
+        raise ConfigurationError("grid dimensions must be positive")
+    transpose = width > height
+    if transpose:
+        # The frontier grows with the width; sweep the diagonally reflected
+        # instance instead (tilings of the two correspond under transposition).
+        ts, height, width = ts.reflected(), width, height
+        bcs = [_reflect_bc(bc) for bc in bcs]
+    allowed = _allowed_tiles(ts, height, width, bcs)
+    best, ways, layers, stored = _sweep(ts, height, width, allowed, void, torus,
+                                        limit, cap)
+    found = _read_back(layers, height, width, limit) if best is not None else []
+    return best, ways, [Tiling(c.T if transpose else c) for c in found], stored
+
+
 def solve_decision(ts: TileSet, height: int, width: int, bcs: Iterable = (),
                    cap: int = DEFAULT_STATE_CAP) -> SolveResult:
     """Decide whether a valid full tiling exists by a cell-by-cell frontier sweep.
@@ -98,130 +230,26 @@ def solve_decision(ts: TileSet, height: int, width: int, bcs: Iterable = (),
     reconstruction.  INFEASIBLE is a proof; CAPPED means the stored-state
     budget ran out before an answer.
     """
-    if height < 1 or width < 1:
-        raise ConfigurationError("grid dimensions must be positive")
     if cap <= 0:
         raise ConfigurationError("state cap must be positive")
-    if width > height:
-        # The frontier grows with the width; solve the diagonally reflected
-        # instance instead (tilings of the two correspond under transposition).
-        res = solve_decision(ts.reflected(), width, height,
-                             [_reflect_bc(bc) for bc in bcs], cap)
-        if res.witness is None:
-            return res
-        return SolveResult(res.status, Tiling(res.witness.cells.T), res.stats)
-    allowed = _allowed_tiles(ts, height, width, bcs)
-    norths, wests, souths, easts = ts.norths, ts.wests, ts.souths, ts.easts
-    NONE = -2  # out-of-domain or never-read exposure
-
-    # parents[p] maps frontier -> (previous frontier, tile id placed at p).
-    parents: list[dict[tuple, tuple]] = []
-    stored = 0
-    start = ((NONE,) * width, NONE)
-    frontier: dict[tuple, None] = {start: None}
-    for p in range(height * width):
-        i, j = divmod(p, width)
-        last_row = i == height - 1
-        last_col = j == width - 1
-        by_nw: dict[tuple[int, int], list[int]] = {}
-        for k in allowed[i][j]:
-            by_nw.setdefault((norths[k], wests[k]), []).append(k)
-        level: dict[tuple, tuple] = {}
-        for (profile, carry) in frontier:
-            want_n = profile[j]
-            if want_n == NONE and carry == NONE:
-                pool = allowed[i][j]
-            elif carry == NONE:
-                pool = [k for k in allowed[i][j] if norths[k] == want_n]
-            elif want_n == NONE:
-                pool = [k for k in allowed[i][j] if wests[k] == carry]
-            else:
-                pool = by_nw.get((want_n, carry), ())
-            for k in pool:
-                new_profile = (profile[:j]
-                               + (NONE if last_row else souths[k],)
-                               + profile[j + 1:])
-                new_carry = NONE if last_col else easts[k]
-                key = (new_profile, new_carry)
-                if key not in level:
-                    level[key] = ((profile, carry), k)
-                    stored += 1
-                    if stored > cap:
-                        return SolveResult(CAPPED, stats={"states": stored})
-        if not level:
-            return SolveResult(INFEASIBLE, stats={"states": stored})
-        parents.append(level)
-        frontier = level
-
-    cells = np.full((height, width), VOID, dtype=np.int32)
-    state = next(iter(parents[-1]))
-    for p in range(height * width - 1, -1, -1):
-        prev, k = parents[p][state]
-        cells[divmod(p, width)] = k
-        state = prev
-    return SolveResult(VALID, Tiling(cells), stats={"states": stored})
-
-
-def _cyclic_rows(ts: TileSet, width: int) -> list[tuple[int, ...]]:
-    """Row tilings whose east boundary wraps back onto their west boundary."""
-    by_w: dict[int, list[int]] = {}
-    for k in range(len(ts)):
-        by_w.setdefault(ts.wests[k], []).append(k)
-    easts = ts.easts
-    rows: list[tuple[int, ...]] = []
-    row: list[int] = []
-
-    def rec(j: int, start: int, cur: int) -> None:
-        if j == width:
-            if cur == start:
-                rows.append(tuple(row))
-            return
-        for k in by_w.get(cur, ()):
-            row.append(k)
-            rec(j + 1, start, easts[k])
-            row.pop()
-
-    for c in sorted(by_w):
-        rec(0, c, c)
-    return rows
+    try:
+        best, _, witnesses, stored = _frontier(ts, height, width, cap, bcs)
+    except BudgetExceededError:
+        return SolveResult(CAPPED, stats={"states": cap + 1})
+    if best is None:
+        return SolveResult(INFEASIBLE, stats={"states": stored})
+    return SolveResult(VALID, witnesses[0], stats={"states": stored})
 
 
 def count_torus(ts: TileSet, height: int, width: int,
                 witness_cap: int = 100) -> tuple[int, list[Tiling]]:
-    """Count labeled tilings of the (height, width) torus; collect witnesses."""
-    rows = _cyclic_rows(ts, width)
-    if not rows:
-        return 0, []
-    norths = ts.norths
-    souths = ts.souths
-    profile_n = {r: tuple(norths[k] for k in r) for r in rows}
-    profile_s = {r: tuple(souths[k] for k in r) for r in rows}
-    by_north: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for r in rows:
-        by_north.setdefault(profile_n[r], []).append(r)
+    """Count labeled tilings of the (height, width) torus; collect witnesses.
 
-    count = 0
-    witnesses: list[Tiling] = []
-    stack: list[tuple[int, ...]] = []
-
-    def rec(level: int, want_north: tuple[int, ...], close_on: tuple[int, ...]) -> None:
-        nonlocal count
-        if level == height:
-            if want_north == close_on:
-                count += 1
-                if len(witnesses) < witness_cap:
-                    witnesses.append(Tiling(np.array(stack, dtype=np.int32)))
-            return
-        for r in by_north.get(want_north, ()):
-            stack.append(r)
-            rec(level + 1, profile_s[r], close_on)
-            stack.pop()
-
-    for r0 in rows:
-        stack.append(r0)
-        rec(1, profile_s[r0], profile_n[r0])
-        stack.pop()
-    return count, witnesses
+    Raises BudgetExceededError past ``DEFAULT_STATE_CAP`` stored states.
+    """
+    _, ways, witnesses, _ = _frontier(ts, height, width, DEFAULT_STATE_CAP,
+                                      torus=True, limit=witness_cap)
+    return ways, witnesses
 
 
 def smallest_torus(ts: TileSet, max_area: int,
@@ -281,34 +309,20 @@ def pack_tiles(ts: TileSet, height: int, width: int, periodic: bool = False,
     used = [False] * len(ts)
     t0 = time.monotonic()
     nodes = 0
-    capped = False
 
-    def requirements(i: int, j: int):
-        """(west, north, south, east) requirements; None means unconstrained."""
-        def cell(a: int, b: int) -> int:
-            return grid[a][b]
-
-        w_req = n_req = s_req = e_req = None
-        if j > 0 and cell(i, j - 1) != VOID:
-            w_req = easts[cell(i, j - 1)]
-        elif periodic and j == 0 and cell(i, width - 1) != VOID:
-            w_req = easts[cell(i, width - 1)]
-        if i > 0 and cell(i - 1, j) != VOID:
-            n_req = souths[cell(i - 1, j)]
-        elif periodic and i == 0 and cell(height - 1, j) != VOID:
-            n_req = souths[cell(height - 1, j)]
-        if j + 1 < width and cell(i, j + 1) != VOID:
-            e_req = wests[cell(i, j + 1)]
-        elif periodic and j == width - 1 and cell(i, 0) != VOID:
-            e_req = wests[cell(i, 0)]
-        if i + 1 < height and cell(i + 1, j) != VOID:
-            s_req = norths[cell(i + 1, j)]
-        elif periodic and i == height - 1 and cell(0, j) != VOID:
-            s_req = norths[cell(0, j)]
-        return w_req, n_req, s_req, e_req
+    def facing(a: int, b: int, side: tuple[int, ...]) -> int | None:
+        """The ``side`` color of the tile at (a, b), wrapping round a periodic
+        grid; None for an empty cell or one off the grid."""
+        if periodic:
+            a, b = a % height, b % width
+        elif not (0 <= a < height and 0 <= b < width):
+            return None
+        k = grid[a][b]
+        return None if k == VOID else side[k]
 
     def candidates(i: int, j: int) -> list[int]:
-        w_req, n_req, s_req, e_req = requirements(i, j)
+        w_req, n_req = facing(i, j - 1, easts), facing(i - 1, j, souths)
+        s_req, e_req = facing(i + 1, j, norths), facing(i, j + 1, wests)
         if w_req is not None and n_req is not None:
             pool = by_wn.get((w_req, n_req), ())
         elif w_req is not None:
@@ -339,107 +353,47 @@ def pack_tiles(ts: TileSet, height: int, width: int, periodic: bool = False,
                     break
         return best, best_cands
 
-    def rec(filled: int) -> bool:
-        nonlocal nodes, capped
-        if filled == height * width:
-            return True
+    frames: list[list] = []  # per filled cell: [i, j, candidates, next index]
+    status = VALID
+    while len(frames) < height * width:
         nodes += 1
-        if deadline is not None and nodes % 1024 == 0:
-            if time.monotonic() - t0 > deadline:
-                capped = True
-                return False
-        (i, j), cands = next_cell(filled)
-        if cands is None:
-            cands = candidates(i, j)
-        for k in cands:
-            grid[i][j] = k
-            used[k] = True
-            if rec(filled + 1):
-                return True
-            used[k] = False
+        if (deadline is not None and nodes % 1024 == 0
+                and time.monotonic() - t0 > deadline):
+            status = CAPPED
+            break
+        (i, j), cands = next_cell(len(frames))
+        frames.append([i, j, candidates(i, j) if cands is None else cands, 0])
+        while frames:  # place the next untried candidate, backtracking as needed
+            i, j, cands, nxt = frame = frames[-1]
+            if nxt:
+                used[cands[nxt - 1]] = False
+            if nxt < len(cands):
+                grid[i][j] = cands[nxt]
+                used[cands[nxt]] = True
+                frame[3] += 1
+                break
             grid[i][j] = VOID
-            if capped:
-                return False
-        return False
+            frames.pop()
+        else:
+            status = INFEASIBLE
+            break
 
-    found = rec(0)
     stats = {"nodes": nodes, "seconds": time.monotonic() - t0}
-    if found:
+    if status == VALID:
         return SolveResult(VALID, Tiling(np.array(grid, dtype=np.int32)), stats)
-    if capped:
-        return SolveResult(CAPPED, stats=stats)
-    return SolveResult(INFEASIBLE, stats=stats)
+    return SolveResult(status, stats=stats)
 
 
 def max_cover_oracle(ts: TileSet, height: int, width: int,
                      budget_states: int = 2_000_000) -> tuple[int, Tiling]:
-    """Exact maximum cover by exhaustive search over cells in {tiles, VOID}.
+    """Exact maximum cover by a frontier sweep over cells in {tiles, VOID}.
 
-    Scans cells row-major; equal search frontiers (the exposed colors of the
-    last ``width`` cells) are merged, which keeps the enumeration exhaustive
-    while visiting each distinct frontier once.  Raises if the frontier table
-    would exceed ``budget_states`` rather than returning a guess.
+    Equal frontiers (the exposed colors of the last ``width`` cells) are
+    merged, each keeping the most tiles placed so far, which keeps the search
+    exhaustive while storing each distinct frontier once.  Raises
+    BudgetExceededError if the sweep would store more than ``budget_states``
+    frontiers rather than returning a guess.
     """
-    if height < 1 or width < 1:
-        raise ConfigurationError("grid dimensions must be positive")
-    if width > height:
-        best, witness = max_cover_oracle(ts.reflected(), width, height,
-                                         budget_states)
-        return best, Tiling(witness.cells.T)
-    norths, wests, souths, easts = ts.norths, ts.wests, ts.souths, ts.easts
-    n_cells = height * width
-    NONE = -2  # exposure of a VOID cell or one whose edge is never checked
-
-    memo: dict[tuple, tuple[int, int]] = {}
-
-    def best_from(pos: int, west_exp: int, skyline: tuple[int, ...]) -> int:
-        if pos == n_cells:
-            return 0
-        key = (pos, west_exp, skyline)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[0]
-        if len(memo) >= budget_states:
-            raise BudgetExceededError(
-                f"max_cover_oracle exceeded {budget_states} stored frontiers")
-        i, j = divmod(pos, width)
-        north_exp = skyline[0]
-        last_row = i == height - 1
-        last_col = j == width - 1
-        # VOID choice first: exposes nothing.
-        tail = skyline[1:] + (NONE,)
-        best = best_from(pos + 1, NONE if not last_col else NONE, tail)
-        choice = VOID
-        for k in range(len(ts)):
-            if west_exp != NONE and wests[k] != west_exp:
-                continue
-            if north_exp != NONE and norths[k] != north_exp:
-                continue
-            s_exp = NONE if last_row else souths[k]
-            e_exp = NONE if last_col else easts[k]
-            val = 1 + best_from(pos + 1, e_exp, skyline[1:] + (s_exp,))
-            if val > best:
-                best = val
-                choice = k
-        memo[key] = (best, choice)
-        return best
-
-    start_sky = (NONE,) * width
-    best = best_from(0, NONE, start_sky)
-
-    # Replay the memoized choices to reconstruct one witness.
-    cells = np.full((height, width), VOID, dtype=np.int32)
-    pos, west_exp, skyline = 0, NONE, start_sky
-    while pos < n_cells:
-        i, j = divmod(pos, width)
-        _, choice = memo[(pos, west_exp, skyline)]
-        cells[i, j] = choice
-        last_row = i == height - 1
-        last_col = j == width - 1
-        if choice == VOID:
-            west_exp, skyline = NONE, skyline[1:] + (NONE,)
-        else:
-            west_exp = NONE if last_col else easts[choice]
-            skyline = skyline[1:] + (NONE if last_row else souths[choice],)
-        pos += 1
-    return best, Tiling(cells)
+    best, _, witnesses, _ = _frontier(ts, height, width, budget_states,
+                                      void=True)
+    return best, witnesses[0]

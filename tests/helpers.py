@@ -79,3 +79,16 @@ def naive_full_tiling_exists(ts: TileSet, h: int, w: int) -> bool:
         if ok:
             return True
     return False
+
+
+def naive_torus_tilings(ts: TileSet, h: int, w: int) -> list[tuple[int, ...]]:
+    """Plain enumeration of the row-major assignments that tile the h x w
+    torus, where the last row meets the first and the last column the first."""
+    n, we, s, e = ts.norths, ts.wests, ts.souths, ts.easts
+    found = []
+    for assign in itertools.product(range(len(ts)), repeat=h * w):
+        if all(e[k] == we[assign[i * w + (j + 1) % w]]
+               and s[k] == n[assign[(i + 1) % h * w + j]]
+               for (i, j), k in zip(itertools.product(range(h), range(w)), assign)):
+            found.append(assign)
+    return found

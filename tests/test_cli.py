@@ -4,6 +4,7 @@ import os
 import pytest
 
 import wangtiler as wt
+from wangtiler.bench import resolve_set
 from wangtiler.cli import main, parse_extension
 from wangtiler.fileio import load_tileset, load_tiling, save_tileset
 
@@ -162,3 +163,29 @@ def test_bench_subcommand(capsys):
     assert code == 0
     payload = json.loads(text[text.index("{"):])
     assert len(payload["rows"]) == 2
+
+
+def test_unknown_tileset_names_the_choices(capsys):
+    with pytest.raises(wt.ConfigurationError, match="fig3.*complete:<n>"):
+        resolve_set("nosuchset")
+    code, _, err = run(capsys, "solve", "--tileset", "nosuchset", "--h", "2",
+                       "--w", "2")
+    assert code == 3 and "unknown tile set 'nosuchset'" in err
+
+
+def test_solve_rejects_a_broken_witness(capsys, monkeypatch):
+    import wangtiler.cli as cli
+    # fig3 tile 0 has east 0, tile 1 has west 1: the edge between them breaks.
+    bad = wt.SolveResult(wt.VALID, wt.Tiling([[0, 1]]), {"states": 1})
+    monkeypatch.setattr(cli, "solve_decision", lambda *a, **k: bad)
+    code, _, err = run(capsys, "solve", "--tileset", "fig3", "--h", "1",
+                       "--w", "2")
+    assert code != 0 and err.startswith("error:")
+
+
+def test_torus_budget_exceeded_exits_capped(capsys, monkeypatch):
+    import wangtiler.exact as exact
+    monkeypatch.setattr(exact, "DEFAULT_STATE_CAP", 2)
+    code, _, err = run(capsys, "torus", "--tileset", "finite1",
+                       "--max-area", "4")
+    assert code == 2 and err.startswith("error:")

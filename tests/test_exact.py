@@ -13,7 +13,7 @@ from wangtiler import (CAPPED, INFEASIBLE, VALID, BudgetExceededError,
                        validate_tiling)
 
 from helpers import (naive_full_tiling_exists, naive_max_cover,
-                     random_tileset)
+                     naive_torus_tilings, random_tileset)
 
 
 # -- decision ----------------------------------------------------------------
@@ -146,6 +146,41 @@ def test_count_torus_counts_labelings():
     assert len(wits) == 4
 
 
+def test_count_torus_complete_closed_form():
+    # Every coloring of the 2hw torus edges is tiled by exactly one labeling.
+    c2 = complete_stochastic_set(2)
+    assert count_torus(c2, 4, 4)[0] == 2 ** 32
+    assert count_torus(c2, 3, 4)[0] == 2 ** 24
+
+
+def test_count_torus_long_strips():
+    c1 = complete_stochastic_set(1)
+    for h, w in [(1, 1200), (1200, 1)]:
+        count, wits = count_torus(c1, h, w)
+        assert count == 1 and len(wits) == 1
+        assert wits[0].cells.shape == (h, w) and wits[0].placed == h * w
+
+
+def test_smallest_torus_none_without_small_period():
+    assert smallest_torus(builtin_set("finite1"), 30) is None
+
+
+def test_count_torus_agrees_with_enumeration():
+    rng = random.Random(23)
+    for _ in range(25):
+        ts = random_tileset(rng, max_colors=3, max_tiles=4)
+        for (h, w) in [(1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (1, 6)]:
+            expected = set(naive_torus_tilings(ts, h, w))
+            count, wits = count_torus(ts, h, w, witness_cap=2)
+            assert count == len(expected)
+            assert len(wits) == min(2, count)
+            labelings = {tuple(t.cells.flatten().tolist()) for t in wits}
+            assert len(labelings) == len(wits) and labelings <= expected
+            for t in wits:
+                tiled = Tiling(np.tile(t.cells, (2, 2)))
+                assert validate_tiling(ts, tiled).is_valid
+
+
 def test_torus_bad_area():
     with pytest.raises(ConfigurationError):
         smallest_torus(builtin_set("fig3"), 0)
@@ -185,6 +220,15 @@ def test_pack_deadline_capped():
     assert res.status == CAPPED
 
 
+def test_pack_long_chain():
+    # 1100 cells, more than the interpreter's recursion limit: the search
+    # must not recurse once per cell.
+    chain = TileSet([Tile(0, c, 0, c + 1) for c in range(1100)])
+    res = pack_tiles(chain, 1, 1100)
+    assert res.status == VALID
+    assert res.witness.cells[0].tolist() == list(range(1100))
+
+
 def test_pack_infeasible_when_no_arrangement():
     ts = TileSet([Tile(0, 0, 0, 0), Tile(1, 1, 1, 1)], num_colors=2)
     res = pack_tiles(ts, 1, 2)
@@ -219,3 +263,12 @@ def test_oracle_matches_naive_enumeration():
 def test_oracle_budget_error():
     with pytest.raises(BudgetExceededError):
         max_cover_oracle(complete_stochastic_set(3), 4, 4, budget_states=50)
+
+
+def test_oracle_wide_grid_raises_budget_error():
+    # Isolated tiles on a 40-wide grid have a frontier exponential in the
+    # width; the sweep must stop at its budget, not overflow the stack.  A
+    # small budget keeps the test light: the states hold 41-entry tuples.
+    one = TileSet([Tile(0, 0, 1, 1)], num_colors=2)
+    with pytest.raises(BudgetExceededError):
+        max_cover_oracle(one, 40, 40, budget_states=100_000)
