@@ -35,7 +35,7 @@ print("\n".join(text.splitlines()[:6]))
 
 # evaluate_assignment bridges tilings and models: any tiling produced by the
 # solvers can be checked against any model of the same grid.
-run = wt.alg4_improve(fig3, 4, 4, "simple", seed=1)
+run = wt.cover(fig3, 4, 4, "simple", seed=1)
 cover_model = build_model(ModelSpec(fig3, 4, 4, "max_cover"))
 ev = evaluate_assignment(cover_model, run.tiling)
 print(f"\nheuristic cover of 4x4: {run.placed} tiles; model agrees: "

@@ -1,14 +1,14 @@
 """Maximum-cover heuristics: shortest paths instead of integer programming.
 
 Covering one row optimally is a shortest-path problem in a small layered
-DAG; covering the grid is a schedule of such row solves.  Three schedules
-trade quality for guarantees, and an alternating row/column improvement
-loop polishes any of them:
+DAG; covering the grid is a schedule of such row solves.  ``cover`` runs
+one of three schedules, which trade quality for guarantees, and then, unless
+``improve=False``, an alternating column/row improvement loop:
 
-  alg1  rows top to bottom              no guarantee, best in practice
-  alg2  odd rows first                  >= 1/2 of the grid (two-tile rows exist)
-  alg3  rows 1, 4, 3, 2, 3, ...         >= 2/3 of the grid (cyclic transducers)
-  alg4  any of the above + improvement  never worse than its start
+  simple     rows top to bottom       no guarantee, best in practice
+  half       odd rows first           >= 1/2 of the grid (two-tile rows exist)
+  twothirds  rows 1, 4, 3, 2, 3, ...  >= 2/3 of the grid (cyclic transducers)
+  improve    any of the above         never worse than its start
 """
 
 import wangtiler as wt
@@ -16,19 +16,19 @@ import wangtiler as wt
 amm = wt.builtin_set("ammann16")
 H = W = 15
 
-for alg in (wt.alg1_simple, wt.alg2_half, wt.alg3_twothirds):
-    run = alg(amm, H, W, seed=0)
+for init in ("simple", "half", "twothirds"):
+    run = wt.cover(amm, H, W, init, seed=0, improve=False)
     guarantee = f">= {run.bound} of {H * W}" if run.bound else "none"
-    print(f"{alg.__name__:15s}: {run.placed:3d}/{H * W} placed "
+    print(f"{init:18s}: {run.placed:3d}/{H * W} placed "
           f"(guarantee {guarantee})")
 
-run = wt.alg4_improve(amm, H, W, init="simple", seed=0)
-print(f"alg4_improve   : {run.placed:3d}/{H * W} placed "
+run = wt.cover(amm, H, W, init="simple", seed=0)
+print(f"simple + improve  : {run.placed:3d}/{H * W} placed "
       f"after {run.sweeps} improvement sweeps")
 
 # Every run is deterministic in (inputs, seed); different seeds shuffle the
 # DAG edge order and explore different tie-breaks.
-spread = [wt.alg4_improve(amm, H, W, "simple", seed).placed for seed in range(20)]
+spread = [wt.cover(amm, H, W, "simple", seed).placed for seed in range(20)]
 print(f"\n20 seeds: min {min(spread)}, max {max(spread)}")
 
 # The row kernel is usable directly: cover one row against fixed neighbors.

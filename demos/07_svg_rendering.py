@@ -10,7 +10,7 @@ from wangtiler.render import RenderStyle, render_svg
 
 # A heuristic cover of the Ammann set, voids hatched.
 amm = wt.builtin_set("ammann16")
-run = wt.alg4_improve(amm, 10, 10, "simple", seed=2)
+run = wt.cover(amm, 10, 10, "simple", seed=2)
 with open("ammann_cover.svg", "w") as f:
     f.write(render_svg(amm, run.tiling, RenderStyle(cell_px=28, show_ids=True)))
 print(f"wrote ammann_cover.svg ({run.placed}/100 tiles placed)")

@@ -13,8 +13,8 @@ from .extensions import (DifferentEdgeColors, DifferentTile, EqualEdgeColors,
                          ForceTile, Packing, PeriodicFixed, PeriodicVariable,
                          SameTile, SmallestObjective)
 from .heuristics import (WILDCARD, CoverRun, Hard, LayeredDag, PenaltyScheme,
-                         Soft, alg1_simple, alg2_half, alg3_twothirds,
-                         alg4_improve, build_layered_dag, max_row_cover)
+                         Soft, alg4_improve, build_layered_dag, cover,
+                         max_row_cover)
 from .tileset import (VOID, CornerTile, Tile, TileSet, Tiling, ValidityReport,
                       builtin_names, builtin_set, complete_stochastic_set,
                       corner_to_wang, validate_tiling, wang_to_corner)

@@ -13,12 +13,11 @@ import time
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
-from .heuristics import alg1_simple, alg2_half, alg3_twothirds, alg4_improve
+from .heuristics import CoverRun, cover
 from .tileset import TileSet, builtin_names, builtin_set, complete_stochastic_set
 
 REPORT_SCHEMA_VERSION = 1
 
-_RAW_ALGS = {"1": alg1_simple, "2": alg2_half, "3": alg3_twothirds}
 _INIT_OF = {"1": "simple", "2": "half", "3": "twothirds"}
 
 
@@ -26,7 +25,13 @@ def resolve_set(spec: str) -> TileSet:
     """Resolve a tile set spec string: a built-in name, ``complete:<n>``,
     or a path to a tile set file."""
     if spec.startswith("complete:"):
-        return complete_stochastic_set(int(spec.split(":", 1)[1]))
+        try:
+            n_c = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ConfigurationError(
+                f"bad tile set {spec!r}: expected complete:<n> with an "
+                f"integer n") from None
+        return complete_stochastic_set(n_c)
     if spec in builtin_names():
         return builtin_set(spec)
     if not os.path.isfile(spec):
@@ -41,11 +46,9 @@ def run_algorithm(ts: TileSet, height: int, width: int, alg: str,
                   improve: bool, seed: int):
     """One seeded run of algorithm "1"|"2"|"3", optionally with the
     improvement loop on top."""
-    if alg not in _RAW_ALGS:
+    if alg not in _INIT_OF:
         raise ConfigurationError(f"algorithm must be one of 1/2/3, got {alg!r}")
-    if improve:
-        return alg4_improve(ts, height, width, _INIT_OF[alg], seed)
-    return _RAW_ALGS[alg](ts, height, width, seed)
+    return cover(ts, height, width, _INIT_OF[alg], seed, improve)
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,10 @@ class BenchConfig:
     improve: bool = True
     seeds: int = 100
     seed_base: int = 0
+
+    def __post_init__(self):
+        if self.seeds < 1:
+            raise ConfigurationError("need at least one seed")
 
 
 @dataclass(frozen=True)
@@ -110,30 +117,41 @@ class BenchReport:
         return json.dumps(payload, indent=2) + "\n"
 
 
+def run_seeds(ts: TileSet, height: int, width: int, alg: str,
+              config: BenchConfig) -> list[tuple[CoverRun, float]]:
+    """One run for each seed from seed_base to seed_base + seeds - 1,
+    paired with its wall time in milliseconds."""
+    pairs = []
+    for s in range(config.seed_base, config.seed_base + config.seeds):
+        t0 = time.perf_counter()
+        run = run_algorithm(ts, height, width, alg, config.improve, s)
+        pairs.append((run, (time.perf_counter() - t0) * 1000.0))
+    return pairs
+
+
+def bench_row(name: str, height: int, width: int, alg: str,
+              config: BenchConfig, pairs: list[tuple[CoverRun, float]],
+              keep_runs: bool) -> BenchRow:
+    """Aggregate the (run, millis) pairs of one seed block; with keep_runs
+    the row also holds one {"placed", "bound", "seed", "millis"} dict per
+    run."""
+    placed = [run.placed for run, _ in pairs]
+    runs = tuple({"placed": run.placed, "bound": run.bound, "seed": run.seed,
+                  "millis": millis} for run, millis in pairs) if keep_runs else ()
+    mean_s = sum(millis for _, millis in pairs) / 1000.0 / len(pairs)
+    return BenchRow(name, height, width, alg, config.improve, mean_s,
+                    min(placed), sum(placed) / len(placed), max(placed), runs)
+
+
 def run_benchmark(config: BenchConfig, keep_runs: bool = False) -> BenchReport:
-    """Seeds run from seed_base to seed_base + seeds - 1; aggregation is
-    order-independent, so rows are reproducible for a fixed config."""
-    if config.seeds < 1:
-        raise ConfigurationError("need at least one seed")
+    """One row per (set, size, algorithm); aggregation is order-independent,
+    so rows are reproducible for a fixed config."""
     rows = []
     for spec in config.sets:
         ts = resolve_set(spec)
         name = ts.name or spec
         for (h, w) in config.sizes:
             for alg in config.algs:
-                placed = []
-                runs = []
-                t0 = time.perf_counter()
-                for s in range(config.seed_base, config.seed_base + config.seeds):
-                    t1 = time.perf_counter()
-                    run = run_algorithm(ts, h, w, alg, config.improve, s)
-                    millis = (time.perf_counter() - t1) * 1000.0
-                    placed.append(run.placed)
-                    if keep_runs:
-                        runs.append({"placed": run.placed, "bound": run.bound,
-                                     "seed": s, "millis": millis})
-                mean_s = (time.perf_counter() - t0) / config.seeds
-                rows.append(BenchRow(name, h, w, alg, config.improve, mean_s,
-                                     min(placed), sum(placed) / len(placed),
-                                     max(placed), tuple(runs)))
+                pairs = run_seeds(ts, h, w, alg, config)
+                rows.append(bench_row(name, h, w, alg, config, pairs, keep_runs))
     return BenchReport(tuple(rows))

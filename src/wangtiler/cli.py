@@ -13,10 +13,10 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from . import fileio
-from .bench import BenchConfig, resolve_set, run_algorithm, run_benchmark
+from .bench import (BenchConfig, bench_row, resolve_set, run_benchmark,
+                    run_seeds)
 from .errors import BudgetExceededError, ConfigurationError
 from .exact import (CAPPED, DEFAULT_STATE_CAP, INFEASIBLE, VALID, pack_tiles,
                     smallest_torus, solve_decision)
@@ -120,31 +120,28 @@ def cmd_solve(args) -> int:
 
 def cmd_cover(args) -> int:
     ts = resolve_set(args.tileset)
+    h, w = args.height, args.width
+    config = BenchConfig(sets=(args.tileset,), sizes=((h, w),),
+                         algs=(args.alg,), improve=args.improve,
+                         seeds=args.seeds, seed_base=args.seed)
     print(f"seed base: {args.seed}")
-    runs = []
-    for s in range(args.seed, args.seed + args.seeds):
-        t0 = time.perf_counter()
-        run = run_algorithm(ts, args.height, args.width, args.alg,
-                            args.improve, s)
-        millis = (time.perf_counter() - t0) * 1000.0
-        runs.append((run, millis))
-    best = max(runs, key=lambda rm: rm[0].placed)[0]
-    placed = [r.placed for r, _ in runs]
+    pairs = run_seeds(ts, h, w, args.alg, config)
+    row = bench_row(args.tileset, h, w, args.alg, config, pairs,
+                    keep_runs=True)
     if args.report == "json":
         payload = {
-            "runs": [{"placed": r.placed, "bound": r.bound, "seed": r.seed,
-                      "millis": m} for r, m in runs],
-            "aggregate": {"min": min(placed),
-                          "avg": sum(placed) / len(placed),
-                          "max": max(placed)},
+            "runs": list(row.runs),
+            "aggregate": {"min": row.min_placed, "avg": row.avg_placed,
+                          "max": row.max_placed},
         }
         print(json.dumps(payload, indent=2))
     else:
-        for r, m in runs:
-            print(f"seed {r.seed}: placed {r.placed}/{args.height * args.width} "
-                  f"bound={r.bound or '-'} {m:.1f} ms")
-        print(f"aggregate: min {min(placed)} avg {sum(placed) / len(placed):.2f} "
-              f"max {max(placed)}")
+        for r in row.runs:
+            print(f"seed {r['seed']}: placed {r['placed']}/{h * w} "
+                  f"bound={r['bound'] or '-'} {r['millis']:.1f} ms")
+        print(f"aggregate: min {row.min_placed} avg {row.avg_placed:.2f} "
+              f"max {row.max_placed}")
+    best = max(pairs, key=lambda pair: pair[0].placed)[0]
     _write_outputs(ts, best.tiling, args)
     return EXIT_OK
 
@@ -256,11 +253,19 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+def parse_size(token: str) -> tuple[int, int]:
+    """A grid size written <h>x<w>, e.g. 20x20."""
+    h, x, w = token.partition("x")
+    if x:
+        try:
+            return int(h), int(w)
+        except ValueError:
+            pass
+    raise ConfigurationError(f"bad size {token!r}: expected <h>x<w>, e.g. 20x20")
+
+
 def cmd_bench(args) -> int:
-    sizes = []
-    for token in args.sizes.split(",") if args.sizes else []:
-        h, _, w = token.partition("x")
-        sizes.append((int(h), int(w)))
+    sizes = [parse_size(t) for t in args.sizes.split(",")] if args.sizes else []
     config = BenchConfig(sets=tuple(args.sets.split(",")) if args.sets else (),
                          sizes=tuple(sizes),
                          algs=tuple(args.algs.split(",")),

@@ -1,7 +1,8 @@
 """Maximum-cover heuristics built on shortest paths in a layered DAG.
 
-One row (or column) of the grid is covered at a time.  The row problem is a
-layered graph: alternating color layers and single-vertex void layers between
+One row of the grid is covered at a time; a column is covered as a row of the
+transposed grid over the reflected tile set.  The row problem is a layered
+graph: alternating color layers and single-vertex void layers between
 a source and a terminal.  Tile edges cost 0 plus a small penalty when the
 tile would strand a vertical neighbor; edges into a void vertex cost 1, so
 the shortest path cost counts voids first and penalties second, and the
@@ -12,8 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConfigurationError
 from .tileset import TileSet, Tiling, VOID
@@ -210,26 +209,43 @@ class CoverRun:
 
 
 class _Cover:
-    """Shared machinery for the cover algorithms: a mutable grid plus the
-    constraint builders for the plain, dual-lookahead and hard-only modes."""
+    """A mutable grid plus the constraint builders for the plain,
+    dual-lookahead and hard-only row modes.
+
+    Columns are solved as rows of the transposed grid (see ``transpose``).
+    The dual transducer belongs to the untransposed set, so the dual mode
+    runs only before the first transpose.
+    """
 
     def __init__(self, ts: TileSet, height: int, width: int, seed: int):
         if height < 1 or width < 1:
             raise ConfigurationError("grid dimensions must be positive")
+        self.rng = random.Random(seed)
+        self.cells = [[VOID] * width for _ in range(height)]
+        self._orient(ts, height, width)
+        self._other_ts: TileSet | None = None
+        self.dual = build_transducer(ts, DUAL)
+        self._reach: dict[int, list[frozenset[int]]] = {}
+        self.line_solves = 0
+
+    def _orient(self, ts: TileSet, height: int, width: int) -> None:
         self.ts = ts
         self.height = height
         self.width = width
-        self.rng = random.Random(seed)
-        self.cells = [[VOID] * width for _ in range(height)]
         self.norths, self.souths = ts.norths, ts.souths
-        self.wests, self.easts = ts.wests, ts.easts
         # Colors that still admit some vertical neighbor, per side.
         self.north_open = Soft(ts.souths)
         self.south_open = Soft(ts.norths)
         self.pen = PenaltyScheme.for_width(width)
-        self.dual = build_transducer(ts, DUAL)
-        self._reach: dict[int, list[frozenset[int]]] = {}
-        self.line_solves = 0
+
+    def transpose(self) -> None:
+        """Swap to the transposed grid over the diagonally reflected set, so
+        that its rows are the current columns; a second call swaps back."""
+        if self._other_ts is None:
+            self._other_ts = self.ts.reflected()
+        ts, self._other_ts = self._other_ts, self.ts
+        self.cells = [list(col) for col in zip(*self.cells)]
+        self._orient(ts, self.width, self.height)
 
     def reach(self, distance: int) -> list[frozenset[int]]:
         if distance not in self._reach:
@@ -287,49 +303,20 @@ class _Cover:
         self.cells[i] = row
         self.line_solves += 1
 
-    def solve_column_simple(self, j: int) -> None:
-        """Hard-only re-solve of 0-based column j via the reflected set."""
-        cells = self.cells
-        north = []
-        south = []
-        for i in range(self.height):
-            left = cells[i][j - 1] if j > 0 else None
-            north.append(Hard(self.easts[left])
-                         if left is not None and left != VOID else WILDCARD)
-            right = cells[i][j + 1] if j + 1 < self.width else None
-            south.append(Hard(self.wests[right])
-                         if right is not None and right != VOID else WILDCARD)
-        dual_ts = self._reflected()
-        col, _ = max_row_cover(dual_ts, self.height, north, south,
-                               PenaltyScheme.for_width(self.height),
-                               self.shuffled_order())
-        for i in range(self.height):
-            cells[i][j] = col[i]
-        self.line_solves += 1
-
-    def _reflected(self) -> TileSet:
-        if not hasattr(self, "_reflected_ts"):
-            self._reflected_ts = self.ts.reflected()
-        return self._reflected_ts
-
     def voids(self) -> int:
         return sum(row.count(VOID) for row in self.cells)
 
-    def tiling(self) -> Tiling:
-        return Tiling(np.array(self.cells, dtype=np.int32))
 
-    def run(self, seed: int, bound: str | None, sweeps: int = 0) -> CoverRun:
-        t = self.tiling()
-        return CoverRun(t, t.placed, self.line_solves, seed, bound, sweeps)
+_INITS = ("simple", "half", "twothirds")
 
 
-def _half_bound(ts: TileSet) -> str | None:
-    g = build_transducer(ts, HORIZONTAL)
-    return "1/2" if longest_path_at_least(g, 2) else None
-
-
-def _two_thirds_bound(ts: TileSet) -> str | None:
-    if (all_states_on_cycles(build_transducer(ts, HORIZONTAL))
+def _bound(ts: TileSet, init: str) -> str | None:
+    """The coverage guarantee the init schedule proves on ts, if any."""
+    if init == "half":
+        g = build_transducer(ts, HORIZONTAL)
+        return "1/2" if longest_path_at_least(g, 2) else None
+    if (init == "twothirds"
+            and all_states_on_cycles(build_transducer(ts, HORIZONTAL))
             and all_states_on_cycles(build_transducer(ts, DUAL))):
         return "2/3"
     return None
@@ -361,6 +348,21 @@ def _order_two_thirds(height: int) -> list[int]:
 
 
 def _init_cover(cov: _Cover, init: str) -> None:
+    """Fill the empty grid row by row with the named schedule.
+
+    simple:    rows top to bottom, each against its placed neighbors.
+    half:      in the order 1, 3, 2, 5, 4, ..., odd rows become maximum row
+               covers judged two rows back through the dual transducer and
+               even rows fill the gaps.  Places at least half the grid
+               whenever the transducer admits a two-tile row.
+    twothirds: in the order 1, 4, 3, 2, 3, ..., rows 1, 4, 7, ... are covered
+               with two-arc lookahead to the anchor row three above; rows
+               3, 6, ... are first covered with one-arc lookahead and tiles
+               only at odd positions, then revisited plainly; rows 2, 5, ...
+               are covered plainly.  Places at least two thirds of the grid
+               when every used color of both transducer graphs lies on a
+               cycle.
+    """
     if init == "simple":
         for i in range(cov.height):
             cov.solve_row(i, "plain")
@@ -370,7 +372,7 @@ def _init_cover(cov: _Cover, init: str) -> None:
                 cov.solve_row(row - 1, "dual", dual_dist=1)
             else:
                 cov.solve_row(row - 1, "plain")
-    elif init == "twothirds":
+    else:
         visited = [False] * (cov.height + 1)
         evens_blocked = [j % 2 == 1 for j in range(cov.width)]
         for row in _order_two_thirds(cov.height):
@@ -381,68 +383,38 @@ def _init_cover(cov: _Cover, init: str) -> None:
             else:
                 cov.solve_row(row - 1, "plain")
             visited[row] = True
-    else:
-        raise ConfigurationError(f"init must be one of {sorted(_BOUNDS)}, got {init!r}")
 
 
-_BOUNDS = {
-    "simple": lambda ts: None,
-    "half": _half_bound,
-    "twothirds": _two_thirds_bound,
-}
+def cover(ts: TileSet, height: int, width: int, init: str = "simple",
+          seed: int = 0, improve: bool = True) -> CoverRun:
+    """Maximum-cover heuristic: the ``init`` row schedule ("simple", "half"
+    or "twothirds", see ``_init_cover``), then, with ``improve``, the
+    improvement loop.
 
-
-def alg1_simple(ts: TileSet, height: int, width: int, seed: int = 0) -> CoverRun:
-    """Cover rows top to bottom, each against its already-placed neighbors."""
-    cov = _Cover(ts, height, width, seed)
-    _init_cover(cov, "simple")
-    return cov.run(seed, None)
-
-
-def alg2_half(ts: TileSet, height: int, width: int, seed: int = 0) -> CoverRun:
-    """Odd rows become maximum row covers judged two rows back through the
-    dual transducer; even rows fill the gaps.  Places at least half the grid
-    whenever the transducer admits a two-tile row."""
-    cov = _Cover(ts, height, width, seed)
-    _init_cover(cov, "half")
-    return cov.run(seed, _half_bound(ts))
-
-
-def alg3_twothirds(ts: TileSet, height: int, width: int, seed: int = 0) -> CoverRun:
-    """Row order 1, 4, 3, 2, 3, ... with dual-transducer lookahead.
-
-    Rows 1, 4, 7, ... are covered with two-arc lookahead to the anchor row
-    three above; rows 3, 6, ... are first covered with one-arc lookahead and
-    tiles only at odd positions, then revisited plainly; rows 2, 5, ... are
-    covered plainly.  Guarantees two thirds of the grid when every used
-    color of both transducer graphs lies on a cycle.
+    The loop alternates hard-constrained column and row re-solves while the
+    void count keeps dropping.  Each re-solve admits the incumbent line, so
+    the placed count never decreases.  ``bound`` is the guarantee of the
+    init schedule on ``ts``; improvement keeps it.
     """
-    cov = _Cover(ts, height, width, seed)
-    _init_cover(cov, "twothirds")
-    return cov.run(seed, _two_thirds_bound(ts))
-
-
-def alg4_improve(ts: TileSet, height: int, width: int,
-                 init: str = "simple", seed: int = 0) -> CoverRun:
-    """Generate an initial cover, then alternate hard-constrained column and
-    row re-solves while the void count keeps dropping.  Each re-solve admits
-    the incumbent line, so the placed count never decreases."""
-    if init not in _BOUNDS:
-        raise ConfigurationError(f"init must be one of {sorted(_BOUNDS)}, got {init!r}")
+    if init not in _INITS:
+        raise ConfigurationError(f"init must be one of {', '.join(_INITS)}, "
+                                 f"got {init!r}")
     cov = _Cover(ts, height, width, seed)
     _init_cover(cov, init)
     sweeps = 0
-    num_old = float("inf")
-    method = "columns"
-    while num_old - cov.voids() > 0:
+    num_old = INF
+    while improve and cov.voids() < num_old:
         num_old = cov.voids()
-        if method == "rows":
-            for i in range(height):
-                cov.solve_row(i, "simple")
-            method = "columns"
-        else:
-            for j in range(width):
-                cov.solve_column_simple(j)
-            method = "rows"
+        cov.transpose()
+        for i in range(cov.height):
+            cov.solve_row(i, "simple")
         sweeps += 1
-    return cov.run(seed, _BOUNDS[init](ts), sweeps)
+    if sweeps % 2:
+        cov.transpose()
+    tiling = Tiling(cov.cells)
+    return CoverRun(tiling, tiling.placed, cov.line_solves, seed,
+                    _bound(ts, init), sweeps)
+
+
+#: The former name of ``cover``, which ``perfbench/`` calls and traces.
+alg4_improve = cover

@@ -57,9 +57,6 @@ class IlpModel:
     constraints: tuple[LinCon, ...]
     objective: Objective
 
-    def var_index(self) -> dict[str, int]:
-        return {v.name: i for i, v in enumerate(self.variables)}
-
 
 @dataclass(frozen=True)
 class ModelSpec:

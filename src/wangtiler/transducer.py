@@ -38,9 +38,6 @@ class TransducerGraph:
     arcs: tuple[Arc, ...]
     orientation: str
 
-    def out_arcs(self, state: int) -> tuple[Arc, ...]:
-        return tuple(a for a in self.arcs if a.from_state == state)
-
     def successors(self) -> list[list[int]]:
         """Adjacency lists (state -> successor states, duplicates kept)."""
         adj: list[list[int]] = [[] for _ in range(self.num_states)]

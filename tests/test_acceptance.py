@@ -13,9 +13,8 @@ import time
 import pytest
 
 import wangtiler as wt
-from wangtiler import (INFEASIBLE, VALID, alg1_simple, alg2_half,
-                       alg3_twothirds, alg4_improve, builtin_set,
-                       complete_stochastic_set, max_cover_oracle,
+from wangtiler import (INFEASIBLE, VALID, builtin_set,
+                       complete_stochastic_set, cover, max_cover_oracle,
                        max_row_cover, pack_tiles, smallest_torus,
                        solve_decision, validate_tiling)
 from wangtiler.heuristics import WILDCARD, build_layered_dag
@@ -46,7 +45,7 @@ def test_criterion_01_stochastic_full_coverage():
             for init in INITS:
                 for seed in range(100):
                     t0 = time.perf_counter()
-                    run = alg4_improve(ts, h, w, init, seed)
+                    run = cover(ts, h, w, init, seed)
                     dt = time.perf_counter() - t0
                     slowest = max(slowest, dt)
                     runs += 1
@@ -70,13 +69,13 @@ def test_criterion_02_approximation_guarantees():
         for (h, w) in ((9, 9), (15, 15)):
             for seed in range(100):
                 if half_applies:
-                    r = alg2_half(ts, h, w, seed)
+                    r = cover(ts, h, w, "half", seed, improve=False)
                     assert r.bound == "1/2"
                     checked += 1
                     if r.placed < math.ceil(h * w / 2):
                         violations += 1
                 if thirds_applies:
-                    r = alg3_twothirds(ts, h, w, seed)
+                    r = cover(ts, h, w, "twothirds", seed, improve=False)
                     assert r.bound == "2/3"
                     checked += 1
                     if r.placed < math.ceil(2 * h * w / 3):
@@ -95,10 +94,10 @@ def test_criterion_03_oracle_equivalence():
         for (h, w) in grids:
             best, witness = max_cover_oracle(ts, h, w)
             assert validate_tiling(ts, witness).is_valid
-            for alg in (alg1_simple, alg2_half, alg3_twothirds):
-                if alg(ts, h, w, seed=i).placed > best:
+            for init in INITS:
+                if cover(ts, h, w, init, seed=i, improve=False).placed > best:
                     violations += 1
-            if alg4_improve(ts, h, w, "simple", seed=i).placed > best:
+            if cover(ts, h, w, "simple", seed=i).placed > best:
                 violations += 1
             if h == 1:
                 row, _ = max_row_cover(ts, w, [WILDCARD] * w, [WILDCARD] * w)
@@ -183,7 +182,7 @@ def test_criterion_07_dag_size_formulas():
 
 def test_criterion_08_max_csp_identity():
     ts = complete_stochastic_set(2)
-    run = alg1_simple(ts, 20, 20, seed=0)
+    run = cover(ts, 20, 20, "simple", seed=0, improve=False)
     assert run.placed == 400
     model = build_model(ModelSpec(ts, 20, 20, "max_csp"))
     ev = evaluate_assignment(model, run.tiling)
@@ -219,7 +218,7 @@ def test_criterion_10_quality_bands():
     ok = True
     for name, published_avg in (("finite1", 360.71), ("ammann16", 366.09)):
         ts = builtin_set(name)
-        placed = [alg4_improve(ts, 20, 20, "simple", seed).placed
+        placed = [cover(ts, 20, 20, "simple", seed).placed
                   for seed in range(100)]
         avg = sum(placed) / len(placed)
         lo, hi = 0.95 * published_avg, 1.05 * published_avg

@@ -10,6 +10,8 @@ from wangtiler.bench import (BenchConfig, resolve_set, run_algorithm,
 def test_resolve_set_builtin_and_complete():
     assert len(resolve_set("fig3")) == 3
     assert len(resolve_set("complete:3")) == 81
+    with pytest.raises(ConfigurationError, match="complete:<n>"):
+        resolve_set("complete:x")
 
 
 def test_resolve_set_file(tmp_path):

@@ -189,3 +189,20 @@ def test_torus_budget_exceeded_exits_capped(capsys, monkeypatch):
     code, _, err = run(capsys, "torus", "--tileset", "finite1",
                        "--max-area", "4")
     assert code == 2 and err.startswith("error:")
+
+
+def test_cover_needs_a_seed(capsys):
+    for seeds in ("0", "-1"):
+        code, _, err = run(capsys, "cover", "--tileset", "fig3", "--h", "2",
+                           "--w", "2", "--seeds", seeds)
+        assert code == 3 and err == "error: need at least one seed\n"
+
+
+def test_malformed_size_and_set_name_the_form(capsys):
+    code, _, err = run(capsys, "bench", "--sets", "fig3", "--sizes", "5")
+    assert code == 3 and "<h>x<w>" in err
+    code, _, err = run(capsys, "bench", "--sets", "fig3", "--sizes", "5xw")
+    assert code == 3 and "<h>x<w>" in err
+    code, _, err = run(capsys, "cover", "--tileset", "complete:x", "--h", "2",
+                       "--w", "2")
+    assert code == 3 and "complete:<n>" in err

@@ -210,7 +210,7 @@ def test_evaluate_all_void_max_cover():
 def test_evaluate_max_cover_objective_counts_tiles():
     ts = builtin_set("fig3")
     m = build_model(spec(ts, 3, 3, "max_cover"))
-    run = wt.alg4_improve(ts, 3, 3, "simple", seed=0)
+    run = wt.cover(ts, 3, 3, "simple", seed=0)
     ev = evaluate_assignment(m, run.tiling)
     assert ev.feasible
     assert ev.objective == run.placed
@@ -229,7 +229,7 @@ def test_evaluate_max_csp_mismatch_drops_objective():
 def test_evaluate_max_csp_full_valid_identity():
     ts = complete_stochastic_set(2)
     for (h, w) in [(3, 3), (4, 5)]:
-        run = wt.alg1_simple(ts, h, w, seed=1)
+        run = wt.cover(ts, h, w, "simple", seed=1, improve=False)
         assert run.placed == h * w
         m = build_model(spec(ts, h, w, "max_csp"))
         ev = evaluate_assignment(m, run.tiling)
