@@ -32,8 +32,17 @@ spread = [wt.cover(amm, H, W, "simple", seed).placed for seed in range(20)]
 print(f"\n20 seeds: min {min(spread)}, max {max(spread)}")
 
 # The row kernel is usable directly: cover one row against fixed neighbors.
-row, cost = wt.max_row_cover(amm, 8, [wt.WILDCARD] * 8, [wt.WILDCARD] * 8)
+# Each column side is a vector indexed by edge color holding the penalty
+# units a tile pays there: 0 fits, 1 is a soft miss, inf prunes the tile.
+free = (0,) * amm.num_colors
+row, cost = wt.max_row_cover(amm, 8, [free] * 8, [free] * 8)
 print(f"\nfree-standing row of width 8: {row} (cost {cost})")
+
+# Force north color 1 on every column: tiles with another north color go.
+hard = tuple(0 if c == 1 else float("inf") for c in range(amm.num_colors))
+row, cost = wt.max_row_cover(amm, 8, [hard] * 8, [free] * 8)
+print(f"row under north color 1:      {row} (cost {cost:.3f}, "
+      f"{row.count(wt.VOID)} voids)")
 
 # All outputs respect the validator, voids included.
 assert wt.validate_tiling(amm, run.tiling).is_valid

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConfigurationError
 from .extensions import (ForbidEdgeColor, ForbidTile, ForceEdgeColor,
-                         ForceTile, LOCAL_EXTENSIONS)
+                         ForceTile, LOCAL_EXTENSIONS, check_extension)
 from .tileset import TileSet, Tiling, VOID
 
 VALID = "VALID"
@@ -54,20 +54,13 @@ class TorusResult:
 
 
 def _allowed_tiles(ts: TileSet, height: int, width: int, bcs) -> list[list[list[int]]]:
-    """Per-cell candidate tile ids after applying the local boundary conditions."""
+    """Per-cell candidate tile ids after applying the local boundary
+    conditions, which ``_frontier`` has checked."""
     side_of = {"n": ts.norths, "w": ts.wests, "s": ts.souths, "e": ts.easts}
     allowed = [[list(range(len(ts))) for _ in range(width)] for _ in range(height)]
     for bc in bcs:
-        if not isinstance(bc, LOCAL_EXTENSIONS):
-            raise ConfigurationError(
-                f"the frontier solver only supports per-cell boundary "
-                f"conditions, got {type(bc).__name__}")
-        if not (1 <= bc.i <= height and 1 <= bc.j <= width):
-            raise ConfigurationError(f"coordinate ({bc.i}, {bc.j}) outside the grid")
         cell = allowed[bc.i - 1][bc.j - 1]
         if isinstance(bc, ForceTile):
-            if not 0 <= bc.k < len(ts):
-                raise ConfigurationError(f"tile id {bc.k} out of range")
             cell[:] = [k for k in cell if k == bc.k]
         elif isinstance(bc, ForbidTile):
             cell[:] = [k for k in cell if k != bc.k]
@@ -207,6 +200,13 @@ def _frontier(ts: TileSet, height: int, width: int, cap: int,
     """
     if height < 1 or width < 1:
         raise ConfigurationError("grid dimensions must be positive")
+    bcs = tuple(bcs)
+    for bc in bcs:
+        if not isinstance(bc, LOCAL_EXTENSIONS):
+            raise ConfigurationError(
+                f"the frontier solver only supports per-cell boundary "
+                f"conditions, got {type(bc).__name__}")
+        check_extension(bc, ts, height, width)
     transpose = width > height
     if transpose:
         # The frontier grows with the width; sweep the diagonally reflected

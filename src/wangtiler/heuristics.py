@@ -3,10 +3,13 @@
 One row of the grid is covered at a time; a column is covered as a row of the
 transposed grid over the reflected tile set.  The row problem is a layered
 graph: alternating color layers and single-vertex void layers between
-a source and a terminal.  Tile edges cost 0 plus a small penalty when the
-tile would strand a vertical neighbor; edges into a void vertex cost 1, so
-the shortest path cost counts voids first and penalties second, and the
-minimum-void row always wins.
+a source and a terminal.  Edges into a void vertex cost 1.  A tile edge costs
+eps = 1/(2(width+1)) per penalty unit its vertical sides miss: each side of
+each column has a constraint vector indexed by edge color that holds 0 (the
+color fits, or the side is unconstrained), 1 (a soft miss: the tile would
+strand a vertical neighbor) or INF (a hard miss: the tile is pruned).  A row
+pays at most width * 2 * eps < 1, so the shortest path cost counts voids
+first and penalty units second, and the minimum-void row always wins.
 """
 
 from __future__ import annotations
@@ -21,51 +24,6 @@ from .transducer import (DUAL, HORIZONTAL, all_states_on_cycles,
                          reachable_sets)
 
 INF = float("inf")
-
-#: Constraint entry for an unknown or out-of-domain neighbor: no pruning,
-#: no penalty.
-WILDCARD = None
-
-
-@dataclass(frozen=True)
-class Hard:
-    """Admissible edge colors imposed by an actually placed neighbor."""
-
-    colors: frozenset
-
-    def __init__(self, colors):
-        object.__setattr__(self, "colors",
-                           frozenset([colors] if isinstance(colors, int) else colors))
-
-
-@dataclass(frozen=True)
-class Soft:
-    """Preferred edge colors; a tile outside the set pays half a penalty unit."""
-
-    colors: frozenset
-
-    def __init__(self, colors):
-        object.__setattr__(self, "colors", frozenset(colors))
-
-
-@dataclass(frozen=True)
-class PenaltyScheme:
-    """Edge weights sized so all penalties together stay below one tile.
-
-    With ``width`` tiles in a row the worst case is width * eps_full =
-    width / (width + 1) < 1, so penalties can bias tile choice but never
-    trade a placed tile away.
-    """
-
-    void_cost: float
-    eps_half: float
-    eps_full: float
-
-    @classmethod
-    def for_width(cls, width: int) -> "PenaltyScheme":
-        if width < 1:
-            raise ConfigurationError("width must be positive")
-        return cls(1.0, 1.0 / (2 * (width + 1)), 1.0 / (width + 1))
 
 
 @dataclass
@@ -92,40 +50,29 @@ class LayeredDag:
         return 2 * self.num_colors + 2 * self.width * self.num_colors + tile_edges
 
 
-def build_layered_dag(ts: TileSet, width: int, north_constraints,
-                      south_constraints, penalties: PenaltyScheme | None = None,
-                      order: list[int] | None = None,
-                      blocked: list[bool] | None = None) -> LayeredDag:
-    """Assemble the row DAG: prune tiles against Hard constraints, weight
-    them against Soft ones, and lay the survivors out per tile column."""
+def build_layered_dag(ts: TileSet, width: int, north, south,
+                      order: list[int] | None = None) -> LayeredDag:
+    """Assemble the row DAG: tile k in column j costs
+    ``(north[j][norths[k]] + south[j][souths[k]]) * eps`` and is dropped when
+    that is INF; survivors are laid out per tile column in ``order``."""
     if width < 1:
         raise ConfigurationError("width must be positive")
-    if len(north_constraints) != width or len(south_constraints) != width:
+    if len(north) != width or len(south) != width:
         raise ConfigurationError("constraint vectors must have one entry per column")
-    pen = penalties or PenaltyScheme.for_width(width)
+    if any(len(v) != ts.num_colors for side in (north, south) for v in side):
+        raise ConfigurationError(
+            f"each column's side vector must have one entry per color "
+            f"({ts.num_colors})")
+    eps = 1.0 / (2 * (width + 1))
     ids = order if order is not None else range(len(ts))
     norths, wests, souths, easts = ts.norths, ts.wests, ts.souths, ts.easts
     columns = []
-    for j in range(width):
+    for nv, sv in zip(north, south):
         edges = []
-        if not (blocked and blocked[j]):
-            nc = north_constraints[j]
-            sc = south_constraints[j]
-            for k in ids:
-                weight = 0.0
-                if nc is not None:
-                    if isinstance(nc, Hard):
-                        if norths[k] not in nc.colors:
-                            continue
-                    elif norths[k] not in nc.colors:
-                        weight += pen.eps_half
-                if sc is not None:
-                    if isinstance(sc, Hard):
-                        if souths[k] not in sc.colors:
-                            continue
-                    elif souths[k] not in sc.colors:
-                        weight += pen.eps_half
-                edges.append((k, wests[k], easts[k], weight))
+        for k in ids:
+            miss = nv[norths[k]] + sv[souths[k]]
+            if miss != INF:
+                edges.append((k, wests[k], easts[k], miss * eps))
         columns.append(edges)
     return LayeredDag(width, ts.num_colors, columns)
 
@@ -176,19 +123,16 @@ def shortest_row(dag: LayeredDag) -> tuple[list[int], float]:
     return row, cost
 
 
-def max_row_cover(ts: TileSet, width: int, north_constraints,
-                  south_constraints, penalties: PenaltyScheme | None = None,
-                  order: list[int] | None = None,
-                  blocked: list[bool] | None = None) -> tuple[list[int], float]:
+def max_row_cover(ts: TileSet, width: int, north, south,
+                  order: list[int] | None = None) -> tuple[list[int], float]:
     """Maximum cover of a single row under per-column neighbor constraints.
 
-    Constraint entries are WILDCARD, ``Hard(colors)`` (mismatch removes the
-    tile) or ``Soft(colors)`` (mismatch costs eps_half).  The number of voids
-    in the result equals the integer part of the returned cost.
+    ``north[j]`` and ``south[j]`` are the penalty units, indexed by edge
+    color, that a tile in column j pays on that side: 0 fits, 1 is a soft
+    miss costing eps = 1/(2(width+1)), INF removes the tile.  The number of
+    voids in the result equals the integer part of the returned cost.
     """
-    dag = build_layered_dag(ts, width, north_constraints, south_constraints,
-                            penalties, order, blocked)
-    return shortest_row(dag)
+    return shortest_row(build_layered_dag(ts, width, north, south, order))
 
 
 @dataclass(frozen=True)
@@ -212,9 +156,14 @@ class _Cover:
     """A mutable grid plus the constraint builders for the plain,
     dual-lookahead and hard-only row modes.
 
-    Columns are solved as rows of the transposed grid (see ``transpose``).
-    The dual transducer belongs to the untransposed set, so the dual mode
-    runs only before the first transpose.
+    Constraint vectors are shared, not built per cell: ``free`` and the
+    per-color ``hard`` vectors depend only on the alphabet, ``north_open``
+    and ``south_open`` on the orientation, the dual-lookahead vectors on
+    the lookahead distance.  Columns are solved as rows of the transposed
+    grid (see ``transpose``).  The dual transducer belongs to the
+    untransposed set, so the dual mode runs only before the first transpose;
+    it is built on the first ``reach`` call, because only the half and
+    twothirds schedules read it.
     """
 
     def __init__(self, ts: TileSet, height: int, width: int, seed: int):
@@ -222,10 +171,13 @@ class _Cover:
             raise ConfigurationError("grid dimensions must be positive")
         self.rng = random.Random(seed)
         self.cells = [[VOID] * width for _ in range(height)]
+        colors = range(ts.num_colors)
+        self.free = (0,) * ts.num_colors
+        self.hard = [tuple(0 if c == x else INF for c in colors) for x in colors]
         self._orient(ts, height, width)
         self._other_ts: TileSet | None = None
-        self.dual = build_transducer(ts, DUAL)
-        self._reach: dict[int, list[frozenset[int]]] = {}
+        self._dual = None
+        self._reach: dict[int, list[tuple]] = {}
         self.line_solves = 0
 
     def _orient(self, ts: TileSet, height: int, width: int) -> None:
@@ -233,10 +185,10 @@ class _Cover:
         self.height = height
         self.width = width
         self.norths, self.souths = ts.norths, ts.souths
-        # Colors that still admit some vertical neighbor, per side.
-        self.north_open = Soft(ts.souths)
-        self.south_open = Soft(ts.norths)
-        self.pen = PenaltyScheme.for_width(width)
+        # 1 for each color that admits no vertical neighbor, per side.
+        colors = range(ts.num_colors)
+        self.north_open = tuple(0 if c in ts.souths else 1 for c in colors)
+        self.south_open = tuple(0 if c in ts.norths else 1 for c in colors)
 
     def transpose(self) -> None:
         """Swap to the transposed grid over the diagonally reflected set, so
@@ -247,9 +199,16 @@ class _Cover:
         self.cells = [list(col) for col in zip(*self.cells)]
         self._orient(ts, self.width, self.height)
 
-    def reach(self, distance: int) -> list[frozenset[int]]:
+    def reach(self, distance: int) -> list[tuple]:
+        """Per south color of a placed tile, the soft vector of the north
+        colors the dual transducer reaches in ``distance`` arcs."""
         if distance not in self._reach:
-            self._reach[distance] = reachable_sets(self.dual, distance)
+            if self._dual is None:
+                self._dual = build_transducer(self.ts, DUAL)
+            colors = range(self.ts.num_colors)
+            self._reach[distance] = [
+                tuple(0 if c in r else 1 for c in colors)
+                for r in reachable_sets(self._dual, distance)]
         return self._reach[distance]
 
     def shuffled_order(self) -> list[int]:
@@ -260,46 +219,41 @@ class _Cover:
     def row_constraints(self, i: int, mode: str, dual_dist: int = 0):
         """Constraint vectors for 0-based row i.
 
-        plain:  placed neighbors are Hard; in-domain void neighbors get the
-                stranding Soft sets; outside the grid is WILDCARD.
+        plain:  placed neighbors are hard; in-domain void neighbors get the
+                stranding soft vectors; outside the grid is free.
         dual:   like plain, but an unplaced north side is judged against the
                 row ``dual_dist + 1`` above through dual-transducer
-                reachability instead of the generic stranding set.
-        simple: placed neighbors are Hard, everything else WILDCARD.
+                reachability instead of the generic stranding vector.
+        simple: placed neighbors are hard, everything else free.
         """
-        cells = self.cells
+        cells, free, hard = self.cells, self.free, self.hard
         north = []
         south = []
         reach = self.reach(dual_dist) if mode == "dual" else None
         for j in range(self.width):
-            above = cells[i - 1][j] if i > 0 else None
-            if above is not None and above != VOID:
-                north.append(Hard(self.souths[above]))
+            above = cells[i - 1][j] if i > 0 else VOID
+            if above != VOID:
+                north.append(hard[self.souths[above]])
             elif mode == "plain" and i > 0:
                 north.append(self.north_open)
             elif mode == "dual":
                 src_i = i - dual_dist - 1
-                src = cells[src_i][j] if src_i >= 0 else None
-                if src is not None and src != VOID:
-                    north.append(Soft(reach[self.souths[src]]))
-                else:
-                    north.append(WILDCARD)
+                src = cells[src_i][j] if src_i >= 0 else VOID
+                north.append(free if src == VOID else reach[self.souths[src]])
             else:
-                north.append(WILDCARD)
-            below = cells[i + 1][j] if i + 1 < self.height else None
-            if below is not None and below != VOID:
-                south.append(Hard(self.norths[below]))
-            elif mode in ("plain", "dual") and i + 1 < self.height:
+                north.append(free)
+            below = cells[i + 1][j] if i + 1 < self.height else VOID
+            if below != VOID:
+                south.append(hard[self.norths[below]])
+            elif mode != "simple" and i + 1 < self.height:
                 south.append(self.south_open)
             else:
-                south.append(WILDCARD)
+                south.append(free)
         return north, south
 
-    def solve_row(self, i: int, mode: str, dual_dist: int = 0,
-                  blocked: list[bool] | None = None) -> None:
-        north, south = self.row_constraints(i, mode, dual_dist)
-        row, _ = max_row_cover(self.ts, self.width, north, south, self.pen,
-                               self.shuffled_order(), blocked)
+    def solve_row(self, i: int, north, south) -> None:
+        row, _ = max_row_cover(self.ts, self.width, north, south,
+                               self.shuffled_order())
         self.cells[i] = row
         self.line_solves += 1
 
@@ -365,23 +319,25 @@ def _init_cover(cov: _Cover, init: str) -> None:
     """
     if init == "simple":
         for i in range(cov.height):
-            cov.solve_row(i, "plain")
+            cov.solve_row(i, *cov.row_constraints(i, "plain"))
     elif init == "half":
         for row in _order_half(cov.height):
-            if row % 2 == 1:
-                cov.solve_row(row - 1, "dual", dual_dist=1)
-            else:
-                cov.solve_row(row - 1, "plain")
+            mode = "dual" if row % 2 == 1 else "plain"
+            cov.solve_row(row - 1, *cov.row_constraints(row - 1, mode, 1))
     else:
         visited = [False] * (cov.height + 1)
-        evens_blocked = [j % 2 == 1 for j in range(cov.width)]
+        closed = (INF,) * cov.ts.num_colors
         for row in _order_two_thirds(cov.height):
+            i = row - 1
             if row % 3 == 1:
-                cov.solve_row(row - 1, "dual", dual_dist=2)
+                cov.solve_row(i, *cov.row_constraints(i, "dual", 2))
             elif row % 3 == 0 and not visited[row]:
-                cov.solve_row(row - 1, "dual", dual_dist=1, blocked=evens_blocked)
+                # Tiles only at odd positions: no tile fits an all-INF north.
+                north, south = cov.row_constraints(i, "dual", 1)
+                north[1::2] = [closed] * (cov.width // 2)
+                cov.solve_row(i, north, south)
             else:
-                cov.solve_row(row - 1, "plain")
+                cov.solve_row(i, *cov.row_constraints(i, "plain"))
             visited[row] = True
 
 
@@ -407,7 +363,7 @@ def cover(ts: TileSet, height: int, width: int, init: str = "simple",
         num_old = cov.voids()
         cov.transpose()
         for i in range(cov.height):
-            cov.solve_row(i, "simple")
+            cov.solve_row(i, *cov.row_constraints(i, "simple"))
         sweeps += 1
     if sweeps % 2:
         cov.transpose()

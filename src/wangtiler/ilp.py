@@ -17,7 +17,8 @@ from .errors import ConfigurationError, StructuralError
 from .extensions import (SIDES, DifferentEdgeColors, DifferentTile,
                          EqualEdgeColors, ForbidEdgeColor, ForbidTile,
                          ForceEdgeColor, ForceTile, Packing, PeriodicFixed,
-                         PeriodicVariable, SameTile, SmallestObjective)
+                         PeriodicVariable, SameTile, SmallestObjective,
+                         check_extension)
 from .tileset import TileSet, Tiling
 
 FORMULATIONS = ("decision", "max_rect", "max_cover", "max_csp")
@@ -156,24 +157,7 @@ class _Builder:
                     f"packing requires exactly height*width tiles "
                     f"({self.h * self.w}), set has {len(self.ts)}")
             if isinstance(ext, _TILE_COLOR_EXTS):
-                self._check_coords(ext)
-
-    def _check_coords(self, ext) -> None:
-        coords = [(ext.i, ext.j)]
-        if hasattr(ext, "p"):
-            coords.append((ext.p, ext.q))
-        for (a, b) in coords:
-            if not (1 <= a <= self.h and 1 <= b <= self.w):
-                raise ConfigurationError(
-                    f"{type(ext).__name__} coordinate ({a}, {b}) outside the grid")
-        if hasattr(ext, "k") and not (0 <= ext.k < len(self.ts)):
-            raise ConfigurationError(f"tile id {ext.k} out of range")
-        for s in (getattr(ext, "side", None), getattr(ext, "side2", None)):
-            if s is not None and s not in SIDES:
-                raise ConfigurationError(f"side must be one of {SIDES}, got {s!r}")
-        color = getattr(ext, "color", None)
-        if color is not None and not (0 <= color < self.ts.num_colors):
-            raise ConfigurationError(f"color {color} outside the alphabet")
+                check_extension(ext, self.ts, self.h, self.w)
 
     # -- adjacency families -------------------------------------------------
 

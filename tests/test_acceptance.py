@@ -17,7 +17,7 @@ from wangtiler import (INFEASIBLE, VALID, builtin_set,
                        complete_stochastic_set, cover, max_cover_oracle,
                        max_row_cover, pack_tiles, smallest_torus,
                        solve_decision, validate_tiling)
-from wangtiler.heuristics import WILDCARD, build_layered_dag
+from wangtiler.heuristics import build_layered_dag
 from wangtiler.ilp import ModelSpec, build_model, evaluate_assignment
 from wangtiler.transducer import (DUAL, HORIZONTAL, all_states_on_cycles,
                                   build_transducer, longest_path_at_least,
@@ -100,7 +100,8 @@ def test_criterion_03_oracle_equivalence():
             if cover(ts, h, w, "simple", seed=i).placed > best:
                 violations += 1
             if h == 1:
-                row, _ = max_row_cover(ts, w, [WILDCARD] * w, [WILDCARD] * w)
+                free = [(0,) * ts.num_colors] * w
+                row, _ = max_row_cover(ts, w, free, free)
                 if row.count(wt.VOID) != w - best:
                     violations += 1
     elapsed = time.perf_counter() - t0
@@ -170,8 +171,8 @@ def test_criterion_07_dag_size_formulas():
                     quads.add(tuple(rng.randrange(n_colors) for _ in range(4)))
                 ts = wt.TileSet([wt.Tile(*q) for q in sorted(quads)],
                                 num_colors=n_colors)
-                dag = build_layered_dag(ts, width, [WILDCARD] * width,
-                                        [WILDCARD] * width)
+                free = [(0,) * n_colors] * width
+                dag = build_layered_dag(ts, width, free, free)
                 assert dag.vertex_count == 2 + (width + 1) * n_colors + width
                 assert dag.edge_count == (2 * n_colors
                                           + 2 * width * n_colors

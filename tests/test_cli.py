@@ -54,6 +54,20 @@ def test_solve_with_extensions(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("ext, fragment", [
+    ("forcecol:1,1,q,1", "side"),
+    ("force:1,1,9", "tile id 9"),
+    ("forbid:1,1,9", "tile id 9"),
+    ("forcecol:1,1,n,9", "color 9"),
+    ("force:1,5,0", "(1, 5) outside the 2x3 grid"),
+])
+def test_solve_rejects_bad_cell_conditions(capsys, ext, fragment):
+    code, _, err = run(capsys, "solve", "--tileset", "fig3", "--h", "2",
+                       "--w", "3", "--ext", ext)
+    assert code == 3
+    assert err.startswith("error:") and fragment in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--tileset", "fig3", "--h", "2"])  # missing --w

@@ -51,6 +51,24 @@ def test_decision_rejects_bad_config():
         solve_decision(ts, 2, 2, bcs=[ForceTile(3, 1, 0)])
 
 
+@pytest.mark.parametrize("h, w", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("bc, fragment", [
+    (wt.ForceEdgeColor(1, 1, "q", 1), "side"),
+    (wt.ForbidEdgeColor(1, 1, "x", 0), "side"),
+    (wt.ForceTile(1, 1, 9), "tile id 9"),
+    (wt.ForbidTile(1, 1, 9), "tile id 9"),
+    (wt.ForceEdgeColor(1, 1, "n", 9), "color 9"),
+    (wt.ForbidEdgeColor(1, 1, "e", -1), "color -1"),
+    (wt.ForceTile(1, 5, 0), r"\(1, 5\)"),
+    (wt.ForbidTile(4, 1, 0), r"\(4, 1\)"),
+])
+def test_decision_rejects_bad_cell_conditions(h, w, bc, fragment):
+    # Checked before the wide grid is transposed, so the message names the
+    # caller's own coordinates in either orientation.
+    with pytest.raises(ConfigurationError, match=fragment):
+        solve_decision(builtin_set("fig3"), h, w, bcs=[bc])
+
+
 def test_decision_cap_returns_capped():
     res = solve_decision(builtin_set("finite1"), 6, 6, cap=10)
     assert res.status == CAPPED

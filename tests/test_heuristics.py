@@ -5,13 +5,12 @@ import random
 import pytest
 
 import wangtiler as wt
-from wangtiler import (ConfigurationError, Hard, Soft, Tile, TileSet, VOID,
-                       WILDCARD, builtin_set, complete_stochastic_set, cover,
-                       max_cover_oracle, max_row_cover, validate_tiling)
+from wangtiler import (ConfigurationError, Tile, TileSet, VOID, builtin_set,
+                       complete_stochastic_set, cover, max_cover_oracle,
+                       max_row_cover, validate_tiling)
 from wangtiler.bench import resolve_set
-from wangtiler.heuristics import (PenaltyScheme, _order_half,
-                                  _order_two_thirds, build_layered_dag,
-                                  shortest_row)
+from wangtiler.heuristics import (INF, _order_half, _order_two_thirds,
+                                  build_layered_dag, shortest_row)
 
 from helpers import naive_row_min_voids, random_tileset
 
@@ -19,14 +18,45 @@ BUILTINS = ["fig3", "finite1", "finite2", "ammann16"]
 INITS = ("simple", "half", "twothirds")
 
 
+def free(ts, width):
+    """Unconstrained sides for every column."""
+    return [(0,) * ts.num_colors] * width
+
+
+def vector(ts, colors, miss):
+    """A side vector: 0 for the given colors, ``miss`` units for the rest."""
+    return tuple(0 if c in colors else miss for c in range(ts.num_colors))
+
+
 # -- penalties and the DAG kernel ---------------------------------------------
 
-def test_penalty_scheme_values():
-    pen = PenaltyScheme.for_width(9)
-    assert pen.void_cost == 1.0
-    assert pen.eps_half == 1 / 20
-    assert pen.eps_full == 1 / 10
-    assert 9 * pen.eps_full < 1.0
+def test_kernel_weight_per_miss_count():
+    # One tile with north and south color 0; color 1 is the miss.
+    w = 9
+    ts = TileSet([Tile(0, 0, 0, 0)], num_colors=2)
+    cases = {(0, 0): 0.0, (1, 0): 1 / (2 * (w + 1)), (0, 1): 1 / (2 * (w + 1)),
+             (1, 1): 1 / (w + 1), (INF, 0): None, (0, INF): None}
+    for (n_miss, s_miss), weight in cases.items():
+        dag = build_layered_dag(ts, w, [(n_miss, 0)] * w, [(s_miss, 0)] * w)
+        if weight is None:
+            assert dag.columns == [[]] * w
+        else:
+            assert dag.columns == [[(0, 0, 0, weight)]] * w
+    # A full row that misses on both sides everywhere still costs under one void.
+    row, cost = max_row_cover(ts, w, [(1, 0)] * w, [(1, 0)] * w)
+    assert VOID not in row
+    assert cost == pytest.approx(w / (w + 1)) and cost < 1.0
+
+
+def test_all_inf_north_vector_leaves_column_void():
+    ts = complete_stochastic_set(2)
+    width = 5
+    north = free(ts, width)
+    north[2] = (INF, INF)
+    row, cost = max_row_cover(ts, width, north, free(ts, width))
+    assert row[2] == VOID
+    assert VOID not in row[:2] + row[3:]
+    assert int(cost) == 1
 
 
 def test_dag_size_formulas_unpruned():
@@ -34,22 +64,22 @@ def test_dag_size_formulas_unpruned():
     for _ in range(30):
         ts = random_tileset(rng, max_colors=4, max_tiles=8)
         width = rng.randint(1, 7)
-        dag = build_layered_dag(ts, width, [WILDCARD] * width, [WILDCARD] * width)
+        dag = build_layered_dag(ts, width, free(ts, width), free(ts, width))
         W, C, T = width, ts.num_colors, len(ts)
         assert dag.vertex_count == 2 + (W + 1) * C + W
         assert dag.edge_count == 2 * C + 2 * W * C + W * T
 
 
 def test_max_row_cover_fig3_full_row():
-    row, cost = max_row_cover(builtin_set("fig3"), 3, [WILDCARD] * 3,
-                              [WILDCARD] * 3)
+    ts = builtin_set("fig3")
+    row, cost = max_row_cover(ts, 3, free(ts, 3), free(ts, 3))
     assert VOID not in row
     assert cost == 0.0
 
 
 def test_max_row_cover_forced_void():
     ts = TileSet([Tile(0, 0, 1, 1)], num_colors=2)
-    row, cost = max_row_cover(ts, 2, [WILDCARD] * 2, [WILDCARD] * 2)
+    row, cost = max_row_cover(ts, 2, free(ts, 2), free(ts, 2))
     assert sorted(row) == [VOID, 0]
     assert int(cost) == 1
 
@@ -57,7 +87,7 @@ def test_max_row_cover_forced_void():
 def test_max_row_cover_width_one():
     for name in BUILTINS:
         ts = builtin_set(name)
-        row, cost = max_row_cover(ts, 1, [WILDCARD], [WILDCARD])
+        row, cost = max_row_cover(ts, 1, free(ts, 1), free(ts, 1))
         assert row[0] != VOID and cost == 0.0
 
 
@@ -66,10 +96,19 @@ def test_max_row_cover_rejects_zero_width():
         max_row_cover(builtin_set("fig3"), 0, [], [])
 
 
+def test_max_row_cover_rejects_vectors_of_the_wrong_length():
+    ts = builtin_set("fig3")
+    for short in ([(0,)] * 2, [(0, 0), (0, 0, 0)]):
+        with pytest.raises(ConfigurationError, match="one entry per color"):
+            max_row_cover(ts, 2, short, free(ts, 2))
+        with pytest.raises(ConfigurationError, match="one entry per color"):
+            max_row_cover(ts, 2, free(ts, 2), short)
+
+
 def test_max_row_cover_hard_constraints_prune():
     ts = builtin_set("fig3")
     # north colors forced to 1: only tile 2 has north 1
-    row, _ = max_row_cover(ts, 2, [Hard(1)] * 2, [WILDCARD] * 2)
+    row, _ = max_row_cover(ts, 2, [vector(ts, {1}, INF)] * 2, free(ts, 2))
     for k in row:
         assert k == VOID or ts.norths[k] == 1
 
@@ -77,8 +116,8 @@ def test_max_row_cover_hard_constraints_prune():
 def test_max_row_cover_soft_constraints_bias():
     ts = complete_stochastic_set(2)
     width = 4
-    soft = [Soft([1])] * width
-    row, cost = max_row_cover(ts, width, soft, [WILDCARD] * width)
+    soft = [vector(ts, {1}, 1)] * width
+    row, cost = max_row_cover(ts, width, soft, free(ts, width))
     assert all(k != VOID and ts.norths[k] == 1 for k in row)
     assert cost == 0.0
 
@@ -88,9 +127,9 @@ def test_max_row_cover_void_count_is_integer_part_of_cost():
     for _ in range(40):
         ts = random_tileset(rng)
         width = rng.randint(1, 6)
-        south = [Soft([0]) if rng.random() < 0.4 else WILDCARD
+        south = [vector(ts, {0}, 1) if rng.random() < 0.4 else (0,) * ts.num_colors
                  for _ in range(width)]
-        row, cost = max_row_cover(ts, width, [WILDCARD] * width, south)
+        row, cost = max_row_cover(ts, width, free(ts, width), south)
         assert row.count(VOID) == int(cost)
 
 
@@ -100,14 +139,14 @@ def test_max_row_cover_optimal_vs_row_brute_force():
     for _ in range(200):
         ts = random_tileset(rng, max_colors=3, max_tiles=6)
         width = rng.randint(1, 5)
-        row, _ = max_row_cover(ts, width, [WILDCARD] * width, [WILDCARD] * width)
+        row, _ = max_row_cover(ts, width, free(ts, width), free(ts, width))
         assert row.count(VOID) == naive_row_min_voids(ts, width)
 
 
 def test_shortest_row_deterministic_for_fixed_order():
     ts = builtin_set("finite1")
     width = 6
-    dag = build_layered_dag(ts, width, [WILDCARD] * width, [WILDCARD] * width)
+    dag = build_layered_dag(ts, width, free(ts, width), free(ts, width))
     assert shortest_row(dag) == shortest_row(dag)
 
 
@@ -139,7 +178,7 @@ def test_alg1_single_row_equals_kernel():
     for name in BUILTINS:
         ts = builtin_set(name)
         r = cover(ts, 1, 7, "simple", seed=0, improve=False)
-        row, cost = max_row_cover(ts, 7, [WILDCARD] * 7, [WILDCARD] * 7)
+        row, cost = max_row_cover(ts, 7, free(ts, 7), free(ts, 7))
         assert r.placed == 7 - row.count(VOID)
         assert r.placed == 7 - int(cost)
 
