@@ -10,6 +10,7 @@ can be reproduced.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -50,46 +51,35 @@ def default_seed() -> int:
     return int(os.environ.get("WANGTILER_SEED", "0"))
 
 
+_EXT_KINDS = {
+    "force": ForceTile, "forbid": ForbidTile, "same": SameTile,
+    "difftile": DifferentTile, "forcecol": ForceEdgeColor,
+    "forbidcol": ForbidEdgeColor, "eqcol": EqualEdgeColors,
+    "neqcol": DifferentEdgeColors, "periodic": PeriodicFixed,
+    "periodic-var": PeriodicVariable, "smallest": SmallestObjective,
+    "packing": Packing,
+}
+
+
 def parse_extension(text: str):
-    """Extension syntax: kind[:comma-separated-args]; sides are n/w/s/e."""
+    """Extension syntax: kind[:comma-separated-args]; the arguments are the
+    extension's fields in order, sides (``side*``) are n/w/s/e, the rest are
+    integers."""
     kind, _, rest = text.partition(":")
+    cls = _EXT_KINDS.get(kind)
+    if cls is None:
+        raise ConfigurationError(f"unknown extension kind {kind!r}")
+    fields = dataclasses.fields(cls)
     args = rest.split(",") if rest else []
+    if len(args) != len(fields):
+        raise ConfigurationError(
+            f"bad extension {text!r}: expected "
+            f"{','.join(f.name for f in fields) or 'no values'}")
     try:
-        if kind == "force":
-            i, j, k = map(int, args)
-            return ForceTile(i, j, k)
-        if kind == "forbid":
-            i, j, k = map(int, args)
-            return ForbidTile(i, j, k)
-        if kind == "same":
-            i, j, p, q = map(int, args)
-            return SameTile(i, j, p, q)
-        if kind == "difftile":
-            i, j, p, q = map(int, args)
-            return DifferentTile(i, j, p, q)
-        if kind == "forcecol":
-            i, j, side, l = args
-            return ForceEdgeColor(int(i), int(j), side, int(l))
-        if kind == "forbidcol":
-            i, j, side, l = args
-            return ForbidEdgeColor(int(i), int(j), side, int(l))
-        if kind == "eqcol":
-            i, j, side, p, q, side2 = args
-            return EqualEdgeColors(int(i), int(j), side, int(p), int(q), side2)
-        if kind == "neqcol":
-            i, j, side, p, q, side2 = args
-            return DifferentEdgeColors(int(i), int(j), side, int(p), int(q), side2)
-        if kind == "periodic" and not args:
-            return PeriodicFixed()
-        if kind == "periodic-var" and not args:
-            return PeriodicVariable()
-        if kind == "smallest" and not args:
-            return SmallestObjective()
-        if kind == "packing" and not args:
-            return Packing()
-    except (TypeError, ValueError) as exc:
+        return cls(*(a if f.name.startswith("side") else int(a)
+                     for f, a in zip(fields, args)))
+    except ValueError as exc:
         raise ConfigurationError(f"bad extension {text!r}: {exc}") from None
-    raise ConfigurationError(f"unknown extension kind {kind!r}")
 
 
 def _write_outputs(ts, tiling, args) -> None:

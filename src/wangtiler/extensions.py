@@ -105,7 +105,10 @@ LOCAL_EXTENSIONS = (ForceTile, ForbidTile, ForceEdgeColor, ForbidEdgeColor)
 def check_extension(ext, ts, height: int, width: int) -> None:
     """Reject a per-cell or per-pair extension whose coordinates fall off the
     height x width grid, or whose tile id, side or color the set ``ts`` does
-    not have.  Coordinates are reported as given."""
+    not have.  Coordinates are reported as given; extensions without
+    coordinates pass."""
+    if not hasattr(ext, "i"):
+        return
     name = type(ext).__name__
     coords = [(ext.i, ext.j)]
     if hasattr(ext, "p"):

@@ -7,6 +7,10 @@ slack variables of the constraint-satisfaction variant are ``hv_i_j``
 (east/west edge between columns j and j+1) and ``hh_i_j`` (south/north edge
 between rows i and i+1).  Constraint names follow the ``v_i_j_l`` /
 ``h_i_j_l`` / ``occ_i_j`` scheme documented per formulation below.
+
+Variables are laid out row-major by cell, then tile id: ``x_i_j_k`` of an
+h x w grid over the tile set T has index ``((i-1)*w + j-1)*|T| + k``; the
+``hv`` slacks follow, then the ``hh`` slacks, each row-major.
 """
 
 from __future__ import annotations
@@ -72,10 +76,6 @@ def x_name(i: int, j: int, k: int) -> str:
     return f"x_{i}_{j}_{k}"
 
 
-_TILE_COLOR_EXTS = (ForceTile, ForbidTile, SameTile, DifferentTile,
-                    ForceEdgeColor, ForbidEdgeColor, EqualEdgeColors,
-                    DifferentEdgeColors)
-
 # Which extension families each formulation's base constraints can carry.
 _EXT_COMPAT = {
     PeriodicFixed: ("decision", "max_csp"),
@@ -92,30 +92,26 @@ class _Builder:
         self.h = spec.height
         self.w = spec.width
         self.vars: list[Var] = []
-        self.index: dict[str, int] = {}
         self.cons: list[LinCon] = []
         self.objective = Objective("none", ())
         side_colors = {"n": self.ts.norths, "w": self.ts.wests,
                        "s": self.ts.souths, "e": self.ts.easts}
-        # tiles with the given color on the given side, and the complements
-        self.with_color = {s: [[] for _ in range(self.ts.num_colors)]
-                           for s in SIDES}
-        self.without_color = {s: [[] for _ in range(self.ts.num_colors)]
-                              for s in SIDES}
-        for s in SIDES:
-            colors = side_colors[s]
-            for k in range(len(self.ts)):
-                for l in range(self.ts.num_colors):
-                    (self.with_color if colors[k] == l
-                     else self.without_color)[s][l].append(k)
+        # tile ids by (side, color, other): the tiles whose side has the
+        # color, or with other=True the tiles whose side does not
+        self.by_color = {(s, l, other): [k for k, c in enumerate(side_colors[s])
+                                      if (c != l) == other]
+                      for s in SIDES for l in range(self.ts.num_colors)
+                      for other in (False, True)}
+        # One int object per placement variable, shared by every term that
+        # names it; x() only indexes into this list.
+        self.x_ids = list(range(self.h * self.w * len(self.ts)))
 
     def add_var(self, name: str, kind: str, lower: float, upper: float) -> int:
-        self.index[name] = len(self.vars)
         self.vars.append(Var(name, kind, lower, upper))
-        return self.index[name]
+        return len(self.vars) - 1
 
     def x(self, i: int, j: int, k: int) -> int:
-        return self.index[x_name(i, j, k)]
+        return self.x_ids[((i - 1) * self.w + j - 1) * len(self.ts) + k]
 
     def add_con(self, name: str, terms, sense: str, rhs: float) -> None:
         merged: dict[int, float] = {}
@@ -125,8 +121,16 @@ class _Builder:
         self.cons.append(LinCon(name, packed, sense, float(rhs)))
 
     def cell_sum(self, i: int, j: int, ids=None, coef: float = 1.0):
-        ids = range(len(self.ts)) if ids is None else ids
-        return [(coef, self.x(i, j, k)) for k in ids]
+        n = len(self.ts)
+        base = ((i - 1) * self.w + j - 1) * n
+        ids = range(n) if ids is None else ids
+        return [(coef, self.x_ids[base + k]) for k in ids]
+
+    def colored(self, cell, side: str, l: int, coef: float = 1.0,
+                other: bool = False):
+        """Terms of the tiles at ``cell`` whose ``side`` has color ``l``
+        (with ``other``, whose side does not)."""
+        return self.cell_sum(*cell, self.by_color[side, l, other], coef)
 
     def build(self) -> IlpModel:
         spec = self.spec
@@ -156,58 +160,47 @@ class _Builder:
                 raise ConfigurationError(
                     f"packing requires exactly height*width tiles "
                     f"({self.h * self.w}), set has {len(self.ts)}")
-            if isinstance(ext, _TILE_COLOR_EXTS):
-                check_extension(ext, self.ts, self.h, self.w)
+            check_extension(ext, self.ts, self.h, self.w)
 
     # -- adjacency families -------------------------------------------------
 
-    def _vertical(self, sense: str) -> None:
-        """Per color: tiles at (i,j) with south l vs tiles at (i+1,j) with north l."""
-        for i in range(1, self.h):
-            for j in range(1, self.w + 1):
-                for l in range(self.ts.num_colors):
-                    terms = (self.cell_sum(i, j, self.with_color["s"][l])
-                             + self.cell_sum(i + 1, j, self.with_color["n"][l], -1.0))
-                    self.add_con(f"v_{i}_{j}_{l}", terms, sense, 0.0)
+    def _edges(self, axis: str):
+        """Interior edges as (tag, cell, side, neighbor, neighbor side):
+        axis "v" pairs the south of (i,j) with the north of (i+1,j), axis
+        "h" the east of (i,j) with the west of (i,j+1); row-major."""
+        if axis == "v":
+            return [(f"v_{i}_{j}", (i, j), "s", (i + 1, j), "n")
+                    for i in range(1, self.h) for j in range(1, self.w + 1)]
+        return [(f"h_{i}_{j}", (i, j), "e", (i, j + 1), "w")
+                for i in range(1, self.h + 1) for j in range(1, self.w)]
 
-    def _horizontal(self, sense: str) -> None:
-        for i in range(1, self.h + 1):
-            for j in range(1, self.w):
-                for l in range(self.ts.num_colors):
-                    terms = (self.cell_sum(i, j, self.with_color["e"][l])
-                             + self.cell_sum(i, j + 1, self.with_color["w"][l], -1.0))
-                    self.add_con(f"h_{i}_{j}_{l}", terms, sense, 0.0)
-
-    def _boundary_cells(self):
-        """Cells of the first/last row and first/last column, row-major, no duplicates."""
-        for i in range(1, self.h + 1):
-            for j in range(1, self.w + 1):
-                if i in (1, self.h) or j in (1, self.w):
-                    yield i, j
+    def _match(self, tag: str, a, sa: str, b, sb: str, sense: str) -> None:
+        """Per color l: tiles at a with sa = l against tiles at b with sb = l."""
+        for l in range(self.ts.num_colors):
+            terms = self.colored(a, sa, l) + self.colored(b, sb, l, -1.0)
+            self.add_con(f"{tag}_{l}", terms, sense, 0.0)
 
     def _sum_obj(self, sense: str) -> Objective:
-        terms = tuple((1.0, self.x(i, j, k))
-                      for i in range(1, self.h + 1)
-                      for j in range(1, self.w + 1)
-                      for k in range(len(self.ts)))
-        return Objective(sense, terms)
+        return Objective(sense, tuple((1.0, vi) for vi in self.x_ids))
 
     # -- formulations -------------------------------------------------------
 
     def _base_decision(self) -> None:
         """Equality color matching; occupancy pinned on the boundary only,
         from which it propagates inward through the color equalities."""
-        self._vertical(EQ)
-        self._horizontal(EQ)
-        for i, j in self._boundary_cells():
-            self.add_con(f"occ_{i}_{j}", self.cell_sum(i, j), EQ, 1.0)
+        for edge in self._edges("v") + self._edges("h"):
+            self._match(*edge, EQ)
+        for i in range(1, self.h + 1):
+            for j in range(1, self.w + 1):
+                if i in (1, self.h) or j in (1, self.w):
+                    self.add_con(f"occ_{i}_{j}", self.cell_sum(i, j), EQ, 1.0)
         self.objective = Objective("none", ())
 
     def _base_max_rect(self) -> None:
         """Color dominance toward the anchored top-left rectangle plus the
         staircase cut that forbids the only non-rectangular corner pattern."""
-        self._vertical(GE)
-        self._horizontal(GE)
+        for edge in self._edges("v") + self._edges("h"):
+            self._match(*edge, GE)
         for i in range(1, self.h):
             for j in range(1, self.w):
                 terms = (self.cell_sum(i + 1, j)
@@ -224,18 +217,10 @@ class _Builder:
     def _base_max_cover(self) -> None:
         """A placed east/south color forbids every mismatched neighbor tile;
         voids satisfy everything."""
-        for i in range(1, self.h + 1):
-            for j in range(1, self.w):
-                for l in range(self.ts.num_colors):
-                    terms = (self.cell_sum(i, j, self.with_color["e"][l])
-                             + self.cell_sum(i, j + 1, self.without_color["w"][l]))
-                    self.add_con(f"h_{i}_{j}_{l}", terms, LE, 1.0)
-        for i in range(1, self.h):
-            for j in range(1, self.w + 1):
-                for l in range(self.ts.num_colors):
-                    terms = (self.cell_sum(i, j, self.with_color["s"][l])
-                             + self.cell_sum(i + 1, j, self.without_color["n"][l]))
-                    self.add_con(f"v_{i}_{j}_{l}", terms, LE, 1.0)
+        for tag, a, sa, b, sb in self._edges("h") + self._edges("v"):
+            for l in range(self.ts.num_colors):
+                terms = self.colored(a, sa, l) + self.colored(b, sb, l, other=True)
+                self.add_con(f"{tag}_{l}", terms, LE, 1.0)
         for i in range(1, self.h + 1):
             for j in range(1, self.w + 1):
                 self.add_con(f"occ_{i}_{j}", self.cell_sum(i, j), LE, 1.0)
@@ -244,42 +229,22 @@ class _Builder:
     def _base_max_csp(self) -> None:
         """Full occupancy with per-edge slack; maximizing matched edges is
         maximizing sum(1 - slack) over both edge families."""
-        hv = {}
-        hh = {}
-        for i in range(1, self.h + 1):
-            for j in range(1, self.w):
-                hv[i, j] = self.add_var(f"hv_{i}_{j}", CONTINUOUS, 0.0, 1.0)
-        for i in range(1, self.h):
-            for j in range(1, self.w + 1):
-                hh[i, j] = self.add_var(f"hh_{i}_{j}", CONTINUOUS, 0.0, 1.0)
-        for i in range(1, self.h):
-            for j in range(1, self.w + 1):
-                for l in range(self.ts.num_colors):
-                    plus = (self.cell_sum(i, j, self.with_color["s"][l])
-                            + self.cell_sum(i + 1, j, self.with_color["n"][l], -1.0))
-                    self.add_con(f"v_{i}_{j}_{l}_p",
-                                 plus + [(-1.0, hh[i, j])], LE, 0.0)
-                    minus = (self.cell_sum(i + 1, j, self.with_color["n"][l])
-                             + self.cell_sum(i, j, self.with_color["s"][l], -1.0))
-                    self.add_con(f"v_{i}_{j}_{l}_m",
-                                 minus + [(-1.0, hh[i, j])], LE, 0.0)
-        for i in range(1, self.h + 1):
-            for j in range(1, self.w):
-                for l in range(self.ts.num_colors):
-                    plus = (self.cell_sum(i, j, self.with_color["e"][l])
-                            + self.cell_sum(i, j + 1, self.with_color["w"][l], -1.0))
-                    self.add_con(f"h_{i}_{j}_{l}_p",
-                                 plus + [(-1.0, hv[i, j])], LE, 0.0)
-                    minus = (self.cell_sum(i, j + 1, self.with_color["w"][l])
-                             + self.cell_sum(i, j, self.with_color["e"][l], -1.0))
-                    self.add_con(f"h_{i}_{j}_{l}_m",
-                                 minus + [(-1.0, hv[i, j])], LE, 0.0)
+        slack = {}  # edge tag -> hv_i_j (east/west) or hh_i_j (south/north)
+        for axis, name in (("h", "hv"), ("v", "hh")):
+            for tag, *_ in self._edges(axis):
+                slack[tag] = self.add_var(name + tag[1:], CONTINUOUS, 0.0, 1.0)
+        for tag, a, sa, b, sb in self._edges("v") + self._edges("h"):
+            s = [(-1.0, slack[tag])]
+            for l in range(self.ts.num_colors):
+                self.add_con(f"{tag}_{l}_p", self.colored(a, sa, l)
+                             + self.colored(b, sb, l, -1.0) + s, LE, 0.0)
+                self.add_con(f"{tag}_{l}_m", self.colored(b, sb, l)
+                             + self.colored(a, sa, l, -1.0) + s, LE, 0.0)
         for i in range(1, self.h + 1):
             for j in range(1, self.w + 1):
                 self.add_con(f"occ_{i}_{j}", self.cell_sum(i, j), EQ, 1.0)
-        n_edges = self.h * (self.w - 1) + (self.h - 1) * self.w
-        terms = tuple((-1.0, vi) for vi in list(hv.values()) + list(hh.values()))
-        self.objective = Objective("max", terms, float(n_edges))
+        terms = tuple((-1.0, vi) for vi in slack.values())
+        self.objective = Objective("max", terms, float(len(slack)))
 
     # -- extensions ---------------------------------------------------------
 
@@ -302,58 +267,41 @@ class _Builder:
                              [(1.0, self.x(ext.i, ext.j, k)),
                               (1.0, self.x(ext.p, ext.q, k))], LE, 1.0)
         elif isinstance(ext, ForceEdgeColor):
-            ids = self.with_color[ext.side][ext.color]
             self.add_con(f"forcecol_{ext.i}_{ext.j}_{ext.side}_{ext.color}",
-                         self.cell_sum(ext.i, ext.j, ids), EQ, 1.0)
+                         self.colored((ext.i, ext.j), ext.side, ext.color), EQ, 1.0)
         elif isinstance(ext, ForbidEdgeColor):
-            ids = self.with_color[ext.side][ext.color]
             self.add_con(f"forbidcol_{ext.i}_{ext.j}_{ext.side}_{ext.color}",
-                         self.cell_sum(ext.i, ext.j, ids), EQ, 0.0)
+                         self.colored((ext.i, ext.j), ext.side, ext.color), EQ, 0.0)
         elif isinstance(ext, EqualEdgeColors):
-            for l in range(ts.num_colors):
-                terms = (self.cell_sum(ext.i, ext.j, self.with_color[ext.side][l])
-                         + self.cell_sum(ext.p, ext.q,
-                                         self.with_color[ext.side2][l], -1.0))
-                self.add_con(
-                    f"eqcol_{ext.i}_{ext.j}_{ext.side}_{ext.p}_{ext.q}_{ext.side2}_{l}",
-                    terms, EQ, 0.0)
+            self._match(
+                f"eqcol_{ext.i}_{ext.j}_{ext.side}_{ext.p}_{ext.q}_{ext.side2}",
+                (ext.i, ext.j), ext.side, (ext.p, ext.q), ext.side2, EQ)
         elif isinstance(ext, DifferentEdgeColors):
             for l in range(ts.num_colors):
-                terms = (self.cell_sum(ext.i, ext.j, self.with_color[ext.side][l])
-                         + self.cell_sum(ext.p, ext.q, self.with_color[ext.side2][l]))
+                terms = (self.colored((ext.i, ext.j), ext.side, l)
+                         + self.colored((ext.p, ext.q), ext.side2, l))
                 self.add_con(
                     f"neqcol_{ext.i}_{ext.j}_{ext.side}_{ext.p}_{ext.q}_{ext.side2}_{l}",
                     terms, LE, 1.0)
         elif isinstance(ext, PeriodicFixed):
             for j in range(1, self.w + 1):
-                for l in range(ts.num_colors):
-                    terms = (self.cell_sum(1, j, self.with_color["n"][l])
-                             + self.cell_sum(self.h, j, self.with_color["s"][l], -1.0))
-                    self.add_con(f"pern_{j}_{l}", terms, EQ, 0.0)
+                self._match(f"pern_{j}", (1, j), "n", (self.h, j), "s", EQ)
             for i in range(1, self.h + 1):
-                for l in range(ts.num_colors):
-                    terms = (self.cell_sum(i, 1, self.with_color["w"][l])
-                             + self.cell_sum(i, self.w, self.with_color["e"][l], -1.0))
-                    self.add_con(f"perw_{i}_{l}", terms, EQ, 0.0)
+                self._match(f"perw_{i}", (i, 1), "w", (i, self.w), "e", EQ)
         elif isinstance(ext, PeriodicVariable):
             # A tile that ends its row (no east neighbor) must wrap its east
             # color onto the row's west boundary color; same per column.
-            for i in range(1, self.h + 1):
-                for j in range(1, self.w + 1):
-                    for l in range(ts.num_colors):
-                        terms = (self.cell_sum(i, j, self.without_color["e"][l])
-                                 + self.cell_sum(i, 1, self.with_color["w"][l]))
-                        if j < self.w:
-                            terms += self.cell_sum(i, j + 1, coef=-1.0)
-                        self.add_con(f"pvh_{i}_{j}_{l}", terms, LE, 1.0)
-            for i in range(1, self.h + 1):
-                for j in range(1, self.w + 1):
-                    for l in range(ts.num_colors):
-                        terms = (self.cell_sum(i, j, self.without_color["s"][l])
-                                 + self.cell_sum(1, j, self.with_color["n"][l]))
-                        if i < self.h:
-                            terms += self.cell_sum(i + 1, j, coef=-1.0)
-                        self.add_con(f"pvv_{i}_{j}_{l}", terms, LE, 1.0)
+            for name, side, wrap_side, di, dj in (("pvh", "e", "w", 0, 1),
+                                                  ("pvv", "s", "n", 1, 0)):
+                for i in range(1, self.h + 1):
+                    for j in range(1, self.w + 1):
+                        wrap = (i, 1) if dj else (1, j)
+                        for l in range(ts.num_colors):
+                            terms = (self.colored((i, j), side, l, other=True)
+                                     + self.colored(wrap, wrap_side, l))
+                            if i + di <= self.h and j + dj <= self.w:
+                                terms += self.cell_sum(i + di, j + dj, coef=-1.0)
+                            self.add_con(f"{name}_{i}_{j}_{l}", terms, LE, 1.0)
         elif isinstance(ext, SmallestObjective):
             self.objective = self._sum_obj("min")
         elif isinstance(ext, Packing):
@@ -523,8 +471,9 @@ def parse_lp(text: str) -> IlpModel:
     if ":" in obj_text:
         obj_text = obj_text.split(":", 1)[1]
     oterms, oconst = _parse_expr(obj_text.split())
-    objective = (Objective("none", ()) if not oterms
-                 else Objective(obj_sense, resolve(oterms), oconst))
+    if obj_sense == "min" and not oterms and not oconst:
+        obj_sense = "none"  # how emit_lp writes a model with no objective
+    objective = Objective(obj_sense, resolve(oterms), oconst)
 
     cons = []
     for line in con_lines:

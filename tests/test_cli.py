@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -25,10 +26,17 @@ def test_parse_extension_forms():
     assert parse_extension("periodic-var") == PeriodicVariable()
     assert parse_extension("smallest") == SmallestObjective()
     assert parse_extension("packing") == Packing()
-    with pytest.raises(wt.ConfigurationError):
-        parse_extension("force:1,2")
-    with pytest.raises(wt.ConfigurationError):
-        parse_extension("mystery:1")
+    assert parse_extension("eqcol:1,1,n,2,2,w") == wt.EqualEdgeColors(
+        1, 1, "n", 2, 2, "w")
+    for text, message in [
+            ("force:1,2", "bad extension 'force:1,2': expected i,j,k"),
+            ("force:1,2,3,4", "bad extension 'force:1,2,3,4': expected i,j,k"),
+            ("forcecol:1,2,n", "expected i,j,side,color"),
+            ("periodic:1", "bad extension 'periodic:1': expected no values"),
+            ("force:a,2,3", "invalid literal for int()"),
+            ("mystery:1", "unknown extension kind 'mystery'")]:
+        with pytest.raises(wt.ConfigurationError, match=re.escape(message)):
+            parse_extension(text)
 
 
 def test_solve_exit_codes_and_output(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -12,10 +13,16 @@ from wangtiler import (ConfigurationError, DifferentEdgeColors, DifferentTile,
                        StructuralError, Tile, TileSet, Tiling, VOID,
                        builtin_set, complete_stochastic_set, solve_decision,
                        validate_tiling)
-from wangtiler.ilp import (ModelSpec, build_model, emit_lp, evaluate_assignment,
-                           parse_lp, x_name)
+from wangtiler.ilp import (FORMULATIONS, ModelSpec, build_model, emit_lp,
+                           evaluate_assignment, parse_lp, x_name)
 
 from helpers import random_tileset
+
+
+CELL_EXTS = (ForceTile(1, 1, 0), ForbidTile(2, 2, 1), SameTile(1, 1, 2, 2),
+             DifferentTile(1, 2, 2, 1), ForceEdgeColor(1, 1, "n", 0),
+             ForbidEdgeColor(2, 2, "e", 1), EqualEdgeColors(1, 1, "n", 2, 2, "w"),
+             DifferentEdgeColors(1, 1, "s", 2, 2, "e"))
 
 
 def spec(ts, h, w, formulation, *exts):
@@ -120,12 +127,8 @@ def test_packing_requires_matching_cardinality():
 
 def test_tile_and_color_extensions_build_everywhere():
     ts = builtin_set("fig3")
-    exts = [ForceTile(1, 1, 0), ForbidTile(2, 2, 1), SameTile(1, 1, 2, 2),
-            DifferentTile(1, 2, 2, 1), ForceEdgeColor(1, 1, "n", 0),
-            ForbidEdgeColor(2, 2, "e", 1), EqualEdgeColors(1, 1, "n", 2, 2, "w"),
-            DifferentEdgeColors(1, 1, "s", 2, 2, "e")]
-    for formulation in ("decision", "max_rect", "max_cover", "max_csp"):
-        m = build_model(spec(ts, 2, 2, formulation, *exts))
+    for formulation in FORMULATIONS:
+        m = build_model(spec(ts, 2, 2, formulation, *CELL_EXTS))
         assert names(m, "force_1_1_0") and names(m, "eqcol_")
 
 
@@ -165,6 +168,86 @@ def test_emit_deterministic():
     assert emit_lp(build_model(s)) == emit_lp(build_model(s))
 
 
+def pinned_specs():
+    fig3, finite1 = builtin_set("fig3"), builtin_set("finite1")
+    cases = {}
+    for f in FORMULATIONS:
+        cases[f"{f} fig3 2x3"] = spec(fig3, 2, 3, f)
+        cases[f"{f} finite1 3x2"] = spec(finite1, 3, 2, f)
+        cases[f"{f} fig3 1x1"] = spec(fig3, 1, 1, f)
+    for ext in CELL_EXTS:
+        cases[f"decision fig3 2x3 {type(ext).__name__}"] = spec(
+            fig3, 2, 3, "decision", ext)
+    for f in ("decision", "max_csp"):
+        cases[f"{f} finite1 3x2 PeriodicFixed"] = spec(
+            finite1, 3, 2, f, PeriodicFixed())
+    cases["max_rect finite1 3x2 PeriodicVariable SmallestObjective"] = spec(
+        finite1, 3, 2, "max_rect", PeriodicVariable(), SmallestObjective())
+    cases["decision complete:2 4x4 Packing"] = spec(
+        complete_stochastic_set(2), 4, 4, "decision", Packing())
+    return cases
+
+
+# SHA-256 of the emitted LP text; pins constraint order and term order,
+# which the sorted signature() comparisons above do not see.
+PINNED_LP = {
+    "decision fig3 2x3":
+        "77d6cd6a19ea23355e270ab233050b2c66f82338b963f29ae7b83327a93c5ec3",
+    "decision finite1 3x2":
+        "0aea6af91a9a4705b6010f1940f6026380f54e09ef12cf67518145221ea942ab",
+    "decision fig3 1x1":
+        "493f2616471e5203adf6c0fab27b1f965713b974397f7ba376cb8676775ba0f8",
+    "max_rect fig3 2x3":
+        "b045ef44a23fb5ef95049c3c20ea3b1986493bf1cf1b510c4698dc97b3e39b3a",
+    "max_rect finite1 3x2":
+        "f392e6c4586147a240c88ee9e4111cd3e8e9c60e5ae2cb105091971d49b008af",
+    "max_rect fig3 1x1":
+        "abbafcce871180f3198e13cedb959fa97c107dede1bd29d478012ec5ed6d9cd5",
+    "max_cover fig3 2x3":
+        "5919769d4e3987f7bd1722d6c69e5eca01e14906796164ef422ee8185796d270",
+    "max_cover finite1 3x2":
+        "1d13d8d77ef309bae7ea00c1df27ae70c602920708d418b83909e7234767d36e",
+    "max_cover fig3 1x1":
+        "546e9b065a99c8da5602cce4045926f3b37587da311e42c5c4a07fb660a2de25",
+    "max_csp fig3 2x3":
+        "03e493e93753848b3c9419b3dd53bb94c596cdaae348add017b1466baffc5650",
+    "max_csp finite1 3x2":
+        "f85d93a9cc47cabb9e4b6c786d6a210624e87d35f1936744870cde1839839fef",
+    "max_csp fig3 1x1":
+        "8d5449717738b04b4d42a89cb4ad510300dc1cb344bb8ca8554fca159942fffb",
+    "decision fig3 2x3 ForceTile":
+        "142a3f37b11a1f8585ccfa2b53f1f4fe6f6f01cc696e67e39cd5ce3bd92edae0",
+    "decision fig3 2x3 ForbidTile":
+        "8283c90472e1aa051daebdb7d496197a2470f4d4e83ea0d7040bb2acaec3fb2c",
+    "decision fig3 2x3 SameTile":
+        "aa61a9619f2382c10a3bd1497286fc283aa138db213455f1d1666dd471b31414",
+    "decision fig3 2x3 DifferentTile":
+        "69f95a1ffa075c9438b946f53d8124fb1c53cc75379df46e09e4c8496fa88d43",
+    "decision fig3 2x3 ForceEdgeColor":
+        "19e453d810347bff8e9a8f447031c473e740068ff5619f53ae10dd364ecf5a25",
+    "decision fig3 2x3 ForbidEdgeColor":
+        "2e068ea598ed3c12e30a18f68767b9040571671ec3ad6d04c014a8244ffb83e6",
+    "decision fig3 2x3 EqualEdgeColors":
+        "fb6836b688dc20f7e884d306e105a2cf398d29ea31ee3a9ee6efe63546bb14d8",
+    "decision fig3 2x3 DifferentEdgeColors":
+        "9c1053d5040f228fc04f08f128712e141acbf268762fefab9e595aa2b97df695",
+    "decision finite1 3x2 PeriodicFixed":
+        "4f660180881c476ad0d447971edf40d78a6fa6ab39ed197d1a73d4aa49cc0ea1",
+    "max_csp finite1 3x2 PeriodicFixed":
+        "47b63569772d71c33c5424b75c7b8e783cf7cc921abd74b94dbda16a5127a00a",
+    "max_rect finite1 3x2 PeriodicVariable SmallestObjective":
+        "403ef58412eb96e43767feedfe5832716cee264e9ac7f917b01bf3a733f04458",
+    "decision complete:2 4x4 Packing":
+        "ee6f38a1bffc2ca796a71a4b82e581df67a020bf15080f3d554e5d1d051ba97a",
+}
+
+
+def test_emit_lp_pinned():
+    got = {label: hashlib.sha256(emit_lp(build_model(s)).encode()).hexdigest()
+           for label, s in pinned_specs().items()}
+    assert got == PINNED_LP
+
+
 def test_emit_parse_round_trip_decision():
     m = build_model(spec(builtin_set("fig3"), 2, 2, "decision"))
     m2 = parse_lp(emit_lp(m))
@@ -172,14 +255,15 @@ def test_emit_parse_round_trip_decision():
     assert emit_lp(m2) == emit_lp(m)
 
 
-@pytest.mark.parametrize("formulation", ["decision", "max_rect", "max_cover",
-                                         "max_csp"])
+@pytest.mark.parametrize("formulation", FORMULATIONS)
 def test_emit_parse_round_trip_all_formulations(formulation):
-    m = build_model(spec(builtin_set("finite1"), 2, 3, formulation))
-    m2 = parse_lp(emit_lp(m))
-    assert signature(m) == signature(m2)
-    assert [v.name for v in m.variables] == [v.name for v in m2.variables]
-    assert emit_lp(m2) == emit_lp(m)
+    for h, w in [(2, 3), (1, 1)]:
+        m = build_model(spec(builtin_set("finite1"), h, w, formulation))
+        m2 = parse_lp(emit_lp(m))
+        assert signature(m) == signature(m2)
+        assert m2.objective == m.objective
+        assert [v.name for v in m.variables] == [v.name for v in m2.variables]
+        assert emit_lp(m2) == emit_lp(m)
 
 
 def test_parse_rejects_garbage():
