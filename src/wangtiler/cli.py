@@ -21,10 +21,7 @@ from .bench import (BenchConfig, bench_row, resolve_set, run_benchmark,
 from .errors import BudgetExceededError, ConfigurationError
 from .exact import (CAPPED, DEFAULT_STATE_CAP, INFEASIBLE, VALID, pack_tiles,
                     smallest_torus, solve_decision)
-from .extensions import (DifferentEdgeColors, DifferentTile, EqualEdgeColors,
-                         ForbidEdgeColor, ForbidTile, ForceEdgeColor,
-                         ForceTile, Packing, PeriodicFixed, PeriodicVariable,
-                         SameTile, SmallestObjective)
+from .extensions import EXT_KINDS
 from .ilp import ModelSpec, build_model, emit_lp
 from .render import RenderStyle, render_svg
 from .tileset import corner_to_wang, validate_tiling
@@ -51,22 +48,12 @@ def default_seed() -> int:
     return int(os.environ.get("WANGTILER_SEED", "0"))
 
 
-_EXT_KINDS = {
-    "force": ForceTile, "forbid": ForbidTile, "same": SameTile,
-    "difftile": DifferentTile, "forcecol": ForceEdgeColor,
-    "forbidcol": ForbidEdgeColor, "eqcol": EqualEdgeColors,
-    "neqcol": DifferentEdgeColors, "periodic": PeriodicFixed,
-    "periodic-var": PeriodicVariable, "smallest": SmallestObjective,
-    "packing": Packing,
-}
-
-
 def parse_extension(text: str):
     """Extension syntax: kind[:comma-separated-args]; the arguments are the
     extension's fields in order, sides (``side*``) are n/w/s/e, the rest are
     integers."""
     kind, _, rest = text.partition(":")
-    cls = _EXT_KINDS.get(kind)
+    cls = EXT_KINDS.get(kind)
     if cls is None:
         raise ConfigurationError(f"unknown extension kind {kind!r}")
     fields = dataclasses.fields(cls)
@@ -288,7 +275,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="exact decision solve with boundary conditions")
     _add_common(p)
     p.add_argument("--ext", action="append", default=[],
-                   help="per-cell condition, e.g. force:1,1,0 or forbidcol:1,2,e,1")
+                   help="per-cell condition, e.g. force:1,1,0 or "
+                        "forbidcol:1,2,e,1, or periodic for the torus")
     p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP,
                    help="stored frontier state budget")
     p.set_defaults(func=cmd_solve)

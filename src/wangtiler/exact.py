@@ -5,21 +5,23 @@ them guesses.  The decision solver, the torus counter and the max-cover
 oracle share one iterative frontier sweep, the transfer-matrix method applied
 cell by cell: the only information a partial tiling exposes to its unfilled
 remainder is the coloring of its boundary, so partial tilings with equal
-boundaries merge into one state.  Packing is a backtracking search, because
+boundaries merge into one state.  Per-cell conditions reach the sweep as one
+(cell, tile) mask built from ``extensions.cell_rule``, and ``PeriodicFixed``
+turns it into a sweep of the torus.  Packing is a backtracking search, because
 its use-every-tile-once rule has no small frontier.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import compress
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigurationError
-from .extensions import (ForbidEdgeColor, ForbidTile, ForceEdgeColor,
-                         ForceTile, LOCAL_EXTENSIONS, check_extension)
+from .extensions import Packing, PeriodicFixed, cell_rule, check_extension
 from .tileset import TileSet, Tiling, VOID
 
 VALID = "VALID"
@@ -53,43 +55,11 @@ class TorusResult:
     dim_counts: tuple[tuple[tuple[int, int], int], ...]
 
 
-def _allowed_tiles(ts: TileSet, height: int, width: int, bcs) -> list[list[list[int]]]:
-    """Per-cell candidate tile ids after applying the local boundary
-    conditions, which ``_frontier`` has checked."""
-    side_of = {"n": ts.norths, "w": ts.wests, "s": ts.souths, "e": ts.easts}
-    allowed = [[list(range(len(ts))) for _ in range(width)] for _ in range(height)]
-    for bc in bcs:
-        cell = allowed[bc.i - 1][bc.j - 1]
-        if isinstance(bc, ForceTile):
-            cell[:] = [k for k in cell if k == bc.k]
-        elif isinstance(bc, ForbidTile):
-            cell[:] = [k for k in cell if k != bc.k]
-        elif isinstance(bc, ForceEdgeColor):
-            colors = side_of[bc.side]
-            cell[:] = [k for k in cell if colors[k] == bc.color]
-        elif isinstance(bc, ForbidEdgeColor):
-            colors = side_of[bc.side]
-            cell[:] = [k for k in cell if colors[k] != bc.color]
-    return allowed
-
-
-_REFLECTED_SIDE = {"n": "w", "w": "n", "s": "e", "e": "s"}
-
-
-def _reflect_bc(bc):
-    """Map a per-cell boundary condition onto the transposed grid."""
-    if isinstance(bc, (ForceTile, ForbidTile)):
-        return type(bc)(bc.j, bc.i, bc.k)
-    if isinstance(bc, (ForceEdgeColor, ForbidEdgeColor)):
-        return type(bc)(bc.j, bc.i, _REFLECTED_SIDE[bc.side], bc.color)
-    return bc
-
-
 _NONE = -2  # exposure of a VOID cell, or of an edge that is never read
 
 
-def _sweep(ts: TileSet, height: int, width: int, allowed, void: bool,
-           torus: bool, links: int, cap: int):
+def _sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
+           void: bool, torus: bool, links: int, cap: int):
     """Fill the grid cell by cell, row-major, merging equal frontiers.
 
     A state is a flat tuple: a head, then one record per column, rotated so
@@ -100,13 +70,16 @@ def _sweep(ts: TileSet, height: int, width: int, allowed, void: bool,
     south colors must match.  Edges nothing will read again are stored as
     _NONE, so the last layer holds at most one state.  Each state's value is
     a list: the most tiles placed, the number of ways to place that many,
-    then up to ``links`` (parent index, tile) pairs.  With ``void`` a cell
-    may stay empty.
+    then up to ``links`` (parent index, tile) pairs.  Cell (i, j) may hold
+    tile k only where ``mask[i, j, k]`` (any tile without a mask); with
+    ``void`` it may stay empty.
 
     Returns (most placed or None if no state survives, ways, link layers,
     stored states); raises BudgetExceededError past ``cap`` stored states.
     """
     norths, wests, souths, easts = ts.norths, ts.wests, ts.souths, ts.easts
+    all_ids = list(range(len(ts)))
+    cell_masks = None if mask is None else mask.reshape(height * width, -1).tolist()
     size = 2 if torus else 1
     frontier = {(_NONE,) * (size * (width + 1)): [0, 1]}
     layers: list[list[list[int]]] = []
@@ -114,12 +87,14 @@ def _sweep(ts: TileSet, height: int, width: int, allowed, void: bool,
     for p in range(height * width):
         i, j = divmod(p, width)
         last_row, last_col = i == height - 1, j == width - 1
+        allowed = (all_ids if cell_masks is None
+                   else list(compress(all_ids, cell_masks[p])))
 
         def pool_for(req: tuple) -> list[tuple]:
             """(tile, gain, head, record) for each tile fitting ``req``."""
             west, north = req[0], req[size]
             pool = []
-            for k in allowed[i][j]:
+            for k in allowed:
                 if ((west != _NONE and wests[k] != west)
                         or (north != _NONE and norths[k] != north)):
                     continue
@@ -192,29 +167,41 @@ def _read_back(layers, height: int, width: int, limit: int) -> list[np.ndarray]:
 
 
 def _frontier(ts: TileSet, height: int, width: int, cap: int,
-              bcs: Iterable = (), void: bool = False, torus: bool = False,
-              limit: int = 1):
+              exts: Iterable = (), void: bool = False, limit: int = 1):
     """Sweep the instance in its narrower orientation.
 
+    ``exts`` holds per-cell conditions, which mask the tiles a cell may
+    hold, and ``PeriodicFixed``, which sweeps the torus.
     Returns (most placed or None, ways, up to ``limit`` witnesses, stored).
     """
     if height < 1 or width < 1:
         raise ConfigurationError("grid dimensions must be positive")
-    bcs = tuple(bcs)
-    for bc in bcs:
-        if not isinstance(bc, LOCAL_EXTENSIONS):
+    mask = None  # None allows every tile; built at the first per-cell rule
+    torus = False
+    for ext in exts:
+        check_extension(ext, ts, height, width)
+        rule = cell_rule(ext, ts)
+        if rule is not None:
+            if mask is None:
+                mask = np.ones((height, width, len(ts)), dtype=bool)
+            ids, force = rule
+            hit = np.zeros(len(ts), dtype=bool)
+            hit[list(ids)] = True
+            mask[ext.i - 1, ext.j - 1] &= hit if force else ~hit
+        elif isinstance(ext, PeriodicFixed):
+            torus = True
+        else:
             raise ConfigurationError(
-                f"the frontier solver only supports per-cell boundary "
-                f"conditions, got {type(bc).__name__}")
-        check_extension(bc, ts, height, width)
+                f"the frontier solver supports per-cell conditions and "
+                f"PeriodicFixed, got {type(ext).__name__}")
     transpose = width > height
     if transpose:
         # The frontier grows with the width; sweep the diagonally reflected
-        # instance instead (tilings of the two correspond under transposition).
+        # instance instead (tilings of the two correspond under transposition,
+        # and the reflected set keeps the tile ids).
         ts, height, width = ts.reflected(), width, height
-        bcs = [_reflect_bc(bc) for bc in bcs]
-    allowed = _allowed_tiles(ts, height, width, bcs)
-    best, ways, layers, stored = _sweep(ts, height, width, allowed, void, torus,
+        mask = None if mask is None else mask.transpose(1, 0, 2)
+    best, ways, layers, stored = _sweep(ts, height, width, mask, void, torus,
                                         limit, cap)
     found = _read_back(layers, height, width, limit) if best is not None else []
     return best, ways, [Tiling(c.T if transpose else c) for c in found], stored
@@ -229,6 +216,11 @@ def solve_decision(ts: TileSet, height: int, width: int, bcs: Iterable = (),
     Equal frontiers are merged, with parent links kept for witness
     reconstruction.  INFEASIBLE is a proof; CAPPED means the stored-state
     budget ran out before an answer.
+
+    ``bcs`` may hold the per-cell conditions (``ForceTile``, ``ForbidTile``,
+    ``ForceEdgeColor``, ``ForbidEdgeColor``) and ``PeriodicFixed``, which
+    asks for a tiling of the height x width torus: opposite boundaries carry
+    equal colors.  Any other extension raises ConfigurationError.
     """
     if cap <= 0:
         raise ConfigurationError("state cap must be positive")
@@ -248,7 +240,7 @@ def count_torus(ts: TileSet, height: int, width: int,
     Raises BudgetExceededError past ``DEFAULT_STATE_CAP`` stored states.
     """
     _, ways, witnesses, _ = _frontier(ts, height, width, DEFAULT_STATE_CAP,
-                                      torus=True, limit=witness_cap)
+                                      [PeriodicFixed()], limit=witness_cap)
     return ways, witnesses
 
 
@@ -291,10 +283,7 @@ def pack_tiles(ts: TileSet, height: int, width: int, periodic: bool = False,
     ``periodic`` the opposite boundaries must carry equal colors.  ``deadline``
     is a wall-clock budget in seconds; hitting it returns CAPPED.
     """
-    if len(ts) != height * width:
-        raise ConfigurationError(
-            f"packing needs exactly height*width tiles "
-            f"({height}*{width}={height * width}, set has {len(ts)})")
+    check_extension(Packing(), ts, height, width)
     norths, wests, souths, easts = ts.norths, ts.wests, ts.souths, ts.easts
     by_wn: dict[tuple[int, int], list[int]] = {}
     by_w: dict[int, list[int]] = {}

@@ -98,15 +98,42 @@ class Packing:
     """Place every tile of the set exactly once."""
 
 
-#: Extensions that constrain a single cell; the frontier solver accepts these.
-LOCAL_EXTENSIONS = (ForceTile, ForbidTile, ForceEdgeColor, ForbidEdgeColor)
+#: Extension kinds by name: the CLI's ``kind[:args]`` syntax, and the prefix
+#: of the ILP constraint a per-cell extension adds.
+EXT_KINDS = {
+    "force": ForceTile, "forbid": ForbidTile, "same": SameTile,
+    "difftile": DifferentTile, "forcecol": ForceEdgeColor,
+    "forbidcol": ForbidEdgeColor, "eqcol": EqualEdgeColors,
+    "neqcol": DifferentEdgeColors, "periodic": PeriodicFixed,
+    "periodic-var": PeriodicVariable, "smallest": SmallestObjective,
+    "packing": Packing,
+}
+
+
+def cell_rule(ext, ts) -> tuple[tuple[int, ...], bool] | None:
+    """``(tile ids, force)`` for a per-cell extension, None for any other.
+
+    With ``force`` the cell ``(ext.i, ext.j)`` must hold one of the ids;
+    otherwise it must hold none of them.  ``ext`` has passed
+    :func:`check_extension`.
+    """
+    if isinstance(ext, (ForceTile, ForbidTile)):
+        return (ext.k,), isinstance(ext, ForceTile)
+    if isinstance(ext, (ForceEdgeColor, ForbidEdgeColor)):
+        ids = tuple(k for k, c in enumerate(ts.side(ext.side)) if c == ext.color)
+        return ids, isinstance(ext, ForceEdgeColor)
+    return None
 
 
 def check_extension(ext, ts, height: int, width: int) -> None:
-    """Reject a per-cell or per-pair extension whose coordinates fall off the
-    height x width grid, or whose tile id, side or color the set ``ts`` does
-    not have.  Coordinates are reported as given; extensions without
-    coordinates pass."""
+    """Reject a packing whose set does not fill the height x width grid, and
+    a per-cell or per-pair extension whose coordinates fall off the grid, or
+    whose tile id, side or color the set ``ts`` does not have.  Coordinates
+    are reported as given; other extensions pass."""
+    if isinstance(ext, Packing) and len(ts) != height * width:
+        raise ConfigurationError(
+            f"packing needs exactly height*width tiles "
+            f"({height}*{width}={height * width}, set has {len(ts)})")
     if not hasattr(ext, "i"):
         return
     name = type(ext).__name__

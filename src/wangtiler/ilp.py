@@ -15,14 +15,13 @@ h x w grid over the tile set T has index ``((i-1)*w + j-1)*|T| + k``; the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .errors import ConfigurationError, StructuralError
-from .extensions import (SIDES, DifferentEdgeColors, DifferentTile,
-                         EqualEdgeColors, ForbidEdgeColor, ForbidTile,
-                         ForceEdgeColor, ForceTile, Packing, PeriodicFixed,
+from .extensions import (EXT_KINDS, SIDES, DifferentEdgeColors, DifferentTile,
+                         EqualEdgeColors, Packing, PeriodicFixed,
                          PeriodicVariable, SameTile, SmallestObjective,
-                         check_extension)
+                         cell_rule, check_extension)
 from .tileset import TileSet, Tiling
 
 FORMULATIONS = ("decision", "max_rect", "max_cover", "max_csp")
@@ -94,11 +93,9 @@ class _Builder:
         self.vars: list[Var] = []
         self.cons: list[LinCon] = []
         self.objective = Objective("none", ())
-        side_colors = {"n": self.ts.norths, "w": self.ts.wests,
-                       "s": self.ts.souths, "e": self.ts.easts}
         # tile ids by (side, color, other): the tiles whose side has the
         # color, or with other=True the tiles whose side does not
-        self.by_color = {(s, l, other): [k for k, c in enumerate(side_colors[s])
+        self.by_color = {(s, l, other): [k for k, c in enumerate(self.ts.side(s))
                                       if (c != l) == other]
                       for s in SIDES for l in range(self.ts.num_colors)
                       for other in (False, True)}
@@ -156,10 +153,6 @@ class _Builder:
                 raise ConfigurationError(
                     f"{type(ext).__name__} is only valid with "
                     f"{'/'.join(compat)}, not {self.spec.formulation}")
-            if isinstance(ext, Packing) and len(self.ts) != self.h * self.w:
-                raise ConfigurationError(
-                    f"packing requires exactly height*width tiles "
-                    f"({self.h * self.w}), set has {len(self.ts)}")
             check_extension(ext, self.ts, self.h, self.w)
 
     # -- adjacency families -------------------------------------------------
@@ -250,12 +243,12 @@ class _Builder:
 
     def _apply_extension(self, ext) -> None:
         ts = self.ts
-        if isinstance(ext, ForceTile):
-            self.add_con(f"force_{ext.i}_{ext.j}_{ext.k}",
-                         [(1.0, self.x(ext.i, ext.j, ext.k))], EQ, 1.0)
-        elif isinstance(ext, ForbidTile):
-            self.add_con(f"forbid_{ext.i}_{ext.j}_{ext.k}",
-                         [(1.0, self.x(ext.i, ext.j, ext.k))], EQ, 0.0)
+        rule = cell_rule(ext, ts)
+        if rule is not None:
+            ids, force = rule
+            kind = next(n for n, cls in EXT_KINDS.items() if cls is type(ext))
+            name = "_".join(map(str, (kind, *astuple(ext))))
+            self.add_con(name, self.cell_sum(ext.i, ext.j, ids), EQ, float(force))
         elif isinstance(ext, SameTile):
             for k in range(len(ts)):
                 self.add_con(f"same_{ext.i}_{ext.j}_{ext.p}_{ext.q}_{k}",
@@ -266,12 +259,6 @@ class _Builder:
                 self.add_con(f"diff_{ext.i}_{ext.j}_{ext.p}_{ext.q}_{k}",
                              [(1.0, self.x(ext.i, ext.j, k)),
                               (1.0, self.x(ext.p, ext.q, k))], LE, 1.0)
-        elif isinstance(ext, ForceEdgeColor):
-            self.add_con(f"forcecol_{ext.i}_{ext.j}_{ext.side}_{ext.color}",
-                         self.colored((ext.i, ext.j), ext.side, ext.color), EQ, 1.0)
-        elif isinstance(ext, ForbidEdgeColor):
-            self.add_con(f"forbidcol_{ext.i}_{ext.j}_{ext.side}_{ext.color}",
-                         self.colored((ext.i, ext.j), ext.side, ext.color), EQ, 0.0)
         elif isinstance(ext, EqualEdgeColors):
             self._match(
                 f"eqcol_{ext.i}_{ext.j}_{ext.side}_{ext.p}_{ext.q}_{ext.side2}",
@@ -389,18 +376,16 @@ def _parse_expr(tokens: list[str]):
             sign, coef = 1.0, None
         elif tok == "-":
             sign, coef = -1.0, None
+        elif tok[0] in "0123456789.":  # the grammar writes signs apart
+            val = float(tok)
+            if coef is None:
+                coef = val
+            else:  # two numbers in a row: the first was a constant
+                constant += sign * coef
+                coef = val
         else:
-            try:
-                val = float(tok)
-            except ValueError:
-                terms.append((sign * (1.0 if coef is None else coef), tok))
-                sign, coef = 1.0, None
-            else:
-                if coef is None:
-                    coef = val
-                else:  # two numbers in a row: the first was a constant
-                    constant += sign * coef
-                    coef = val
+            terms.append((sign * (1.0 if coef is None else coef), tok))
+            sign, coef = 1.0, None
     if coef is not None:
         constant += sign * coef
     return terms, constant
@@ -478,15 +463,12 @@ def parse_lp(text: str) -> IlpModel:
     cons = []
     for line in con_lines:
         name, body = line.split(":", 1)
-        toks = body.split()
-        sense_pos = max(((p, t) for p, t in enumerate(toks) if t in (LE, EQ, GE)),
-                        default=None)
-        if sense_pos is None:
+        toks = body.split()  # <expr> <sense> <number>
+        if len(toks) < 2 or toks[-2] not in (LE, EQ, GE):
             raise ValueError(f"constraint without sense: {line!r}")
-        pos, sense = sense_pos
-        terms, const = _parse_expr(toks[:pos])
-        rhs = float(toks[pos + 1]) - const
-        cons.append(LinCon(name.strip(), resolve(terms), sense, rhs))
+        *expr, sense, rhs = toks
+        terms, const = _parse_expr(expr)
+        cons.append(LinCon(name.strip(), resolve(terms), sense, float(rhs) - const))
     return IlpModel(tuple(var_order), tuple(cons), objective)
 
 

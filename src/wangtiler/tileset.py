@@ -98,6 +98,11 @@ class TileSet:
         self.souths = tuple(t.south for t in self.tiles)
         self.easts = tuple(t.east for t in self.tiles)
 
+    def side(self, s: str) -> tuple[int, ...]:
+        """The id->color tuple of side ``s``, one of "n", "w", "s", "e"."""
+        return {"n": self.norths, "w": self.wests,
+                "s": self.souths, "e": self.easts}[s]
+
     def __len__(self) -> int:
         return len(self.tiles)
 

@@ -60,6 +60,13 @@ def test_solve_with_extensions(capsys):
     code, text, _ = run(capsys, "solve", "--tileset", "fig3", "--h", "1",
                         "--w", "1", "--ext", "force:1,1,2")
     assert code == 0
+    code, text, _ = run(capsys, "solve", "--tileset", "complete:2", "--h", "2",
+                        "--w", "3", "--ext", "periodic")
+    assert code == 0 and "VALID" in text
+    # finite1 has no torus of area 30 or less
+    code, text, _ = run(capsys, "solve", "--tileset", "finite1", "--h", "3",
+                        "--w", "3", "--ext", "periodic")
+    assert code == 1 and "INFEASIBLE" in text
 
 
 @pytest.mark.parametrize("ext, fragment", [

@@ -45,8 +45,9 @@ def test_decision_rejects_bad_config():
         solve_decision(ts, 2, 2, cap=0)
     with pytest.raises(ConfigurationError):
         solve_decision(ts, 0, 2)
-    with pytest.raises(ConfigurationError):
-        solve_decision(ts, 2, 2, bcs=[PeriodicFixed()])
+    for ext in (wt.SameTile(1, 1, 2, 2), wt.Packing()):
+        with pytest.raises(ConfigurationError):
+            solve_decision(ts, 2, 2, bcs=[ext])
     with pytest.raises(ConfigurationError):
         solve_decision(ts, 2, 2, bcs=[ForceTile(3, 1, 0)])
 
@@ -197,6 +198,25 @@ def test_count_torus_agrees_with_enumeration():
             for t in wits:
                 tiled = Tiling(np.tile(t.cells, (2, 2)))
                 assert validate_tiling(ts, tiled).is_valid
+
+
+def test_periodic_decision_agrees_with_enumeration():
+    rng = random.Random(29)
+    for n in range(30):
+        ts = random_tileset(rng, max_colors=3, max_tiles=4 if n % 3 else 2)
+        for (h, w) in [(1, 1), (1, 4), (2, 2), (2, 3), (3, 2)] + (
+                [] if n % 3 else [(3, 4)]):
+            found = naive_torus_tilings(ts, h, w)
+            i, j, k = rng.randint(1, h), rng.randint(1, w), rng.randrange(len(ts))
+            forced = [a for a in found if a[(i - 1) * w + j - 1] == k]
+            for bcs, expected in (([PeriodicFixed()], found),
+                                  ([PeriodicFixed(), ForceTile(i, j, k)], forced)):
+                res = solve_decision(ts, h, w, bcs)
+                assert res.status == (VALID if expected else INFEASIBLE)
+                if expected:
+                    assert tuple(res.witness.cells.flatten().tolist()) in expected
+                    tiled = Tiling(np.tile(res.witness.cells, (2, 2)))
+                    assert validate_tiling(ts, tiled).is_valid
 
 
 def test_torus_bad_area():

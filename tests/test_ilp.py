@@ -269,6 +269,9 @@ def test_emit_parse_round_trip_all_formulations(formulation):
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_lp("Minimize\n obj: 0\nSubject To\n c1: x_1_1_0 = 1\nEnd\n")
+    with pytest.raises(ValueError, match="constraint without sense"):
+        parse_lp("Minimize\n obj: 0\nSubject To\n c1: x_1_1_0 + x_1_1_1\n"
+                 "Binaries\n x_1_1_0 x_1_1_1\nEnd\n")
 
 
 # -- evaluation ---------------------------------------------------------------------
