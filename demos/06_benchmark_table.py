@@ -17,5 +17,5 @@ report = run_benchmark(config)
 print(report.to_text())
 
 with open("bench.json", "w") as f:
-    f.write(run_benchmark(config, keep_runs=True).to_json())
+    f.write(report.to_json())
 print("wrote bench.json")

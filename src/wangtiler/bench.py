@@ -130,20 +130,19 @@ def run_seeds(ts: TileSet, height: int, width: int, alg: str,
 
 
 def bench_row(name: str, height: int, width: int, alg: str,
-              config: BenchConfig, pairs: list[tuple[CoverRun, float]],
-              keep_runs: bool) -> BenchRow:
-    """Aggregate the (run, millis) pairs of one seed block; with keep_runs
-    the row also holds one {"placed", "bound", "seed", "millis"} dict per
-    run."""
+              config: BenchConfig,
+              pairs: list[tuple[CoverRun, float]]) -> BenchRow:
+    """Aggregate the (run, millis) pairs of one seed block; the row also
+    holds one {"placed", "bound", "seed", "millis"} dict per run."""
     placed = [run.placed for run, _ in pairs]
     runs = tuple({"placed": run.placed, "bound": run.bound, "seed": run.seed,
-                  "millis": millis} for run, millis in pairs) if keep_runs else ()
+                  "millis": millis} for run, millis in pairs)
     mean_s = sum(millis for _, millis in pairs) / 1000.0 / len(pairs)
     return BenchRow(name, height, width, alg, config.improve, mean_s,
                     min(placed), sum(placed) / len(placed), max(placed), runs)
 
 
-def run_benchmark(config: BenchConfig, keep_runs: bool = False) -> BenchReport:
+def run_benchmark(config: BenchConfig) -> BenchReport:
     """One row per (set, size, algorithm); aggregation is order-independent,
     so rows are reproducible for a fixed config."""
     rows = []
@@ -153,5 +152,5 @@ def run_benchmark(config: BenchConfig, keep_runs: bool = False) -> BenchReport:
         for (h, w) in config.sizes:
             for alg in config.algs:
                 pairs = run_seeds(ts, h, w, alg, config)
-                rows.append(bench_row(name, h, w, alg, config, pairs, keep_runs))
+                rows.append(bench_row(name, h, w, alg, config, pairs))
     return BenchReport(tuple(rows))

@@ -103,8 +103,7 @@ def cmd_cover(args) -> int:
                          seeds=args.seeds, seed_base=args.seed)
     print(f"seed base: {args.seed}")
     pairs = run_seeds(ts, h, w, args.alg, config)
-    row = bench_row(args.tileset, h, w, args.alg, config, pairs,
-                    keep_runs=True)
+    row = bench_row(args.tileset, h, w, args.alg, config, pairs)
     if args.report == "json":
         payload = {
             "runs": list(row.runs),
@@ -250,7 +249,7 @@ def cmd_bench(args) -> int:
                          seeds=args.seeds,
                          seed_base=args.seed)
     print(f"seed base: {args.seed}")
-    report = run_benchmark(config, keep_runs=args.report == "json")
+    report = run_benchmark(config)
     sys.stdout.write(report.to_json() if args.report == "json" else report.to_text())
     return EXIT_OK
 

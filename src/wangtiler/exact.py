@@ -14,7 +14,7 @@ its use-every-tile-once rule has no small frontier.
 from __future__ import annotations
 
 import time
-from itertools import compress
+from itertools import compress, product
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -283,16 +283,15 @@ def pack_tiles(ts: TileSet, height: int, width: int, periodic: bool = False,
     ``periodic`` the opposite boundaries must carry equal colors.  ``deadline``
     is a wall-clock budget in seconds; hitting it returns CAPPED.
     """
+    if height < 1 or width < 1:
+        raise ConfigurationError("grid dimensions must be positive")
     check_extension(Packing(), ts, height, width)
     norths, wests, souths, easts = ts.norths, ts.wests, ts.souths, ts.easts
-    by_wn: dict[tuple[int, int], list[int]] = {}
-    by_w: dict[int, list[int]] = {}
-    by_n: dict[int, list[int]] = {}
-    all_ids = list(range(len(ts)))
-    for k in all_ids:
-        by_wn.setdefault((wests[k], norths[k]), []).append(k)
-        by_w.setdefault(wests[k], []).append(k)
-        by_n.setdefault(norths[k], []).append(k)
+    # ascending tile ids by the (west, north) colors they fit; None fits any
+    pools: dict[tuple, list[int]] = {}
+    for k in range(len(ts)):
+        for key in product((wests[k], None), (norths[k], None)):
+            pools.setdefault(key, []).append(k)
 
     grid = [[VOID] * width for _ in range(height)]
     used = [False] * len(ts)
@@ -312,15 +311,7 @@ def pack_tiles(ts: TileSet, height: int, width: int, periodic: bool = False,
     def candidates(i: int, j: int) -> list[int]:
         w_req, n_req = facing(i, j - 1, easts), facing(i - 1, j, souths)
         s_req, e_req = facing(i + 1, j, norths), facing(i, j + 1, wests)
-        if w_req is not None and n_req is not None:
-            pool = by_wn.get((w_req, n_req), ())
-        elif w_req is not None:
-            pool = by_w.get(w_req, ())
-        elif n_req is not None:
-            pool = by_n.get(n_req, ())
-        else:
-            pool = all_ids
-        return [k for k in pool
+        return [k for k in pools.get((w_req, n_req), ())
                 if not used[k]
                 and (s_req is None or souths[k] == s_req)
                 and (e_req is None or easts[k] == e_req)]

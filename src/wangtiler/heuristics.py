@@ -175,7 +175,6 @@ class _Cover:
         self.free = (0,) * ts.num_colors
         self.hard = [tuple(0 if c == x else INF for c in colors) for x in colors]
         self._orient(ts, height, width)
-        self._other_ts: TileSet | None = None
         self._dual = None
         self._reach: dict[int, list[tuple]] = {}
         self.line_solves = 0
@@ -193,11 +192,8 @@ class _Cover:
     def transpose(self) -> None:
         """Swap to the transposed grid over the diagonally reflected set, so
         that its rows are the current columns; a second call swaps back."""
-        if self._other_ts is None:
-            self._other_ts = self.ts.reflected()
-        ts, self._other_ts = self._other_ts, self.ts
         self.cells = [list(col) for col in zip(*self.cells)]
-        self._orient(ts, self.width, self.height)
+        self._orient(self.ts.reflected(), self.width, self.height)
 
     def reach(self, distance: int) -> list[tuple]:
         """Per south color of a placed tile, the soft vector of the north

@@ -8,9 +8,10 @@ slack variables of the constraint-satisfaction variant are ``hv_i_j``
 between rows i and i+1).  Constraint names follow the ``v_i_j_l`` /
 ``h_i_j_l`` / ``occ_i_j`` scheme documented per formulation below.
 
-Variables are laid out row-major by cell, then tile id: ``x_i_j_k`` of an
+Placements come first, row-major by cell, then tile id: ``x_i_j_k`` of an
 h x w grid over the tile set T has index ``((i-1)*w + j-1)*|T| + k``; the
 ``hv`` slacks follow, then the ``hh`` slacks, each row-major.
+:func:`evaluate_assignment` reads the placements from this layout.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .extensions import (EXT_KINDS, SIDES, DifferentEdgeColors, DifferentTile,
                          EqualEdgeColors, Packing, PeriodicFixed,
                          PeriodicVariable, SameTile, SmallestObjective,
                          cell_rule, check_extension)
-from .tileset import TileSet, Tiling
+from .tileset import VOID, TileSet, Tiling
 
 FORMULATIONS = ("decision", "max_rect", "max_cover", "max_csp")
 
@@ -83,6 +84,12 @@ _EXT_COMPAT = {
     Packing: ("decision", "max_rect"),
 }
 
+#: The pair extensions: constraint prefix, and whether the groups at the two
+#: cells must match (else they exclude each other).
+_PAIR_EXTS = {SameTile: ("same", True), DifferentTile: ("diff", False),
+              EqualEdgeColors: ("eqcol", True),
+              DifferentEdgeColors: ("neqcol", False)}
+
 
 class _Builder:
     def __init__(self, spec: ModelSpec):
@@ -93,22 +100,20 @@ class _Builder:
         self.vars: list[Var] = []
         self.cons: list[LinCon] = []
         self.objective = Objective("none", ())
-        # tile ids by (side, color, other): the tiles whose side has the
-        # color, or with other=True the tiles whose side does not
-        self.by_color = {(s, l, other): [k for k, c in enumerate(self.ts.side(s))
-                                      if (c != l) == other]
-                      for s in SIDES for l in range(self.ts.num_colors)
-                      for other in (False, True)}
+        # Tile-id groups: per (side, other) one list per color l of the tiles
+        # whose side has color l (with other, does not); one per tile id.
+        self.groups = {(s, other): [[k for k, c in enumerate(self.ts.side(s))
+                                     if (c != l) == other]
+                                    for l in range(self.ts.num_colors)]
+                       for s in SIDES for other in (False, True)}
+        self.tiles = [(k,) for k in range(len(self.ts))]
         # One int object per placement variable, shared by every term that
-        # names it; x() only indexes into this list.
+        # names it.
         self.x_ids = list(range(self.h * self.w * len(self.ts)))
 
     def add_var(self, name: str, kind: str, lower: float, upper: float) -> int:
         self.vars.append(Var(name, kind, lower, upper))
         return len(self.vars) - 1
-
-    def x(self, i: int, j: int, k: int) -> int:
-        return self.x_ids[((i - 1) * self.w + j - 1) * len(self.ts) + k]
 
     def add_con(self, name: str, terms, sense: str, rhs: float) -> None:
         merged: dict[int, float] = {}
@@ -122,12 +127,6 @@ class _Builder:
         base = ((i - 1) * self.w + j - 1) * n
         ids = range(n) if ids is None else ids
         return [(coef, self.x_ids[base + k]) for k in ids]
-
-    def colored(self, cell, side: str, l: int, coef: float = 1.0,
-                other: bool = False):
-        """Terms of the tiles at ``cell`` whose ``side`` has color ``l``
-        (with ``other``, whose side does not)."""
-        return self.cell_sum(*cell, self.by_color[side, l, other], coef)
 
     def build(self) -> IlpModel:
         spec = self.spec
@@ -157,21 +156,28 @@ class _Builder:
 
     # -- adjacency families -------------------------------------------------
 
-    def _edges(self, axis: str):
-        """Interior edges as (tag, cell, side, neighbor, neighbor side):
+    def _edges(self, axis: str, other: bool = False):
+        """Interior edges as (tag, cell, groups, neighbor, neighbor groups):
         axis "v" pairs the south of (i,j) with the north of (i+1,j), axis
-        "h" the east of (i,j) with the west of (i,j+1); row-major."""
-        if axis == "v":
-            return [(f"v_{i}_{j}", (i, j), "s", (i + 1, j), "n")
-                    for i in range(1, self.h) for j in range(1, self.w + 1)]
-        return [(f"h_{i}_{j}", (i, j), "e", (i, j + 1), "w")
-                for i in range(1, self.h + 1) for j in range(1, self.w)]
+        "h" the east of (i,j) with the west of (i,j+1); row-major.  These
+        are the sides' color groups, the neighbor's taken with ``other``."""
+        sa, sb, di, dj = ("s", "n", 1, 0) if axis == "v" else ("e", "w", 0, 1)
+        ga, gb = self.groups[sa, False], self.groups[sb, other]
+        return [(f"{axis}_{i}_{j}", (i, j), ga, (i + di, j + dj), gb)
+                for i in range(1, self.h + 1 - di)
+                for j in range(1, self.w + 1 - dj)]
 
-    def _match(self, tag: str, a, sa: str, b, sb: str, sense: str) -> None:
-        """Per color l: tiles at a with sa = l against tiles at b with sb = l."""
-        for l in range(self.ts.num_colors):
-            terms = self.colored(a, sa, l) + self.colored(b, sb, l, -1.0)
-            self.add_con(f"{tag}_{l}", terms, sense, 0.0)
+    def _match(self, tag: str, a, ga, b, gb, sense: str) -> None:
+        """Per group g: the tiles ga[g] at a against the tiles gb[g] at b."""
+        for g, (ia, ib) in enumerate(zip(ga, gb)):
+            terms = self.cell_sum(*a, ia) + self.cell_sum(*b, ib, -1.0)
+            self.add_con(f"{tag}_{g}", terms, sense, 0.0)
+
+    def _exclude(self, tag: str, a, ga, b, gb) -> None:
+        """Per group g: at most one of the tiles ga[g] at a and gb[g] at b."""
+        for g, (ia, ib) in enumerate(zip(ga, gb)):
+            terms = self.cell_sum(*a, ia) + self.cell_sum(*b, ib)
+            self.add_con(f"{tag}_{g}", terms, LE, 1.0)
 
     def _sum_obj(self, sense: str) -> Objective:
         return Objective(sense, tuple((1.0, vi) for vi in self.x_ids))
@@ -187,7 +193,6 @@ class _Builder:
             for j in range(1, self.w + 1):
                 if i in (1, self.h) or j in (1, self.w):
                     self.add_con(f"occ_{i}_{j}", self.cell_sum(i, j), EQ, 1.0)
-        self.objective = Objective("none", ())
 
     def _base_max_rect(self) -> None:
         """Color dominance toward the anchored top-left rectangle plus the
@@ -210,10 +215,8 @@ class _Builder:
     def _base_max_cover(self) -> None:
         """A placed east/south color forbids every mismatched neighbor tile;
         voids satisfy everything."""
-        for tag, a, sa, b, sb in self._edges("h") + self._edges("v"):
-            for l in range(self.ts.num_colors):
-                terms = self.colored(a, sa, l) + self.colored(b, sb, l, other=True)
-                self.add_con(f"{tag}_{l}", terms, LE, 1.0)
+        for edge in self._edges("h", True) + self._edges("v", True):
+            self._exclude(*edge)
         for i in range(1, self.h + 1):
             for j in range(1, self.w + 1):
                 self.add_con(f"occ_{i}_{j}", self.cell_sum(i, j), LE, 1.0)
@@ -226,13 +229,13 @@ class _Builder:
         for axis, name in (("h", "hv"), ("v", "hh")):
             for tag, *_ in self._edges(axis):
                 slack[tag] = self.add_var(name + tag[1:], CONTINUOUS, 0.0, 1.0)
-        for tag, a, sa, b, sb in self._edges("v") + self._edges("h"):
+        for tag, a, ga, b, gb in self._edges("v") + self._edges("h"):
             s = [(-1.0, slack[tag])]
-            for l in range(self.ts.num_colors):
-                self.add_con(f"{tag}_{l}_p", self.colored(a, sa, l)
-                             + self.colored(b, sb, l, -1.0) + s, LE, 0.0)
-                self.add_con(f"{tag}_{l}_m", self.colored(b, sb, l)
-                             + self.colored(a, sa, l, -1.0) + s, LE, 0.0)
+            for l, (ia, ib) in enumerate(zip(ga, gb)):
+                self.add_con(f"{tag}_{l}_p", self.cell_sum(*a, ia)
+                             + self.cell_sum(*b, ib, -1.0) + s, LE, 0.0)
+                self.add_con(f"{tag}_{l}_m", self.cell_sum(*b, ib)
+                             + self.cell_sum(*a, ia, -1.0) + s, LE, 0.0)
         for i in range(1, self.h + 1):
             for j in range(1, self.w + 1):
                 self.add_con(f"occ_{i}_{j}", self.cell_sum(i, j), EQ, 1.0)
@@ -249,43 +252,34 @@ class _Builder:
             kind = next(n for n, cls in EXT_KINDS.items() if cls is type(ext))
             name = "_".join(map(str, (kind, *astuple(ext))))
             self.add_con(name, self.cell_sum(ext.i, ext.j, ids), EQ, float(force))
-        elif isinstance(ext, SameTile):
-            for k in range(len(ts)):
-                self.add_con(f"same_{ext.i}_{ext.j}_{ext.p}_{ext.q}_{k}",
-                             [(1.0, self.x(ext.i, ext.j, k)),
-                              (-1.0, self.x(ext.p, ext.q, k))], EQ, 0.0)
-        elif isinstance(ext, DifferentTile):
-            for k in range(len(ts)):
-                self.add_con(f"diff_{ext.i}_{ext.j}_{ext.p}_{ext.q}_{k}",
-                             [(1.0, self.x(ext.i, ext.j, k)),
-                              (1.0, self.x(ext.p, ext.q, k))], LE, 1.0)
-        elif isinstance(ext, EqualEdgeColors):
-            self._match(
-                f"eqcol_{ext.i}_{ext.j}_{ext.side}_{ext.p}_{ext.q}_{ext.side2}",
-                (ext.i, ext.j), ext.side, (ext.p, ext.q), ext.side2, EQ)
-        elif isinstance(ext, DifferentEdgeColors):
-            for l in range(ts.num_colors):
-                terms = (self.colored((ext.i, ext.j), ext.side, l)
-                         + self.colored((ext.p, ext.q), ext.side2, l))
-                self.add_con(
-                    f"neqcol_{ext.i}_{ext.j}_{ext.side}_{ext.p}_{ext.q}_{ext.side2}_{l}",
-                    terms, LE, 1.0)
+        elif type(ext) in _PAIR_EXTS:
+            prefix, equal = _PAIR_EXTS[type(ext)]
+            name = "_".join(map(str, (prefix, *astuple(ext))))
+            ga, gb = ((self.groups[ext.side, False], self.groups[ext.side2, False])
+                      if hasattr(ext, "side") else (self.tiles, self.tiles))
+            pair = (name, (ext.i, ext.j), ga, (ext.p, ext.q), gb)
+            if equal:
+                self._match(*pair, EQ)
+            else:
+                self._exclude(*pair)
         elif isinstance(ext, PeriodicFixed):
+            n, s, w, e = (self.groups[side, False] for side in "nswe")
             for j in range(1, self.w + 1):
-                self._match(f"pern_{j}", (1, j), "n", (self.h, j), "s", EQ)
+                self._match(f"pern_{j}", (1, j), n, (self.h, j), s, EQ)
             for i in range(1, self.h + 1):
-                self._match(f"perw_{i}", (i, 1), "w", (i, self.w), "e", EQ)
+                self._match(f"perw_{i}", (i, 1), w, (i, self.w), e, EQ)
         elif isinstance(ext, PeriodicVariable):
             # A tile that ends its row (no east neighbor) must wrap its east
             # color onto the row's west boundary color; same per column.
             for name, side, wrap_side, di, dj in (("pvh", "e", "w", 0, 1),
                                                   ("pvv", "s", "n", 1, 0)):
+                lacks, has = self.groups[side, True], self.groups[wrap_side, False]
                 for i in range(1, self.h + 1):
                     for j in range(1, self.w + 1):
                         wrap = (i, 1) if dj else (1, j)
                         for l in range(ts.num_colors):
-                            terms = (self.colored((i, j), side, l, other=True)
-                                     + self.colored(wrap, wrap_side, l))
+                            terms = (self.cell_sum(i, j, lacks[l])
+                                     + self.cell_sum(*wrap, has[l]))
                             if i + di <= self.h and j + dj <= self.w:
                                 terms += self.cell_sum(i + di, j + dj, coef=-1.0)
                             self.add_con(f"{name}_{i}_{j}_{l}", terms, LE, 1.0)
@@ -293,9 +287,9 @@ class _Builder:
             self.objective = self._sum_obj("min")
         elif isinstance(ext, Packing):
             for k in range(len(ts)):
-                terms = [(1.0, self.x(i, j, k))
-                         for i in range(1, self.h + 1)
-                         for j in range(1, self.w + 1)]
+                terms = [term for i in range(1, self.h + 1)
+                         for j in range(1, self.w + 1)
+                         for term in self.cell_sum(i, j, (k,))]
                 self.add_con(f"pack_{k}", terms, EQ, 1.0)
         else:
             raise ConfigurationError(f"unknown extension {ext!r}")
@@ -484,30 +478,31 @@ class Evaluation:
 def evaluate_assignment(m: IlpModel, t: Tiling, tol: float = 1e-9) -> Evaluation:
     """Map a tiling onto the model's variables and check every constraint.
 
-    Placement variables follow the tiling; slack variables take their
-    smallest feasible values given the placements.  Works for any model built
-    by :func:`build_model` whose grid matches the tiling's dimensions.
+    Placements are read from the layout, not from names: the first h*w*|T|
+    variables must be the tiling grid's ``x_i_j_k`` in layout order, |T|
+    being the number of binaries over h*w (else StructuralError, as for a
+    tile id the model lacks).  Placement variables follow the tiling; slack
+    variables take their smallest feasible values given the placements.
     """
-    dims_h = dims_w = max_k = 0
-    for v in m.variables:
-        if v.name.startswith("x_"):
-            i, j, k = (int(p) for p in v.name.split("_")[1:])
-            dims_h, dims_w, max_k = max(dims_h, i), max(dims_w, j), max(max_k, k)
-    if (dims_h, dims_w) != (t.height, t.width):
+    h, w = t.height, t.width
+    binaries = sum(v.kind == BINARY for v in m.variables)
+    n = binaries // (h * w)
+    layout = [x_name(i, j, k) for i in range(1, h + 1)
+              for j in range(1, w + 1) for k in range(n)]
+    if (not n or binaries != len(layout)
+            or [v.name for v in m.variables[:len(layout)]] != layout):
         raise StructuralError(
-            f"model grid {dims_h}x{dims_w} does not match tiling "
-            f"{t.height}x{t.width}")
-    if int(t.cells.max()) > max_k:
+            f"model placements do not fit the x_i_j_k layout of a "
+            f"{h}x{w} tiling")
+    if int(t.cells.max()) >= n:
         raise StructuralError("tiling references tile ids beyond the model's")
 
     values = [0.0] * len(m.variables)
-    slack_positions: list[int] = []
-    for vi, v in enumerate(m.variables):
-        if v.name.startswith("x_"):
-            i, j, k = (int(p) for p in v.name.split("_")[1:])
-            values[vi] = 1.0 if t.get(i, j) == k else 0.0
-        elif v.kind == CONTINUOUS:
-            slack_positions.append(vi)
+    for p, k in enumerate(t.cells.ravel().tolist()):
+        if k != VOID:
+            values[p * n + k] = 1.0
+    slack_positions = [vi for vi, v in enumerate(m.variables)
+                       if v.kind == CONTINUOUS]
 
     # Minimal feasible slack: the largest lower bound any <=-constraint with
     # a -1 slack coefficient imposes, clipped to the variable's range.

@@ -97,6 +97,7 @@ class TileSet:
         self.wests = tuple(t.west for t in self.tiles)
         self.souths = tuple(t.south for t in self.tiles)
         self.easts = tuple(t.east for t in self.tiles)
+        self._reflected: TileSet | None = None
 
     def side(self, s: str) -> tuple[int, ...]:
         """The id->color tuple of side ``s``, one of "n", "w", "s", "e"."""
@@ -121,10 +122,16 @@ class TileSet:
         return f"TileSet({label!r}, {len(self)} tiles / {self.num_colors} colors)"
 
     def reflected(self) -> "TileSet":
-        """The diagonally reflected set; its rows are this set's columns."""
-        return TileSet((t.reflected() for t in self.tiles),
-                       num_colors=self.num_colors,
-                       name=f"{self.name}^T" if self.name else "")
+        """The diagonally reflected set; its rows are this set's columns.
+
+        Built once and linked back, so reflecting it again gives this set.
+        """
+        if self._reflected is None:
+            other = TileSet((t.reflected() for t in self.tiles),
+                            num_colors=self.num_colors,
+                            name=f"{self.name}^T" if self.name else "")
+            other._reflected, self._reflected = self, other
+        return self._reflected
 
 
 class Tiling:

@@ -113,21 +113,7 @@ def longest_path_at_least(g: TransducerGraph, length: int) -> bool:
     """Whether some walk of the given arc length exists in the graph."""
     if length <= 0:
         return bool(g.arcs)
-    if all_states_on_cycles(g) and g.arcs:
-        return True
-    # Acyclic-ish case: DP on walk lengths, capped at `length`.
-    adj = g.successors()
-    best = {s: 0 for s in range(g.num_states)}
-    for _ in range(length):
-        new = dict(best)
-        for s in range(g.num_states):
-            for v in adj[s]:
-                if best[v] + 1 > new[s]:
-                    new[s] = min(best[v] + 1, length)
-        if new == best:
-            break
-        best = new
-    return max(best.values(), default=0) >= length
+    return any(reachable_sets(g, length))
 
 
 def reachable_sets(g: TransducerGraph, distance: int) -> list[frozenset[int]]:

@@ -46,7 +46,7 @@ def test_stochastic_full_coverage_row():
 def test_report_formats():
     config = BenchConfig(sets=("fig3",), sizes=((5, 5),), algs=("1", "3"),
                          improve=True, seeds=3)
-    report = run_benchmark(config, keep_runs=True)
+    report = run_benchmark(config)
     text = report.to_text()
     assert "fig3" in text and "5x5" in text
     payload = json.loads(report.to_json())

@@ -133,6 +133,10 @@ def test_pack_subcommand(tmp_path, capsys):
     assert code == 0 and "VALID" in text
     tiling = load_tiling(out)
     assert sorted(tiling.cells.flatten().tolist()) == list(range(16))
+    # (-1)*(-3) = 3 tiles fills no grid: a usage error, not a traceback
+    code, _, err = run(capsys, "pack", "--tileset", "fig3", "--h", "-1",
+                       "--w", "-3")
+    assert code == 3 and "grid dimensions must be positive" in err
 
 
 def test_emit_subcommand(tmp_path, capsys):

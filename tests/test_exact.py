@@ -250,6 +250,8 @@ def test_pack_nonperiodic():
 def test_pack_cardinality_error():
     with pytest.raises(ConfigurationError):
         pack_tiles(TileSet([Tile(0, 0, 0, 0), Tile(1, 1, 1, 1)]), 1, 1)
+    with pytest.raises(ConfigurationError, match="must be positive"):
+        pack_tiles(builtin_set("fig3"), -1, -3)
 
 
 def test_pack_deadline_capped():

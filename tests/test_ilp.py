@@ -328,6 +328,14 @@ def test_evaluate_dimension_mismatch():
     m = build_model(spec(builtin_set("fig3"), 2, 2, "decision"))
     with pytest.raises(StructuralError):
         evaluate_assignment(m, Tiling.filled(2, 3))
+    # Placements are read from the layout: binaries out of x_i_j_k order, or
+    # one that is no placement, do not fit it.
+    ts = TileSet([Tile(0, 0, 0, 0), Tile(1, 1, 1, 1)])
+    text = emit_lp(build_model(spec(ts, 1, 1, "decision")))
+    swapped = text.replace(" x_1_1_0 x_1_1_1\n", " x_1_1_1 x_1_1_0\n")
+    for lp in (swapped, text.replace("x_1_1_1", "y")):
+        with pytest.raises(StructuralError):
+            evaluate_assignment(parse_lp(lp), Tiling([[0]]))
 
 
 def test_evaluate_periodic_fixed():
