@@ -45,7 +45,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def default_seed() -> int:
-    return int(os.environ.get("WANGTILER_SEED", "0"))
+    text = os.environ.get("WANGTILER_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigurationError(
+            f"WANGTILER_SEED must be an integer, got {text!r}") from None
 
 
 def parse_extension(text: str):
@@ -223,8 +228,9 @@ def cmd_render(args) -> int:
     tiling = fileio.load_tiling(args.tiling)
     style = RenderStyle(cell_px=args.cell_px, draw_mode=args.mode,
                         show_ids=args.ids, corner_alphabet=args.corner_alphabet)
+    svg = render_svg(ts, tiling, style)
     with open(args.output, "w") as f:
-        f.write(render_svg(ts, tiling, style))
+        f.write(svg)
     print(f"svg written to {args.output}")
     return EXIT_OK
 
@@ -353,9 +359,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BudgetExceededError as exc:
         sys.stderr.write(f"error: {exc}\n")

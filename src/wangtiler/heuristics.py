@@ -3,13 +3,21 @@
 One row of the grid is covered at a time; a column is covered as a row of the
 transposed grid over the reflected tile set.  The row problem is a layered
 graph: alternating color layers and single-vertex void layers between
-a source and a terminal.  Edges into a void vertex cost 1.  A tile edge costs
-eps = 1/(2(width+1)) per penalty unit its vertical sides miss: each side of
-each column has a constraint vector indexed by edge color that holds 0 (the
-color fits, or the side is unconstrained), 1 (a soft miss: the tile would
-strand a vertical neighbor) or INF (a hard miss: the tile is pruned).  A row
-pays at most width * 2 * eps < 1, so the shortest path cost counts voids
-first and penalty units second, and the minimum-void row always wins.
+a source and a terminal.  Costs are integer units.  Each side of each column
+has a constraint vector indexed by edge color that holds 0 (the color fits,
+or the side is unconstrained), 1 (a soft miss: the tile would strand a
+vertical neighbor) or INF (a hard miss: the tile is pruned).  A tile edge
+costs one unit per miss, and an edge into a void vertex costs 2(width+1)
+units.  A row pays at most 2 * width < 2(width+1) units in misses, so the
+shortest path counts voids first and misses second, and the minimum-void
+row always wins.
+
+A run uses a handful of distinct vectors (free, hard per color, open, reach
+per distance, closed), so rows pass them as ids into a table of a
+``_RowKernel``, which builds the surviving tile edges of each (north,
+south) pair once.  Ties go to the tile that comes first in the line's
+shuffled order: each candidate is ranked by one integer key (see
+``shortest_row``), so the order in which edges are visited does not matter.
 """
 
 from __future__ import annotations
@@ -26,19 +34,73 @@ from .transducer import (DUAL, HORIZONTAL, all_states_on_cycles,
 INF = float("inf")
 
 
+class _RowKernel(dict):
+    """The row solves of one tile set at one width.
+
+    ``intern`` gives each distinct side vector an id into ``vectors`` and
+    checks it once.  As a mapping, the kernel takes a (north id, south id)
+    pair to the tile edges that survive it, as ``(west, east, units *
+    radix, tile_id)`` in tile-id order; they are built on the pair's first
+    lookup and then shared by every line of the run.
+    """
+
+    def __init__(self, ts: TileSet, width: int):
+        super().__init__()
+        if width < 1:
+            raise ConfigurationError("width must be positive")
+        self.ts = ts
+        self.width = width
+        self.radix = len(ts) + 1
+        self.vectors: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
+
+    def intern(self, vector) -> int:
+        vector = tuple(vector)
+        vid = self._ids.get(vector)
+        if vid is None:
+            if len(vector) != self.ts.num_colors:
+                raise ConfigurationError(
+                    f"each column's side vector must have one entry per color "
+                    f"({self.ts.num_colors})")
+            if not set(vector) <= {0, 1, INF}:
+                raise ConfigurationError(
+                    f"side vector entries must be 0, 1 or INF, got {vector}")
+            vid = self._ids[vector] = len(self.vectors)
+            self.vectors.append(vector)
+        return vid
+
+    def __missing__(self, pair: tuple[int, int]) -> list:
+        ts = self.ts
+        nv, sv = (self.vectors[v] for v in pair)
+        edges = self[pair] = []
+        for k in range(len(ts)):
+            units = nv[ts.norths[k]] + sv[ts.souths[k]]
+            if units != INF:
+                edges.append((ts.wests[k], ts.easts[k], int(units) * self.radix, k))
+        return edges
+
+
 @dataclass
 class LayeredDag:
     """The weighted layered graph for one row, ready for the DAG sweep.
 
     ``columns[j]`` holds the surviving tile edges of tile column j as
-    ``(tile_id, west, east, weight)`` in insertion order; void vertices and
-    their edges are implicit (full fan-in at cost 1, full fan-out at cost 0).
-    Construction order is the topological order.
+    ``(west, east, units * radix, tile_id)`` in tile-id order; void vertices
+    and their edges are implicit (full fan-in at 2(width+1) units, full
+    fan-out at 0).  ``order`` lists the tile ids by rank, the line's tie-break
+    order, and ``rank`` is its inverse.
     """
 
     width: int
     num_colors: int
     columns: list
+    order: list[int]
+    rank: list[int]
+    wests: tuple[int, ...]
+
+    @property
+    def radix(self) -> int:
+        return len(self.order) + 1
 
     @property
     def vertex_count(self) -> int:
@@ -51,88 +113,91 @@ class LayeredDag:
 
 
 def build_layered_dag(ts: TileSet, width: int, north, south,
-                      order: list[int] | None = None) -> LayeredDag:
+                      order: list[int] | None = None,
+                      kernel: _RowKernel | None = None) -> LayeredDag:
     """Assemble the row DAG: tile k in column j costs
-    ``(north[j][norths[k]] + south[j][souths[k]]) * eps`` and is dropped when
-    that is INF; survivors are laid out per tile column in ``order``."""
-    if width < 1:
-        raise ConfigurationError("width must be positive")
+    ``north[j][norths[k]] + south[j][souths[k]]`` units and is dropped when
+    that is INF.  ``order``, a permutation of the tile ids, ranks the tiles
+    for ties.  With ``kernel`` (of ``ts`` at ``width``), north and south
+    hold its vector ids; without, the vectors go into a new kernel."""
+    if kernel is None:
+        kernel = _RowKernel(ts, width)
+        north = [kernel.intern(v) for v in north]
+        south = [kernel.intern(v) for v in south]
     if len(north) != width or len(south) != width:
         raise ConfigurationError("constraint vectors must have one entry per column")
-    if any(len(v) != ts.num_colors for side in (north, south) for v in side):
-        raise ConfigurationError(
-            f"each column's side vector must have one entry per color "
-            f"({ts.num_colors})")
-    eps = 1.0 / (2 * (width + 1))
-    ids = order if order is not None else range(len(ts))
-    norths, wests, souths, easts = ts.norths, ts.wests, ts.souths, ts.easts
-    columns = []
-    for nv, sv in zip(north, south):
-        edges = []
-        for k in ids:
-            miss = nv[norths[k]] + sv[souths[k]]
-            if miss != INF:
-                edges.append((k, wests[k], easts[k], miss * eps))
-        columns.append(edges)
-    return LayeredDag(width, ts.num_colors, columns)
+    if order is None:
+        order = list(range(len(ts)))
+    rank = [0] * len(order)
+    for r, k in enumerate(order):
+        rank[k] = r
+    columns = list(map(kernel.__getitem__, zip(north, south)))
+    return LayeredDag(width, ts.num_colors, columns, order, rank, ts.wests)
 
 
 def shortest_row(dag: LayeredDag) -> tuple[list[int], float]:
     """Single-source shortest path through the layered DAG, decoded to a row.
 
-    Vertices are relaxed in construction order; among equal-cost
-    predecessors the first-inserted edge wins (tile edges before the void
-    route, both in insertion order), so results are reproducible for a fixed
-    edge order.
+    Each color layer keeps one integer key per color: its distance times
+    ``radix`` plus the rank of the edge that reached it.  A tile edge into
+    color e offers ``dist[west] + units * radix + rank[k]`` and the void
+    route ``min(dist) + void units * radix + len(order)``; the smallest key
+    wins, so among equal costs the tile first in ``order`` wins, and the
+    void only when it is strictly cheaper.  ``key - key % radix`` is the
+    distance and ``key % radix`` names the parent; a void's parent, and the
+    row's last color, is the lowest color of least distance.
     """
     C = dag.num_colors
-    dist = [0.0] * C
-    parents = []
+    R = dag.radix
+    void = 2 * (dag.width + 1) * R + R - 1
+    rank = dag.rank
+    keys = [0] * C
+    layers = [keys]
     for edges in dag.columns:
-        void_dist = INF
-        void_pred = -1
-        for c in range(C):
-            if dist[c] + 1.0 < void_dist:
-                void_dist = dist[c] + 1.0
-                void_pred = c
-        new_dist = [INF] * C
-        parent = [None] * C
-        for k, w, e, weight in edges:
-            d = dist[w]
-            if d + weight < new_dist[e]:
-                new_dist[e] = d + weight
-                parent[e] = (k, w)
-        for c in range(C):
-            if void_dist < new_dist[c]:
-                new_dist[c] = void_dist
-                parent[c] = (VOID, void_pred)
-        dist = new_dist
-        parents.append(parent)
-    best_color = 0
-    for c in range(1, C):
-        if dist[c] < dist[best_color]:
-            best_color = c
-    cost = dist[best_color]
+        low = min(keys)
+        best = [low - low % R + void] * C
+        for w, e, units, k in edges:
+            key = keys[w]
+            key += units + rank[k] - key % R
+            if key < best[e]:
+                best[e] = key
+        keys = best
+        layers.append(keys)
+    c = _lowest(keys, R)
     row = []
-    c = best_color
-    for j in range(dag.width - 1, -1, -1):
-        k, pred = parents[j][c]
-        row.append(k)
-        c = pred
+    for j in range(dag.width, 0, -1):
+        r = layers[j][c] % R
+        if r == R - 1:
+            row.append(VOID)
+            c = _lowest(layers[j - 1], R)
+        else:
+            k = dag.order[r]
+            row.append(k)
+            c = dag.wests[k]
     row.reverse()
-    return row, cost
+    low = min(keys)
+    return row, low // R / (2 * (dag.width + 1))
+
+
+def _lowest(keys: list[int], radix: int) -> int:
+    """The lowest color of least distance in a layer of keys."""
+    dist = [key - key % radix for key in keys]
+    return dist.index(min(dist))
 
 
 def max_row_cover(ts: TileSet, width: int, north, south,
-                  order: list[int] | None = None) -> tuple[list[int], float]:
+                  order: list[int] | None = None,
+                  kernel: _RowKernel | None = None) -> tuple[list[int], float]:
     """Maximum cover of a single row under per-column neighbor constraints.
 
     ``north[j]`` and ``south[j]`` are the penalty units, indexed by edge
     color, that a tile in column j pays on that side: 0 fits, 1 is a soft
-    miss costing eps = 1/(2(width+1)), INF removes the tile.  The number of
-    voids in the result equals the integer part of the returned cost.
+    miss, INF removes the tile (or, with ``kernel``, ids of such vectors,
+    see ``build_layered_dag``).  The returned cost is the row's units over
+    the 2(width+1) units of a void, so its integer part is the number of
+    voids in the result.
     """
-    return shortest_row(build_layered_dag(ts, width, north, south, order))
+    return shortest_row(build_layered_dag(ts, width, north, south, order, kernel))
 
 
 @dataclass(frozen=True)
@@ -156,11 +221,13 @@ class _Cover:
     """A mutable grid plus the constraint builders for the plain,
     dual-lookahead and hard-only row modes.
 
-    Constraint vectors are shared, not built per cell: ``free`` and the
-    per-color ``hard`` vectors depend only on the alphabet, ``north_open``
-    and ``south_open`` on the orientation, the dual-lookahead vectors on
-    the lookahead distance.  Columns are solved as rows of the transposed
-    grid (see ``transpose``).  The dual transducer belongs to the
+    Row constraints are vector ids of the orientation's ``_RowKernel``, one
+    per (tile set, width), so each distinct vector is checked once and each
+    (north, south) pair's edges are built once per run: ``free``, ``closed``
+    and the per-color ``hard`` vectors depend only on the alphabet,
+    ``north_open`` and ``south_open`` on the orientation, the dual-lookahead
+    vectors on the lookahead distance.  Columns are solved as rows of the
+    transposed grid (see ``transpose``).  The dual transducer belongs to the
     untransposed set, so the dual mode runs only before the first transpose;
     it is built on the first ``reach`` call, because only the half and
     twothirds schedules read it.
@@ -171,40 +238,54 @@ class _Cover:
             raise ConfigurationError("grid dimensions must be positive")
         self.rng = random.Random(seed)
         self.cells = [[VOID] * width for _ in range(height)]
-        colors = range(ts.num_colors)
-        self.free = (0,) * ts.num_colors
-        self.hard = [tuple(0 if c == x else INF for c in colors) for x in colors]
-        self._orient(ts, height, width)
+        self._other = None  # the other orientation's kernel, once transposed
+        self._orient(_RowKernel(ts, width), height)
         self._dual = None
-        self._reach: dict[int, list[tuple]] = {}
+        self._reach: dict[int, list[int]] = {}
         self.line_solves = 0
 
-    def _orient(self, ts: TileSet, height: int, width: int) -> None:
-        self.ts = ts
+    def _orient(self, kernel: _RowKernel, height: int) -> None:
+        self.kernel = kernel
+        ts = self.ts = kernel.ts
         self.height = height
-        self.width = width
-        self.norths, self.souths = ts.norths, ts.souths
-        # 1 for each color that admits no vertical neighbor, per side.
+        self.width = kernel.width
+        self.souths = ts.souths
         colors = range(ts.num_colors)
-        self.north_open = tuple(0 if c in ts.souths else 1 for c in colors)
-        self.south_open = tuple(0 if c in ts.norths else 1 for c in colors)
+        intern = kernel.intern
+        self.free = intern((0,) * ts.num_colors)
+        self.closed = intern((INF,) * ts.num_colors)
+        hard = [intern(tuple(0 if c == x else INF for c in colors)) for x in colors]
+        # The vector a neighbor imposes, indexed by its tile id with VOID
+        # (-1) last: hard for a placed tile; for a void, free or (open) 1
+        # for each color that admits no vertical neighbor.
+        under = [hard[c] for c in ts.souths]
+        over = [hard[c] for c in ts.norths]
+        self.north_free = under + [self.free]
+        self.north_open = under + [intern(tuple(0 if c in ts.souths else 1
+                                                for c in colors))]
+        self.south_free = over + [self.free]
+        self.south_open = over + [intern(tuple(0 if c in ts.norths else 1
+                                               for c in colors))]
 
     def transpose(self) -> None:
         """Swap to the transposed grid over the diagonally reflected set, so
         that its rows are the current columns; a second call swaps back."""
         self.cells = [list(col) for col in zip(*self.cells)]
-        self._orient(self.ts.reflected(), self.width, self.height)
+        kernel, self._other = self._other, self.kernel
+        if kernel is None:
+            kernel = _RowKernel(self.ts.reflected(), self.height)
+        self._orient(kernel, self.width)
 
-    def reach(self, distance: int) -> list[tuple]:
-        """Per south color of a placed tile, the soft vector of the north
-        colors the dual transducer reaches in ``distance`` arcs."""
+    def reach(self, distance: int) -> list[int]:
+        """Per tile id (VOID last, free), the soft vector of the north colors
+        the dual transducer reaches in ``distance`` arcs from its south."""
         if distance not in self._reach:
             if self._dual is None:
                 self._dual = build_transducer(self.ts, DUAL)
             colors = range(self.ts.num_colors)
-            self._reach[distance] = [
-                tuple(0 if c in r else 1 for c in colors)
-                for r in reachable_sets(self._dual, distance)]
+            by_color = [self.kernel.intern(tuple(0 if c in r else 1 for c in colors))
+                        for r in reachable_sets(self._dual, distance)]
+            self._reach[distance] = [by_color[c] for c in self.souths] + [self.free]
         return self._reach[distance]
 
     def shuffled_order(self) -> list[int]:
@@ -213,7 +294,7 @@ class _Cover:
         return order
 
     def row_constraints(self, i: int, mode: str, dual_dist: int = 0):
-        """Constraint vectors for 0-based row i.
+        """Per column, the north and south vector ids of 0-based row i.
 
         plain:  placed neighbors are hard; in-domain void neighbors get the
                 stranding soft vectors; outside the grid is free.
@@ -222,34 +303,26 @@ class _Cover:
                 reachability instead of the generic stranding vector.
         simple: placed neighbors are hard, everything else free.
         """
-        cells, free, hard = self.cells, self.free, self.hard
-        north = []
-        south = []
-        reach = self.reach(dual_dist) if mode == "dual" else None
-        for j in range(self.width):
-            above = cells[i - 1][j] if i > 0 else VOID
-            if above != VOID:
-                north.append(hard[self.souths[above]])
-            elif mode == "plain" and i > 0:
-                north.append(self.north_open)
-            elif mode == "dual":
-                src_i = i - dual_dist - 1
-                src = cells[src_i][j] if src_i >= 0 else VOID
-                north.append(free if src == VOID else reach[self.souths[src]])
-            else:
-                north.append(free)
-            below = cells[i + 1][j] if i + 1 < self.height else VOID
-            if below != VOID:
-                south.append(hard[self.norths[below]])
-            elif mode != "simple" and i + 1 < self.height:
-                south.append(self.south_open)
-            else:
-                south.append(free)
+        cells, free = self.cells, self.free
+        if i == 0:
+            north = [free] * self.width
+        elif mode == "dual" and i > dual_dist:
+            hard, reach = self.north_free, self.reach(dual_dist)
+            north = [hard[k] if k != VOID else reach[src]
+                     for k, src in zip(cells[i - 1], cells[i - dual_dist - 1])]
+        else:
+            table = self.north_open if mode == "plain" else self.north_free
+            north = [table[k] for k in cells[i - 1]]
+        if i + 1 == self.height:
+            south = [free] * self.width
+        else:
+            table = self.south_free if mode == "simple" else self.south_open
+            south = [table[k] for k in cells[i + 1]]
         return north, south
 
     def solve_row(self, i: int, north, south) -> None:
         row, _ = max_row_cover(self.ts, self.width, north, south,
-                               self.shuffled_order())
+                               self.shuffled_order(), self.kernel)
         self.cells[i] = row
         self.line_solves += 1
 
@@ -322,7 +395,6 @@ def _init_cover(cov: _Cover, init: str) -> None:
             cov.solve_row(row - 1, *cov.row_constraints(row - 1, mode, 1))
     else:
         visited = [False] * (cov.height + 1)
-        closed = (INF,) * cov.ts.num_colors
         for row in _order_two_thirds(cov.height):
             i = row - 1
             if row % 3 == 1:
@@ -330,7 +402,7 @@ def _init_cover(cov: _Cover, init: str) -> None:
             elif row % 3 == 0 and not visited[row]:
                 # Tiles only at odd positions: no tile fits an all-INF north.
                 north, south = cov.row_constraints(i, "dual", 1)
-                north[1::2] = [closed] * (cov.width // 2)
+                north[1::2] = [cov.closed] * (cov.width // 2)
                 cov.solve_row(i, north, south)
             else:
                 cov.solve_row(i, *cov.row_constraints(i, "plain"))

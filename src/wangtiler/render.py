@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tileset import TileSet, Tiling, VOID
+from .tileset import TileSet, Tiling, VOID, check_tile_ids
 
 DEFAULT_PALETTE = (
     "#e6194b", "#3cb44b", "#ffe119", "#4363d8", "#f58231", "#911eb4",
@@ -42,6 +42,7 @@ def _hatch_defs() -> str:
 
 def render_svg(ts: TileSet, t: Tiling, style: RenderStyle | None = None) -> str:
     style = style or RenderStyle()
+    check_tile_ids(ts, t)
     if style.draw_mode not in ("edge-triangles", "corner-squares"):
         raise ValueError(f"unknown draw mode {style.draw_mode!r}")
     if style.draw_mode == "edge-triangles":

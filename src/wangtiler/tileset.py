@@ -194,6 +194,14 @@ class ValidityReport:
     mismatches: tuple[Mismatch, ...]
 
 
+def check_tile_ids(ts: TileSet, t: Tiling) -> None:
+    """Raise ``StructuralError`` when ``t`` holds a tile id outside ``ts``."""
+    if t.cells.max(initial=VOID) >= len(ts):
+        raise StructuralError(
+            f"tiling references tile id {int(t.cells.max())} "
+            f"outside the {len(ts)}-tile set")
+
+
 def validate_tiling(ts: TileSet, t: Tiling) -> ValidityReport:
     """Check all shared edges of ``t`` against the matching rules of ``ts``.
 
@@ -202,11 +210,8 @@ def validate_tiling(ts: TileSet, t: Tiling) -> ValidityReport:
     disconnected) partial tiling.  Each violating adjacent pair appears in
     ``mismatches`` exactly once, ordered row-major by the first coordinate.
     """
+    check_tile_ids(ts, t)
     cells = t.cells
-    if cells.max(initial=VOID) >= len(ts):
-        raise StructuralError(
-            f"tiling references tile id {int(cells.max())} "
-            f"outside the {len(ts)}-tile set")
     mismatches: list[Mismatch] = []
     souths = ts.souths
     norths = ts.norths

@@ -63,6 +63,66 @@ def naive_row_min_voids(ts: TileSet, width: int) -> int:
     return best
 
 
+def naive_row_min_cost(ts: TileSet, width: int, north, south) -> tuple[int, int]:
+    """Row-only brute force under per-column side vectors: the least
+    (voids, penalty units) over all horizontally valid rows, where a tile in
+    column j pays ``north[j][its north] + south[j][its south]`` units and is
+    not allowed where that is infinite."""
+    n, we, s, e = ts.norths, ts.wests, ts.souths, ts.easts
+    best = None
+    for assign in itertools.product(range(-1, len(ts)), repeat=width):
+        voids = units = 0
+        ok = True
+        for j, k in enumerate(assign):
+            if k == VOID:
+                voids += 1
+                continue
+            pay = north[j][n[k]] + south[j][s[k]]
+            nxt = assign[j + 1] if j + 1 < width else VOID
+            if pay == float("inf") or (nxt != VOID and e[k] != we[nxt]):
+                ok = False
+                break
+            units += pay
+        if ok and (best is None or (voids, units) < best):
+            best = (voids, units)
+    return best
+
+
+def insertion_order_row(ts: TileSet, width: int, north, south,
+                        order: list[int]) -> list[int]:
+    """The row DP with the tie-break stated as a visiting order: per column,
+    tiles are tried in ``order`` and replace a color's best only when
+    strictly cheaper; the void route (from the first color of least
+    distance) replaces it only when strictly cheaper; the row ends in the
+    first color of least distance.  Costs in units: 1 per miss, 2(width+1)
+    per void."""
+    void = 2 * (width + 1)
+    dist = [0] * ts.num_colors
+    parents = []
+    for j in range(width):
+        best = [None] * ts.num_colors
+        for k in order:
+            pay = north[j][ts.norths[k]] + south[j][ts.souths[k]]
+            if pay == float("inf"):
+                continue
+            d = dist[ts.wests[k]] + pay
+            e = ts.easts[k]
+            if best[e] is None or d < best[e][0]:
+                best[e] = (d, k, ts.wests[k])
+        low = min(dist)
+        for c in range(ts.num_colors):
+            if best[c] is None or low + void < best[c][0]:
+                best[c] = (low + void, VOID, dist.index(low))
+        dist = [b[0] for b in best]
+        parents.append(best)
+    c = dist.index(min(dist))
+    row = []
+    for best in reversed(parents):
+        _, k, c = best[c]
+        row.append(k)
+    return row[::-1]
+
+
 def naive_full_tiling_exists(ts: TileSet, h: int, w: int) -> bool:
     """Plain enumeration over all full assignments."""
     n, we, s, e = ts.norths, ts.wests, ts.souths, ts.easts

@@ -114,6 +114,14 @@ def test_cover_seed_env_override(capsys, monkeypatch):
     assert args.seed == 17
 
 
+def test_non_integer_seed_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("WANGTILER_SEED", "abc")
+    code, _, err = run(capsys, "solve", "--tileset", "fig3", "--h", "2",
+                       "--w", "2")
+    assert code == 3
+    assert err.startswith("error:") and "WANGTILER_SEED" in err
+
+
 def test_torus_subcommand(tmp_path, capsys):
     out = tmp_path / "torus.tiling"
     code, text, _ = run(capsys, "torus", "--tileset", "fig3", "--max-area",
@@ -187,6 +195,17 @@ def test_render_subcommand(tmp_path, capsys):
                      str(tiling), "-o", str(svg), "--ids")
     assert code == 0
     assert svg.read_text().startswith("<svg")
+
+
+def test_render_rejects_tile_id_outside_the_set(tmp_path, capsys):
+    tiling = tmp_path / "t.tiling"
+    tiling.write_text("tiling 2 2\n0 1\n7 2\n")
+    svg = tmp_path / "t.svg"
+    code, _, err = run(capsys, "render", "--tileset", "fig3", "--tiling",
+                       str(tiling), "-o", str(svg))
+    assert code == 3
+    assert "error:" in err and "tile id 7" in err
+    assert not svg.exists()
 
 
 def test_bench_subcommand(capsys):

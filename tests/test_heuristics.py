@@ -12,7 +12,8 @@ from wangtiler.bench import resolve_set
 from wangtiler.heuristics import (INF, _order_half, _order_two_thirds,
                                   build_layered_dag, shortest_row)
 
-from helpers import naive_row_min_voids, random_tileset
+from helpers import (insertion_order_row, naive_row_min_cost, naive_row_min_voids,
+                     random_tileset)
 
 BUILTINS = ["fig3", "finite1", "finite2", "ammann16"]
 INITS = ("simple", "half", "twothirds")
@@ -34,14 +35,14 @@ def test_kernel_weight_per_miss_count():
     # One tile with north and south color 0; color 1 is the miss.
     w = 9
     ts = TileSet([Tile(0, 0, 0, 0)], num_colors=2)
-    cases = {(0, 0): 0.0, (1, 0): 1 / (2 * (w + 1)), (0, 1): 1 / (2 * (w + 1)),
-             (1, 1): 1 / (w + 1), (INF, 0): None, (0, INF): None}
-    for (n_miss, s_miss), weight in cases.items():
+    cases = {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 2, (INF, 0): None,
+             (0, INF): None}
+    for (n_miss, s_miss), units in cases.items():
         dag = build_layered_dag(ts, w, [(n_miss, 0)] * w, [(s_miss, 0)] * w)
-        if weight is None:
+        if units is None:
             assert dag.columns == [[]] * w
         else:
-            assert dag.columns == [[(0, 0, 0, weight)]] * w
+            assert dag.columns == [[(0, 0, units * dag.radix, 0)]] * w
     # A full row that misses on both sides everywhere still costs under one void.
     row, cost = max_row_cover(ts, w, [(1, 0)] * w, [(1, 0)] * w)
     assert VOID not in row
@@ -105,6 +106,13 @@ def test_max_row_cover_rejects_vectors_of_the_wrong_length():
             max_row_cover(ts, 2, free(ts, 2), short)
 
 
+def test_max_row_cover_rejects_entries_other_than_0_1_inf():
+    ts = builtin_set("fig3")
+    for bad in ((0, 2), (0, 0.5), (-1, 0)):
+        with pytest.raises(ConfigurationError, match="0, 1 or INF"):
+            max_row_cover(ts, 2, [bad] * 2, free(ts, 2))
+
+
 def test_max_row_cover_hard_constraints_prune():
     ts = builtin_set("fig3")
     # north colors forced to 1: only tile 2 has north 1
@@ -141,6 +149,48 @@ def test_max_row_cover_optimal_vs_row_brute_force():
         width = rng.randint(1, 5)
         row, _ = max_row_cover(ts, width, free(ts, width), free(ts, width))
         assert row.count(VOID) == naive_row_min_voids(ts, width)
+
+
+def test_max_row_cover_optimal_under_soft_and_hard_vectors():
+    # 200 random small instances with free, soft and hard sides per column:
+    # the row's (voids, penalty units) == the brute-force lexicographic minimum.
+    rng = random.Random(8)
+
+    def side(ts):
+        colors = {c for c in range(ts.num_colors) if rng.random() < 0.5}
+        return vector(ts, colors, rng.choice((0, 1, INF)))
+
+    for _ in range(200):
+        ts = random_tileset(rng, max_colors=3, max_tiles=6)
+        width = rng.randint(1, 5)
+        north = [side(ts) for _ in range(width)]
+        south = [side(ts) for _ in range(width)]
+        order = rng.sample(range(len(ts)), len(ts))
+        row, cost = max_row_cover(ts, width, north, south, order)
+        placed = [(j, k) for j, k in enumerate(row) if k != VOID]
+        assert all(ts.easts[a] == ts.wests[b] for a, b in zip(row, row[1:])
+                   if VOID not in (a, b))
+        units = sum(north[j][ts.norths[k]] + south[j][ts.souths[k]]
+                    for j, k in placed)
+        voids = width - len(placed)
+        assert (voids, units) == naive_row_min_cost(ts, width, north, south)
+        assert cost == (voids * 2 * (width + 1) + units) / (2 * (width + 1))
+
+
+def test_rank_keys_break_ties_like_insertion_order():
+    # Ties between tiles go to the first in the order and the void wins only
+    # when strictly cheaper, exactly as a loop visiting tiles in that order.
+    rng = random.Random(9)
+    for _ in range(300):
+        ts = random_tileset(rng, max_colors=3, max_tiles=8)
+        width = rng.randint(1, 7)
+        north = [vector(ts, {rng.randrange(ts.num_colors)}, rng.choice((0, 1, INF)))
+                 for _ in range(width)]
+        south = [vector(ts, {rng.randrange(ts.num_colors)}, rng.choice((0, 1)))
+                 for _ in range(width)]
+        order = rng.sample(range(len(ts)), len(ts))
+        row, _ = max_row_cover(ts, width, north, south, order)
+        assert row == insertion_order_row(ts, width, north, south, order)
 
 
 def test_shortest_row_deterministic_for_fixed_order():
@@ -446,6 +496,13 @@ PINNED = {
     ("complete:3", 12, 12, "twothirds", True, 0): ("4bd7f753a48cb50f", 144, 28, 1, "2/3"),
     ("complete:3", 12, 12, "twothirds", True, 1): ("a554ba41d86eadbb", 144, 28, 1, "2/3"),
     ("complete:3", 12, 12, "twothirds", True, 2): ("359c5c585546b98b", 144, 28, 1, "2/3"),
+    # Recorded with the float-weight row kernel, before integer units: many
+    # colors (finite2), many tiles (complete:4) and the long rows of 100x100.
+    ("finite2", 20, 20, "half", True, 0): ("5ecf0fa622679222", 342, 220, 10, "1/2"),
+    ("complete:4", 20, 20, "simple", True, 0): ("a4e9323440dc02ba", 400, 40, 1, None),
+    ("complete:4", 20, 20, "twothirds", True, 0): ("1965343d019a050c", 400, 46, 1, "2/3"),
+    ("ammann16", 100, 100, "simple", True, 0): ("ea185cf6f289bbdc", 9001, 600, 5, None),
+    ("finite1", 100, 100, "simple", True, 0): ("7f12e14e3020cea4", 8799, 1400, 13, None),
 }
 
 

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 import wangtiler as wt
-from wangtiler import Tile, TileSet, Tiling, VOID, builtin_set
+from wangtiler import StructuralError, Tile, TileSet, Tiling, VOID, builtin_set
 from wangtiler.render import DEFAULT_PALETTE, RenderStyle, render_svg
 
 
@@ -28,6 +28,12 @@ def test_palette_too_small():
     style = RenderStyle(palette=DEFAULT_PALETTE[:8])
     with pytest.raises(ValueError):
         render_svg(ts, Tiling([[0]]), style)
+
+
+def test_tile_id_outside_the_set_is_structural_error():
+    ts = builtin_set("fig3")
+    with pytest.raises(StructuralError, match="tile id 7"):
+        render_svg(ts, Tiling([[0, 1], [7, 2]]))
 
 
 def test_show_ids():
