@@ -42,15 +42,6 @@ def resolve_set(spec: str) -> TileSet:
     return load_tileset(spec)
 
 
-def run_algorithm(ts: TileSet, height: int, width: int, alg: str,
-                  improve: bool, seed: int):
-    """One seeded run of algorithm "1"|"2"|"3", optionally with the
-    improvement loop on top."""
-    if alg not in _INIT_OF:
-        raise ConfigurationError(f"algorithm must be one of 1/2/3, got {alg!r}")
-    return cover(ts, height, width, _INIT_OF[alg], seed, improve)
-
-
 @dataclass(frozen=True)
 class BenchConfig:
     sets: tuple[str, ...]
@@ -76,7 +67,12 @@ class BenchRow:
     min_placed: int
     avg_placed: float
     max_placed: int
-    runs: tuple = ()
+    runs: tuple[tuple[CoverRun, float], ...] = ()
+
+    def run_dicts(self) -> list[dict]:
+        """One {"placed", "bound", "seed", "millis"} dict per run."""
+        return [{"placed": run.placed, "bound": run.bound, "seed": run.seed,
+                 "millis": millis} for run, millis in self.runs]
 
 
 @dataclass(frozen=True)
@@ -109,7 +105,7 @@ class BenchReport:
                     "min": r.min_placed,
                     "avg": r.avg_placed,
                     "max": r.max_placed,
-                    "runs": list(r.runs),
+                    "runs": r.run_dicts(),
                 }
                 for r in self.rows
             ],
@@ -117,29 +113,23 @@ class BenchReport:
         return json.dumps(payload, indent=2) + "\n"
 
 
-def run_seeds(ts: TileSet, height: int, width: int, alg: str,
-              config: BenchConfig) -> list[tuple[CoverRun, float]]:
-    """One run for each seed from seed_base to seed_base + seeds - 1,
-    paired with its wall time in milliseconds."""
-    pairs = []
+def bench_row(ts: TileSet, name: str, height: int, width: int, alg: str,
+              config: BenchConfig) -> BenchRow:
+    """Run algorithm "1"|"2"|"3", with the improvement loop if
+    config.improve, once for each seed from seed_base to seed_base + seeds - 1.
+    The row keeps each run paired with its wall time in milliseconds."""
+    if alg not in _INIT_OF:
+        raise ConfigurationError(f"algorithm must be one of 1/2/3, got {alg!r}")
+    runs = []
     for s in range(config.seed_base, config.seed_base + config.seeds):
         t0 = time.perf_counter()
-        run = run_algorithm(ts, height, width, alg, config.improve, s)
-        pairs.append((run, (time.perf_counter() - t0) * 1000.0))
-    return pairs
-
-
-def bench_row(name: str, height: int, width: int, alg: str,
-              config: BenchConfig,
-              pairs: list[tuple[CoverRun, float]]) -> BenchRow:
-    """Aggregate the (run, millis) pairs of one seed block; the row also
-    holds one {"placed", "bound", "seed", "millis"} dict per run."""
-    placed = [run.placed for run, _ in pairs]
-    runs = tuple({"placed": run.placed, "bound": run.bound, "seed": run.seed,
-                  "millis": millis} for run, millis in pairs)
-    mean_s = sum(millis for _, millis in pairs) / 1000.0 / len(pairs)
+        run = cover(ts, height, width, _INIT_OF[alg], s, config.improve)
+        runs.append((run, (time.perf_counter() - t0) * 1000.0))
+    placed = [run.placed for run, _ in runs]
+    mean_s = sum(millis for _, millis in runs) / 1000.0 / len(runs)
     return BenchRow(name, height, width, alg, config.improve, mean_s,
-                    min(placed), sum(placed) / len(placed), max(placed), runs)
+                    min(placed), sum(placed) / len(placed), max(placed),
+                    tuple(runs))
 
 
 def run_benchmark(config: BenchConfig) -> BenchReport:
@@ -151,6 +141,5 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         name = ts.name or spec
         for (h, w) in config.sizes:
             for alg in config.algs:
-                pairs = run_seeds(ts, h, w, alg, config)
-                rows.append(bench_row(name, h, w, alg, config, pairs))
+                rows.append(bench_row(ts, name, h, w, alg, config))
     return BenchReport(tuple(rows))

@@ -16,8 +16,7 @@ import os
 import sys
 
 from . import fileio
-from .bench import (BenchConfig, bench_row, resolve_set, run_benchmark,
-                    run_seeds)
+from .bench import BenchConfig, bench_row, resolve_set, run_benchmark
 from .errors import BudgetExceededError, ConfigurationError
 from .exact import (CAPPED, DEFAULT_STATE_CAP, INFEASIBLE, VALID, pack_tiles,
                     smallest_torus, solve_decision)
@@ -74,15 +73,21 @@ def parse_extension(text: str):
         raise ConfigurationError(f"bad extension {text!r}: {exc}") from None
 
 
+def _write(path, text: str, what: str) -> None:
+    """Write finished text to path; callers build the text first, so an
+    error while building it leaves no file behind."""
+    with open(path, "w") as f:
+        f.write(text)
+    print(f"{what} written to {path}")
+
+
 def _write_outputs(ts, tiling, args) -> None:
-    if getattr(args, "output", None):
-        fileio.save_tiling(tiling, args.output)
-        print(f"tiling written to {args.output}")
-    if getattr(args, "svg", None):
-        style = RenderStyle(cell_px=args.cell_px)
-        with open(args.svg, "w") as f:
-            f.write(render_svg(ts, tiling, style))
-        print(f"svg written to {args.svg}")
+    svg = (render_svg(ts, tiling, RenderStyle(cell_px=args.cell_px))
+           if args.svg else None)
+    if args.output:
+        _write(args.output, fileio.dumps_tiling(tiling), "tiling")
+    if svg:
+        _write(args.svg, svg, "svg")
 
 
 def cmd_solve(args) -> int:
@@ -103,26 +108,24 @@ def cmd_solve(args) -> int:
 def cmd_cover(args) -> int:
     ts = resolve_set(args.tileset)
     h, w = args.height, args.width
-    config = BenchConfig(sets=(args.tileset,), sizes=((h, w),),
-                         algs=(args.alg,), improve=args.improve,
+    config = BenchConfig(sets=(), sizes=(), improve=args.improve,
                          seeds=args.seeds, seed_base=args.seed)
     print(f"seed base: {args.seed}")
-    pairs = run_seeds(ts, h, w, args.alg, config)
-    row = bench_row(args.tileset, h, w, args.alg, config, pairs)
+    row = bench_row(ts, args.tileset, h, w, args.alg, config)
     if args.report == "json":
         payload = {
-            "runs": list(row.runs),
+            "runs": row.run_dicts(),
             "aggregate": {"min": row.min_placed, "avg": row.avg_placed,
                           "max": row.max_placed},
         }
         print(json.dumps(payload, indent=2))
     else:
-        for r in row.runs:
-            print(f"seed {r['seed']}: placed {r['placed']}/{h * w} "
-                  f"bound={r['bound'] or '-'} {r['millis']:.1f} ms")
+        for run, millis in row.runs:
+            print(f"seed {run.seed}: placed {run.placed}/{h * w} "
+                  f"bound={run.bound or '-'} {millis:.1f} ms")
         print(f"aggregate: min {row.min_placed} avg {row.avg_placed:.2f} "
               f"max {row.max_placed}")
-    best = max(pairs, key=lambda pair: pair[0].placed)[0]
+    best = max(row.runs, key=lambda pair: pair[0].placed)[0]
     _write_outputs(ts, best.tiling, args)
     return EXIT_OK
 
@@ -146,8 +149,7 @@ def cmd_torus(args) -> int:
         for d, c in res.dim_counts:
             print(f"  {d[0]}x{d[1]}: {c}")
     if args.output and res.witnesses:
-        fileio.save_tiling(res.witnesses[0], args.output)
-        print(f"witness written to {args.output}")
+        _write(args.output, fileio.dumps_tiling(res.witnesses[0]), "witness")
     return EXIT_OK
 
 
@@ -176,9 +178,7 @@ def cmd_emit(args) -> int:
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w") as f:
-            f.write(text)
-        print(f"model written to {args.output}")
+        _write(args.output, text, "model")
     return EXIT_OK
 
 
@@ -188,16 +188,15 @@ def cmd_convert(args) -> int:
     if text.lstrip().startswith("corners") and args.to == "wang":
         corners, n_vc = fileio.loads_corner_set(text)
         ts = corner_to_wang(corners, n_vc)
-        fileio.save_tileset(ts, args.output)
-        print(f"{len(ts)} edge tiles over {ts.num_colors} colors "
-              f"written to {args.output}")
+        _write(args.output, fileio.dumps_tileset(ts),
+               f"{len(ts)} edge tiles over {ts.num_colors} colors")
         return EXIT_OK
     if args.to == "wang":
         raise ConfigurationError("input is already an edge tile set")
     ts = fileio.loads_tileset(text)
     tr = translate_horizontal(ts) if args.to == "corners-h" else translate_vertical(ts)
-    fileio.save_corner_set(tr.corners, tr.n_vc, args.output)
-    print(f"{len(tr.corners)} corner tiles written to {args.output}")
+    _write(args.output, fileio.dumps_corner_set(tr.corners, tr.n_vc),
+           f"{len(tr.corners)} corner tiles")
     print(f"lossless: {tr.bijective}"
           + ("" if tr.bijective else f" (parallel arcs: {list(tr.parallel_witnesses)})"))
     return EXIT_OK
@@ -217,9 +216,7 @@ def cmd_transducer(args) -> int:
     if args.cyclic:
         print(f"all used states on cycles: {all_states_on_cycles(g)}")
     if args.emit_dot:
-        with open(args.emit_dot, "w") as f:
-            f.write(to_dot(g, name=ts.name or "transducer"))
-        print(f"dot written to {args.emit_dot}")
+        _write(args.emit_dot, to_dot(g, name=ts.name or "transducer"), "dot")
     return EXIT_OK
 
 
@@ -228,10 +225,7 @@ def cmd_render(args) -> int:
     tiling = fileio.load_tiling(args.tiling)
     style = RenderStyle(cell_px=args.cell_px, draw_mode=args.mode,
                         show_ids=args.ids, corner_alphabet=args.corner_alphabet)
-    svg = render_svg(ts, tiling, style)
-    with open(args.output, "w") as f:
-        f.write(svg)
-    print(f"svg written to {args.output}")
+    _write(args.output, render_svg(ts, tiling, style), "svg")
     return EXIT_OK
 
 

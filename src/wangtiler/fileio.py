@@ -12,18 +12,37 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from .tileset import CornerTile, Tile, TileSet, Tiling, VOID
 
 
-def _data_lines(text: str) -> list[str]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line)
-    return out
+def _read_rows(text: str, header: str, required: bool = True
+               ) -> tuple[list[int] | None, list[list[str]]]:
+    """The integer values of the ``header`` line, written like ``tiling <h>
+    <w>`` (None if an optional header is absent), and the fields of each
+    data line after it; a header with bad values names the header."""
+    rows = [line.split() for raw in text.splitlines()
+            if (line := raw.split("#", 1)[0].strip())]
+    keyword = header.split()[0]
+    if not rows or rows[0][0] != keyword:
+        if required:
+            raise ValueError(f"the file must start with a '{header}' header")
+        return None, rows
+    values = rows[0][1:]
+    try:
+        if len(values) != header.count("<"):
+            raise ValueError
+        return [int(v) for v in values], rows[1:]
+    except ValueError:
+        raise ValueError(f"bad header {' '.join(rows[0])!r}: expected "
+                         f"'{header}'") from None
+
+
+def _quads(rows: list[list[str]], what: str) -> list[tuple[int, ...]]:
+    for parts in rows:
+        if len(parts) != 4:
+            raise ValueError(f"expected 4 {what} colors per line, "
+                             f"got {' '.join(parts)!r}")
+    return [tuple(int(p) for p in parts) for parts in rows]
 
 
 def dumps_tileset(ts: TileSet) -> str:
@@ -33,21 +52,13 @@ def dumps_tileset(ts: TileSet) -> str:
 
 
 def loads_tileset(text: str, name: str = "") -> TileSet:
-    lines = _data_lines(text)
-    num_colors = None
-    if lines and lines[0].split()[0] == "colors":
-        num_colors = int(lines[0].split()[1])
-        lines = lines[1:]
-    if lines and lines[0].split()[0] == "corners":
+    header, rows = _read_rows(text, "colors <n>", required=False)
+    if rows and rows[0][0] == "corners":
         raise ValueError("this is a corner-set file; use loads_corner_set")
-    quads = []
-    for line in lines:
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"expected 4 edge colors per line, got {line!r}")
-        quads.append(tuple(int(p) for p in parts))
+    quads = _quads(rows, "edge")
     if not quads:
         raise ValueError("tile set file contains no tiles")
+    num_colors = header[0] if header else None
     if num_colors is None:
         # Compact arbitrary labels onto a dense alphabet.
         palette = sorted({c for q in quads for c in q})
@@ -64,17 +75,8 @@ def dumps_corner_set(corners, n_vc: int) -> str:
 
 
 def loads_corner_set(text: str) -> tuple[list[CornerTile], int]:
-    lines = _data_lines(text)
-    if not lines or lines[0].split()[0] != "corners":
-        raise ValueError("corner-set files must start with a 'corners <n>' header")
-    n_vc = int(lines[0].split()[1])
-    corners = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"expected 4 corner colors per line, got {line!r}")
-        corners.append(CornerTile(*(int(p) for p in parts)))
-    return corners, n_vc
+    (n_vc,), rows = _read_rows(text, "corners <n>")
+    return [CornerTile(*q) for q in _quads(rows, "corner")], n_vc
 
 
 def dumps_tiling(t: Tiling) -> str:
@@ -85,21 +87,14 @@ def dumps_tiling(t: Tiling) -> str:
 
 
 def loads_tiling(text: str) -> Tiling:
-    lines = _data_lines(text)
-    if not lines or lines[0].split()[0] != "tiling":
-        raise ValueError("tiling files must start with a 'tiling <h> <w>' header")
-    _, h, w = lines[0].split()
-    h, w = int(h), int(w)
-    if len(lines) != h + 1:
-        raise ValueError(f"expected {h} rows, got {len(lines) - 1}")
-    cells = np.full((h, w), VOID, dtype=np.int32)
-    for i, line in enumerate(lines[1:]):
-        parts = line.split()
+    (h, w), rows = _read_rows(text, "tiling <h> <w>")
+    if len(rows) != h:
+        raise ValueError(f"expected {h} rows, got {len(rows)}")
+    for i, parts in enumerate(rows):
         if len(parts) != w:
             raise ValueError(f"row {i + 1} has {len(parts)} entries, expected {w}")
-        for j, p in enumerate(parts):
-            cells[i, j] = VOID if p == "." else int(p)
-    return Tiling(cells)
+    return Tiling([[VOID if p == "." else int(p) for p in parts]
+                   for parts in rows])
 
 
 def save_tileset(ts: TileSet, path: str | os.PathLike) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tileset import TileSet, Tiling, VOID, check_tile_ids
+from .tileset import TileSet, Tiling, VOID, check_tile_ids, decode_corners
 
 DEFAULT_PALETTE = (
     "#e6194b", "#3cb44b", "#ffe119", "#4363d8", "#f58231", "#911eb4",
@@ -45,6 +45,8 @@ def render_svg(ts: TileSet, t: Tiling, style: RenderStyle | None = None) -> str:
     check_tile_ids(ts, t)
     if style.draw_mode not in ("edge-triangles", "corner-squares"):
         raise ValueError(f"unknown draw mode {style.draw_mode!r}")
+    if style.cell_px < 1:
+        raise ValueError(f"cell size must be at least 1 px, got {style.cell_px}")
     if style.draw_mode == "edge-triangles":
         if ts.num_colors > len(style.palette):
             raise ValueError(
@@ -86,15 +88,10 @@ def render_svg(ts: TileSet, t: Tiling, style: RenderStyle | None = None) -> str:
                                f'fill="{pal[color]}" stroke="black" '
                                'stroke-width="0.5"/>')
             else:
-                n_vc = style.corner_alphabet
-                nw, ne = tile.north % n_vc, tile.north // n_vc
-                sw, se = tile.south % n_vc, tile.south // n_vc
-                if tile.west != nw + sw * n_vc or tile.east != ne + se * n_vc:
-                    raise ValueError(
-                        f"tile {k} is not corner-encoded for n_vc={n_vc}")
+                ct = decode_corners(tile, style.corner_alphabet)
                 half = s / 2
-                quads = ((nw, x, y), (ne, x + half, y),
-                         (sw, x, y + half), (se, x + half, y + half))
+                quads = ((ct.nw, x, y), (ct.ne, x + half, y),
+                         (ct.sw, x, y + half), (ct.se, x + half, y + half))
                 out.append(f'<rect x="{x}" y="{y}" width="{s}" height="{s}" '
                            'fill="white"/>')
                 for color, qx, qy in quads:

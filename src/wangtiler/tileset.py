@@ -258,16 +258,20 @@ def corner_to_wang(cts: Iterable[CornerTile], n_vc: int) -> TileSet:
     return TileSet(tiles, num_colors=n_vc * n_vc, name=f"corners{n_vc}")
 
 
+def decode_corners(t: Tile, n_vc: int) -> CornerTile:
+    """The corner tile that :func:`corner_to_wang` encodes as ``t``."""
+    if n_vc < 1:
+        raise ValueError("corner alphabet size must be positive")
+    nw, ne = t.north % n_vc, t.north // n_vc
+    sw, se = t.south % n_vc, t.south // n_vc
+    if t.west != nw + sw * n_vc or t.east != ne + se * n_vc:
+        raise ValueError(f"tile {t.as_tuple()} is not corner-encoded for n_vc={n_vc}")
+    return CornerTile(nw, sw, se, ne)
+
+
 def wang_to_corner(ts: TileSet, n_vc: int) -> list[CornerTile]:
     """Inverse of :func:`corner_to_wang` for sets using the pair encoding."""
-    out = []
-    for t in ts:
-        nw, ne = t.north % n_vc, t.north // n_vc
-        sw, se = t.south % n_vc, t.south // n_vc
-        if t.west != nw + sw * n_vc or t.east != ne + se * n_vc:
-            raise ValueError(f"tile {t.as_tuple()} is not corner-encoded for n_vc={n_vc}")
-        out.append(CornerTile(nw, sw, se, ne))
-    return out
+    return [decode_corners(t, n_vc) for t in ts]
 
 
 def complete_stochastic_set(n_c: int) -> TileSet:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from wangtiler import ConfigurationError
-from wangtiler.bench import (BenchConfig, resolve_set, run_algorithm,
+from wangtiler.bench import (BenchConfig, bench_row, resolve_set,
                              run_benchmark)
 
 
@@ -18,6 +18,11 @@ def test_resolve_set_file(tmp_path):
     path = tmp_path / "two.tiles"
     path.write_text("0 0 0 0\n1 1 1 1\n")
     assert len(resolve_set(str(path))) == 2
+
+
+def run_algorithm(ts, height, width, alg, improve, seed):
+    config = BenchConfig((), (), improve=improve, seeds=1, seed_base=seed)
+    return bench_row(ts, "", height, width, alg, config).runs[0][0]
 
 
 def test_run_algorithm_dispatch():

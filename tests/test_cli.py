@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -208,6 +209,47 @@ def test_render_rejects_tile_id_outside_the_set(tmp_path, capsys):
     assert not svg.exists()
 
 
+def test_render_edge_inputs_write_nothing(tmp_path, capsys):
+    tiling = tmp_path / "t.tiling"
+    tiling.write_text("tiling 1 2\n1 0\n")
+    svg = tmp_path / "t.svg"
+    for extra, fragment in [
+            (("--cell-px", "-4"), "cell size must be at least 1 px"),
+            (("--mode", "corner-squares", "--corner-alphabet", "0"),
+             "corner alphabet size must be positive")]:
+        code, _, err = run(capsys, "render", "--tileset", "fig3", "--tiling",
+                           str(tiling), "-o", str(svg), *extra)
+        assert code == 3
+        assert err.startswith("error:") and fragment in err
+        assert not svg.exists()
+
+
+def test_svg_error_leaves_no_file(tmp_path, capsys):
+    # 40 colors, more than the default palette holds
+    big = tmp_path / "big.tiles"
+    big.write_text("".join(f"{i} {i} {i} {(i + 1) % 40}\n" for i in range(40)))
+    out, svg = tmp_path / "x.tiling", tmp_path / "x.svg"
+    code, _, err = run(capsys, "cover", "--tileset", str(big), "--h", "2",
+                       "--w", "2", "-o", str(out), "--svg", str(svg))
+    assert code == 3 and err.startswith("error: palette has")
+    assert not svg.exists() and not out.exists()
+
+
+def test_header_without_a_count_is_usage_error(tmp_path, capsys):
+    tiles = tmp_path / "h.tiles"
+    tiles.write_text("colors\n0 0 0 0\n")
+    code, _, err = run(capsys, "cover", "--tileset", str(tiles), "--h", "2",
+                       "--w", "2")
+    assert code == 3 and err.startswith("error:") and "'colors <n>'" in err
+    corners = tmp_path / "h.corners"
+    corners.write_text("corners\n0 0 0 0\n")
+    out = tmp_path / "out.tiles"
+    code, _, err = run(capsys, "convert", "--input", str(corners), "--to",
+                       "wang", "-o", str(out))
+    assert code == 3 and err.startswith("error:") and "'corners <n>'" in err
+    assert not out.exists()
+
+
 def test_bench_subcommand(capsys):
     code, text, _ = run(capsys, "bench", "--sets", "fig3,complete:2",
                         "--sizes", "5x5", "--algs", "1", "--seeds", "3",
@@ -258,3 +300,83 @@ def test_malformed_size_and_set_name_the_form(capsys):
     code, _, err = run(capsys, "cover", "--tileset", "complete:x", "--h", "2",
                        "--w", "2")
     assert code == 3 and "complete:<n>" in err
+
+
+# Recorded from the commands below before the CLI's output code was
+# refactored; every run must keep writing these exact bytes.
+PINNED_FILES = {
+    "solve.tiling":
+        "107c7b45fad69cf2e8d5bb577c45b32cf7953221354cd85b8daa4572f1b35db6",
+    "cover.tiling":
+        "692434b5a6794e874ef780e2738458edfb150873f76bab27604523a1c497e1aa",
+    "cover.svg":
+        "5cd2347bef44b9b57a3bea87410c62167921adfa4b08572f575d08ecd3fbdd66",
+    "torus.tiling":
+        "7a845f021eedacd9436fd4916b873719c0fafdd2ab22f91e4d45271a998f094b",
+    "model.lp":
+        "918d734d8522331872a035103c05ab91b36e7cc61f7d5c26b1ca389b2fd2278a",
+    "amm.corners":
+        "daaf6642cb6c5f191f4b045e92b05d4d35e8b509ef71120982766db77528d521",
+    "amm44.tiles":
+        "eaf2f2cf75cf67aadd922288a435f485def4c04cdef2935bbc35e22c1a48ab5a",
+    "g.dot":
+        "5c62bd08c0cf08fd97cfb50c08dccf17dcd413203998330d9ef2c6cb8b8f2f6c",
+    "edge.svg":
+        "8e69252de9e887a2194f9b6f87b41a57e5299b0112143c3bfa4178b28b34da06",
+    "corner.svg":
+        "e14e94c1ae140c6e46c1c8620c34fd854b41178509e0d1edba6b304c2cdd94d3",
+}
+PINNED_COVER_TABLE = (
+    "seed base: 5\n"
+    "seed 5: placed 36/42 bound=2/3 <ms> ms\n"
+    "seed 6: placed 35/42 bound=2/3 <ms> ms\n"
+    "seed 7: placed 39/42 bound=2/3 <ms> ms\n"
+    "aggregate: min 35 avg 36.67 max 39\n"
+    "tiling written to cover.tiling\n"
+    "svg written to cover.svg\n")
+PINNED_COVER_JSON = (
+    "68f82310538751e64e934a8f3bddd7d8c8d03fd7cdd8448a838cc171b4228709")
+
+
+def _masked(text):
+    text = re.sub(r"\d+\.\d ms", "<ms> ms", text)
+    return re.sub(r'"millis": [0-9.e+-]+', '"millis": <ms>', text)
+
+
+def test_cli_outputs_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_tileset(wt.builtin_set("ammann16"), "amm.tiles")
+    (tmp_path / "edge.tiling").write_text("tiling 2 2\n1 0\n. 2\n")
+    (tmp_path / "corner.tiling").write_text("tiling 1 3\n0 5 .\n")
+    commands = [
+        ("solve", "--tileset", "fig3", "--h", "3", "--w", "3",
+         "-o", "solve.tiling"),
+        ("torus", "--tileset", "fig3", "--max-area", "4", "-o", "torus.tiling"),
+        ("emit", "--tileset", "fig3", "--h", "2", "--w", "2", "--formulation",
+         "maxcsp", "--ext", "force:1,1,0", "-o", "model.lp"),
+        ("convert", "--input", "amm.tiles", "--to", "corners-h",
+         "-o", "amm.corners"),
+        ("convert", "--input", "amm.corners", "--to", "wang",
+         "-o", "amm44.tiles"),
+        ("transducer", "--tileset", "ammann16", "--emit-dot", "g.dot"),
+        ("render", "--tileset", "fig3", "--tiling", "edge.tiling",
+         "-o", "edge.svg", "--ids"),
+        ("render", "--tileset", "amm44.tiles", "--tiling", "corner.tiling",
+         "-o", "corner.svg", "--mode", "corner-squares",
+         "--corner-alphabet", "6", "--cell-px", "20"),
+    ]
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0, argv
+    cover = ("cover", "--tileset", "ammann16", "--h", "6", "--w", "7",
+             "--alg", "3", "--improve", "--seeds", "3", "--seed", "5")
+    code, table, _ = run(capsys, *cover, "-o", "cover.tiling",
+                         "--svg", "cover.svg", "--cell-px", "16")
+    assert code == 0
+    code, payload, _ = run(capsys, *cover, "--report", "json")
+    assert code == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED_FILES}
+    assert digests == PINNED_FILES
+    assert _masked(table) == PINNED_COVER_TABLE
+    assert (hashlib.sha256(_masked(payload).encode()).hexdigest()
+            == PINNED_COVER_JSON)

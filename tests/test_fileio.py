@@ -57,6 +57,9 @@ def test_tileset_comments_and_errors():
         loads_tileset("")
     with pytest.raises(ValueError):
         loads_tileset("corners 2\n0 0 0 0\n")
+    for header in ("colors", "colors x", "colors 2 3"):
+        with pytest.raises(ValueError, match="expected 'colors <n>'"):
+            loads_tileset(f"{header}\n0 0 0 0\n")
 
 
 def test_corner_set_round_trip():
@@ -66,6 +69,9 @@ def test_corner_set_round_trip():
     assert back == corners and n_vc == 4
     with pytest.raises(ValueError):
         loads_corner_set("0 0 0 0\n")
+    for header in ("corners", "corners 2.5"):
+        with pytest.raises(ValueError, match="expected 'corners <n>'"):
+            loads_corner_set(f"{header}\n0 0 0 0\n")
 
 
 def test_tiling_round_trip():
@@ -98,3 +104,6 @@ def test_tiling_format_errors():
         loads_tiling("tiling 2 2\n0 1\n")
     with pytest.raises(ValueError):
         loads_tiling("tiling 1 2\n0\n")
+    for header in ("tiling", "tiling 2", "tiling 2 x"):
+        with pytest.raises(ValueError, match="expected 'tiling <h> <w>'"):
+            loads_tiling(f"{header}\n0 0\n")

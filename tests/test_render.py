@@ -60,6 +60,16 @@ def test_corner_squares_mode():
     with pytest.raises(ValueError):
         render_svg(builtin_set("fig3"), Tiling([[0]]),
                    RenderStyle(draw_mode="corner-squares", corner_alphabet=2))
+    with pytest.raises(ValueError, match="corner alphabet size"):
+        render_svg(ts, Tiling([[0]]),
+                   RenderStyle(draw_mode="corner-squares", corner_alphabet=0))
+
+
+def test_cell_px_must_be_positive():
+    for cell_px in (0, -4):
+        with pytest.raises(ValueError, match="cell size"):
+            render_svg(builtin_set("fig3"), Tiling([[0]]),
+                       RenderStyle(cell_px=cell_px))
 
 
 def test_ammann_torus_snapshot():

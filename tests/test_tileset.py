@@ -100,6 +100,8 @@ def test_corner_to_wang_rejects_out_of_range():
         corner_to_wang([CornerTile(0, 0, 0, 3)], n_vc=3)
     with pytest.raises(ValueError):
         corner_to_wang([CornerTile(0, 0, 0, 0)], n_vc=0)
+    with pytest.raises(ValueError, match="corner alphabet size"):
+        wang_to_corner(corner_to_wang([CornerTile(0, 0, 0, 0)], n_vc=2), 0)
 
 
 def test_corner_to_wang_injective_over_full_alphabet():
