@@ -22,7 +22,7 @@ from .exact import (CAPPED, DEFAULT_STATE_CAP, INFEASIBLE, VALID, pack_tiles,
                     smallest_torus, solve_decision)
 from .extensions import EXT_KINDS
 from .ilp import ModelSpec, build_model, emit_lp
-from .render import RenderStyle, render_svg
+from .render import RenderStyle, check_style, render_svg
 from .tileset import corner_to_wang, validate_tiling
 from .transducer import (DUAL, HORIZONTAL, all_states_on_cycles,
                          build_transducer, parallel_arcs, to_dot,
@@ -81,9 +81,17 @@ def _write(path, text: str, what: str) -> None:
     print(f"{what} written to {path}")
 
 
-def _write_outputs(ts, tiling, args) -> None:
-    svg = (render_svg(ts, tiling, RenderStyle(cell_px=args.cell_px))
-           if args.svg else None)
+def _svg_style(ts, args) -> RenderStyle:
+    """The ``--svg`` style, checked when there is an svg to write, so that a
+    bad one fails before any solver runs."""
+    style = RenderStyle(cell_px=args.cell_px)
+    if args.svg:
+        check_style(ts, style)
+    return style
+
+
+def _write_outputs(ts, tiling, args, style: RenderStyle) -> None:
+    svg = render_svg(ts, tiling, style) if args.svg else None
     if args.output:
         _write(args.output, fileio.dumps_tiling(tiling), "tiling")
     if svg:
@@ -92,6 +100,7 @@ def _write_outputs(ts, tiling, args) -> None:
 
 def cmd_solve(args) -> int:
     ts = resolve_set(args.tileset)
+    style = _svg_style(ts, args)
     bcs = [parse_extension(e) for e in args.ext]
     res = solve_decision(ts, args.height, args.width, bcs, cap=args.cap)
     print(f"status: {res.status} (states {res.stats.get('states', 0)})")
@@ -101,12 +110,13 @@ def cmd_solve(args) -> int:
             sys.stderr.write(f"error: the witness breaks the edge "
                              f"{report.mismatches[0]}\n")
             return EXIT_INFEASIBLE
-        _write_outputs(ts, res.witness, args)
+        _write_outputs(ts, res.witness, args, style)
     return _STATUS_EXIT[res.status]
 
 
 def cmd_cover(args) -> int:
     ts = resolve_set(args.tileset)
+    style = _svg_style(ts, args)
     h, w = args.height, args.width
     config = BenchConfig(sets=(), sizes=(), improve=args.improve,
                          seeds=args.seeds, seed_base=args.seed)
@@ -126,7 +136,7 @@ def cmd_cover(args) -> int:
         print(f"aggregate: min {row.min_placed} avg {row.avg_placed:.2f} "
               f"max {row.max_placed}")
     best = max(row.runs, key=lambda pair: pair[0].placed)[0]
-    _write_outputs(ts, best.tiling, args)
+    _write_outputs(ts, best.tiling, args, style)
     return EXIT_OK
 
 
@@ -155,13 +165,14 @@ def cmd_torus(args) -> int:
 
 def cmd_pack(args) -> int:
     ts = resolve_set(args.tileset)
+    style = _svg_style(ts, args)
     res = pack_tiles(ts, args.height, args.width, periodic=args.periodic,
                      deadline=args.deadline,
                      most_constrained=args.most_constrained)
     print(f"status: {res.status} (nodes {res.stats.get('nodes', 0)}, "
           f"{res.stats.get('seconds', 0.0):.2f}s)")
     if res.witness is not None:
-        _write_outputs(ts, res.witness, args)
+        _write_outputs(ts, res.witness, args, style)
     return _STATUS_EXIT[res.status]
 
 
@@ -185,14 +196,12 @@ def cmd_emit(args) -> int:
 def cmd_convert(args) -> int:
     with open(args.input) as f:
         text = f.read()
-    if text.lstrip().startswith("corners") and args.to == "wang":
+    if args.to == "wang":
         corners, n_vc = fileio.loads_corner_set(text)
         ts = corner_to_wang(corners, n_vc)
         _write(args.output, fileio.dumps_tileset(ts),
                f"{len(ts)} edge tiles over {ts.num_colors} colors")
         return EXIT_OK
-    if args.to == "wang":
-        raise ConfigurationError("input is already an edge tile set")
     ts = fileio.loads_tileset(text)
     tr = translate_horizontal(ts) if args.to == "corners-h" else translate_vertical(ts)
     _write(args.output, fileio.dumps_corner_set(tr.corners, tr.n_vc),

@@ -75,7 +75,11 @@ def dumps_corner_set(corners, n_vc: int) -> str:
 
 
 def loads_corner_set(text: str) -> tuple[list[CornerTile], int]:
-    (n_vc,), rows = _read_rows(text, "corners <n>")
+    header, rows = _read_rows(text, "corners <n>", required=False)
+    if header is None:
+        loads_tileset(text)  # names the fault of a file that is neither
+        raise ValueError("the input is already an edge tile set")
+    (n_vc,) = header
     return [CornerTile(*q) for q in _quads(rows, "corner")], n_vc
 
 

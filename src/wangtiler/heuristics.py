@@ -218,18 +218,18 @@ class CoverRun:
 
 
 class _Cover:
-    """A mutable grid plus the constraint builders for the plain,
-    dual-lookahead and hard-only row modes.
+    """A mutable grid plus the neighbor tables its line solves read.
 
     Row constraints are vector ids of the orientation's ``_RowKernel``, one
     per (tile set, width), so each distinct vector is checked once and each
-    (north, south) pair's edges are built once per run: ``free``, ``closed``
-    and the per-color ``hard`` vectors depend only on the alphabet,
-    ``north_open`` and ``south_open`` on the orientation, the dual-lookahead
-    vectors on the lookahead distance.  Columns are solved as rows of the
+    (north, south) pair's edges are built once per run.  ``hard`` and
+    ``open`` are (north, south) tables indexed by the neighbor's tile id,
+    VOID (-1) last: a placed neighbor imposes its hard vector in both; a
+    void is free in ``hard`` and, in ``open``, a soft miss for each color
+    that admits no vertical neighbor.  Columns are solved as rows of the
     transposed grid (see ``transpose``).  The dual transducer belongs to the
-    untransposed set, so the dual mode runs only before the first transpose;
-    it is built on the first ``reach`` call, because only the half and
+    untransposed set, so lookahead runs only before the first transpose; it
+    is built on the first ``reach`` call, because only the half and
     twothirds schedules read it.
     """
 
@@ -254,18 +254,13 @@ class _Cover:
         intern = kernel.intern
         self.free = intern((0,) * ts.num_colors)
         self.closed = intern((INF,) * ts.num_colors)
-        hard = [intern(tuple(0 if c == x else INF for c in colors)) for x in colors]
-        # The vector a neighbor imposes, indexed by its tile id with VOID
-        # (-1) last: hard for a placed tile; for a void, free or (open) 1
-        # for each color that admits no vertical neighbor.
-        under = [hard[c] for c in ts.souths]
-        over = [hard[c] for c in ts.norths]
-        self.north_free = under + [self.free]
-        self.north_open = under + [intern(tuple(0 if c in ts.souths else 1
-                                                for c in colors))]
-        self.south_free = over + [self.free]
-        self.south_open = over + [intern(tuple(0 if c in ts.norths else 1
-                                               for c in colors))]
+        fits = [intern(tuple(0 if c == x else INF for c in colors)) for x in colors]
+        under = [fits[c] for c in ts.souths]
+        over = [fits[c] for c in ts.norths]
+        self.hard = (under + [self.free], over + [self.free])
+        self.open = (
+            under + [intern(tuple(0 if c in ts.souths else 1 for c in colors))],
+            over + [intern(tuple(0 if c in ts.norths else 1 for c in colors))])
 
     def transpose(self) -> None:
         """Swap to the transposed grid over the diagonally reflected set, so
@@ -288,42 +283,34 @@ class _Cover:
             self._reach[distance] = [by_color[c] for c in self.souths] + [self.free]
         return self._reach[distance]
 
-    def shuffled_order(self) -> list[int]:
-        order = list(range(len(self.ts)))
-        self.rng.shuffle(order)
-        return order
-
-    def row_constraints(self, i: int, mode: str, dual_dist: int = 0):
-        """Per column, the north and south vector ids of 0-based row i.
-
-        plain:  placed neighbors are hard; in-domain void neighbors get the
-                stranding soft vectors; outside the grid is free.
-        dual:   like plain, but an unplaced north side is judged against the
-                row ``dual_dist + 1`` above through dual-transducer
-                reachability instead of the generic stranding vector.
-        simple: placed neighbors are hard, everything else free.
-        """
+    def solve_row(self, i: int, tables, lookahead: int = 0,
+                  odd: bool = False) -> None:
+        """Re-solve 0-based row i against its neighbors through ``tables``
+        (``hard`` or ``open``); outside the grid is free.  With
+        ``lookahead``, a void north neighbor is judged instead against the
+        row ``lookahead + 1`` above through dual-transducer reachability;
+        ``odd`` closes the odd 0-based columns.  The tie-break order is one
+        shuffle of all tile ids."""
         cells, free = self.cells, self.free
+        north_of, south_of = tables
         if i == 0:
             north = [free] * self.width
-        elif mode == "dual" and i > dual_dist:
-            hard, reach = self.north_free, self.reach(dual_dist)
-            north = [hard[k] if k != VOID else reach[src]
-                     for k, src in zip(cells[i - 1], cells[i - dual_dist - 1])]
+        elif lookahead and i > lookahead:
+            reach = self.reach(lookahead)
+            north = [north_of[k] if k != VOID else reach[src]
+                     for k, src in zip(cells[i - 1], cells[i - lookahead - 1])]
         else:
-            table = self.north_open if mode == "plain" else self.north_free
-            north = [table[k] for k in cells[i - 1]]
+            north = [north_of[k] for k in cells[i - 1]]
+        if odd:
+            north[1::2] = [self.closed] * (self.width // 2)
         if i + 1 == self.height:
             south = [free] * self.width
         else:
-            table = self.south_free if mode == "simple" else self.south_open
-            south = [table[k] for k in cells[i + 1]]
-        return north, south
-
-    def solve_row(self, i: int, north, south) -> None:
-        row, _ = max_row_cover(self.ts, self.width, north, south,
-                               self.shuffled_order(), self.kernel)
-        self.cells[i] = row
+            south = [south_of[k] for k in cells[i + 1]]
+        order = list(range(len(self.ts)))
+        self.rng.shuffle(order)
+        self.cells[i], _ = max_row_cover(self.ts, self.width, north, south,
+                                         order, self.kernel)
         self.line_solves += 1
 
     def voids(self) -> int:
@@ -345,74 +332,44 @@ def _bound(ts: TileSet, init: str) -> str | None:
     return None
 
 
-def _order_half(height: int) -> list[int]:
-    """1-based row order 1, 3, 2, 5, 4, ... (odd rows first in each pair)."""
-    seq = [1]
-    m = 3
-    while m <= height:
-        seq += [m, m - 1]
-        m += 2
-    if height % 2 == 0 and height >= 2:
-        seq.append(height)
-    return seq
-
-
-def _order_two_thirds(height: int) -> list[int]:
-    """1-based row order 1, 4, 3, 2, 3, 7, 6, 5, 6, ...; every third row is
-    visited twice."""
-    seq = [1] if height >= 1 else []
-    m = 4
-    while m - 2 <= height:
-        for r in (m, m - 1, m - 2, m - 1):
-            if r <= height:
-                seq.append(r)
-        m += 3
-    return seq
-
-
-def _init_cover(cov: _Cover, init: str) -> None:
-    """Fill the empty grid row by row with the named schedule.
+def _schedule(init: str, height: int) -> list[tuple[int, int, bool]]:
+    """The init schedule as 0-based ``(row, lookahead, odd)`` steps; each
+    step re-solves its row against the ``open`` tables (see
+    ``_Cover.solve_row``).
 
     simple:    rows top to bottom, each against its placed neighbors.
-    half:      in the order 1, 3, 2, 5, 4, ..., odd rows become maximum row
+    half:      in the order 0, 2, 1, 4, 3, ..., even rows become maximum row
                covers judged two rows back through the dual transducer and
-               even rows fill the gaps.  Places at least half the grid
+               odd rows fill the gaps.  Places at least half the grid
                whenever the transducer admits a two-tile row.
-    twothirds: in the order 1, 4, 3, 2, 3, ..., rows 1, 4, 7, ... are covered
-               with two-arc lookahead to the anchor row three above; rows
-               3, 6, ... are first covered with one-arc lookahead and tiles
-               only at odd positions, then revisited plainly; rows 2, 5, ...
-               are covered plainly.  Places at least two thirds of the grid
-               when every used color of both transducer graphs lies on a
-               cycle.
+    twothirds: in the order 0, 3, 2, 1, 2, ..., rows 0, 3, 6, ... are
+               covered with two-arc lookahead to the anchor row three above;
+               rows 2, 5, ... are first covered with one-arc lookahead and
+               tiles only at even columns, then revisited plainly; rows 1,
+               4, ... are covered plainly.  Places at least two thirds of
+               the grid when every used color of both transducer graphs lies
+               on a cycle.
     """
     if init == "simple":
-        for i in range(cov.height):
-            cov.solve_row(i, *cov.row_constraints(i, "plain"))
-    elif init == "half":
-        for row in _order_half(cov.height):
-            mode = "dual" if row % 2 == 1 else "plain"
-            cov.solve_row(row - 1, *cov.row_constraints(row - 1, mode, 1))
-    else:
-        visited = [False] * (cov.height + 1)
-        for row in _order_two_thirds(cov.height):
-            i = row - 1
-            if row % 3 == 1:
-                cov.solve_row(i, *cov.row_constraints(i, "dual", 2))
-            elif row % 3 == 0 and not visited[row]:
-                # Tiles only at odd positions: no tile fits an all-INF north.
-                north, south = cov.row_constraints(i, "dual", 1)
-                north[1::2] = [cov.closed] * (cov.width // 2)
-                cov.solve_row(i, north, south)
-            else:
-                cov.solve_row(i, *cov.row_constraints(i, "plain"))
-            visited[row] = True
+        return [(i, 0, False) for i in range(height)]
+    if init == "half":
+        steps = [(0, 1, False)]
+        for i in range(2, height, 2):
+            steps += [(i, 1, False), (i - 1, 0, False)]
+        if height % 2 == 0:
+            steps.append((height - 1, 0, False))
+        return steps
+    steps = [(0, 2, False)]
+    for t in range(3, height + 2, 3):
+        steps += [(t, 2, False), (t - 1, 1, True), (t - 2, 0, False),
+                  (t - 1, 0, False)]
+    return [step for step in steps if step[0] < height]
 
 
 def cover(ts: TileSet, height: int, width: int, init: str = "simple",
           seed: int = 0, improve: bool = True) -> CoverRun:
     """Maximum-cover heuristic: the ``init`` row schedule ("simple", "half"
-    or "twothirds", see ``_init_cover``), then, with ``improve``, the
+    or "twothirds", see ``_schedule``), then, with ``improve``, the
     improvement loop.
 
     The loop alternates hard-constrained column and row re-solves while the
@@ -424,14 +381,15 @@ def cover(ts: TileSet, height: int, width: int, init: str = "simple",
         raise ConfigurationError(f"init must be one of {', '.join(_INITS)}, "
                                  f"got {init!r}")
     cov = _Cover(ts, height, width, seed)
-    _init_cover(cov, init)
+    for i, lookahead, odd in _schedule(init, height):
+        cov.solve_row(i, cov.open, lookahead, odd)
     sweeps = 0
     num_old = INF
     while improve and cov.voids() < num_old:
         num_old = cov.voids()
         cov.transpose()
         for i in range(cov.height):
-            cov.solve_row(i, *cov.row_constraints(i, "simple"))
+            cov.solve_row(i, cov.hard)
         sweeps += 1
     if sweeps % 2:
         cov.transpose()

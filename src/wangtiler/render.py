@@ -40,9 +40,9 @@ def _hatch_defs() -> str:
             "</pattern></defs>")
 
 
-def render_svg(ts: TileSet, t: Tiling, style: RenderStyle | None = None) -> str:
-    style = style or RenderStyle()
-    check_tile_ids(ts, t)
+def check_style(ts: TileSet, style: RenderStyle) -> None:
+    """Raise ValueError if ``style`` cannot render tilings of ``ts``: a cell
+    below 1 px, an unknown draw mode, or more colors than the palette."""
     if style.draw_mode not in ("edge-triangles", "corner-squares"):
         raise ValueError(f"unknown draw mode {style.draw_mode!r}")
     if style.cell_px < 1:
@@ -60,6 +60,12 @@ def render_svg(ts: TileSet, t: Tiling, style: RenderStyle | None = None) -> str:
             raise ValueError(
                 f"palette has {len(style.palette)} colors, corner alphabet "
                 f"needs {n_vc}")
+
+
+def render_svg(ts: TileSet, t: Tiling, style: RenderStyle | None = None) -> str:
+    style = style or RenderStyle()
+    check_tile_ids(ts, t)
+    check_style(ts, style)
 
     s = style.cell_px
     W, H = t.width * s, t.height * s

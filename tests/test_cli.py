@@ -235,6 +235,32 @@ def test_svg_error_leaves_no_file(tmp_path, capsys):
     assert not svg.exists() and not out.exists()
 
 
+def test_bad_svg_style_fails_before_any_solver(tmp_path, capsys):
+    svg = tmp_path / "x.svg"
+    for argv in (["cover", "--seeds", "3"], ["solve"], ["pack"]):
+        code, text, err = run(capsys, *argv, "--tileset", "fig3", "--h", "2",
+                              "--w", "2", "--svg", str(svg), "--cell-px", "-4")
+        assert code == 3 and err == "error: cell size must be at least 1 px, got -4\n"
+        assert "seed 0:" not in text and "status" not in text
+        assert not svg.exists()
+
+
+def test_convert_reads_a_commented_corner_file(tmp_path, capsys):
+    corners = tmp_path / "c.corners"
+    corners.write_text("# my corners\ncorners 2\n0 1 1 0\n")
+    out = tmp_path / "w.tiles"
+    code, _, _ = run(capsys, "convert", "--input", str(corners), "--to",
+                     "wang", "-o", str(out))
+    assert code == 0 and len(load_tileset(out)) == 1
+    edge = tmp_path / "e.tiles"
+    edge.write_text("# edges\n0 1 1 0\n")
+    out.unlink()
+    code, _, err = run(capsys, "convert", "--input", str(edge), "--to",
+                       "wang", "-o", str(out))
+    assert code == 3 and err == "error: the input is already an edge tile set\n"
+    assert not out.exists()
+
+
 def test_header_without_a_count_is_usage_error(tmp_path, capsys):
     tiles = tmp_path / "h.tiles"
     tiles.write_text("colors\n0 0 0 0\n")

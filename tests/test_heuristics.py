@@ -9,8 +9,8 @@ from wangtiler import (ConfigurationError, Tile, TileSet, VOID, builtin_set,
                        complete_stochastic_set, cover, max_cover_oracle,
                        max_row_cover, validate_tiling)
 from wangtiler.bench import resolve_set
-from wangtiler.heuristics import (INF, _order_half, _order_two_thirds,
-                                  build_layered_dag, shortest_row)
+from wangtiler.heuristics import (INF, _schedule, build_layered_dag,
+                                  shortest_row)
 
 from helpers import (insertion_order_row, naive_row_min_cost, naive_row_min_voids,
                      random_tileset)
@@ -202,19 +202,40 @@ def test_shortest_row_deterministic_for_fixed_order():
 
 # -- row orders -----------------------------------------------------------------
 
+def _order(init, height):
+    """The schedule's rows, 1-based, in visiting order."""
+    return [row + 1 for row, _, _ in _schedule(init, height)]
+
+
 def test_order_half():
-    assert _order_half(1) == [1]
-    assert _order_half(2) == [1, 2]
-    assert _order_half(5) == [1, 3, 2, 5, 4]
-    assert _order_half(6) == [1, 3, 2, 5, 4, 6]
-    assert sorted(set(_order_half(9))) == list(range(1, 10))
+    assert _order("half", 1) == [1]
+    assert _order("half", 2) == [1, 2]
+    assert _order("half", 5) == [1, 3, 2, 5, 4]
+    assert _order("half", 6) == [1, 3, 2, 5, 4, 6]
+    assert sorted(set(_order("half", 9))) == list(range(1, 10))
 
 
 def test_order_two_thirds():
-    assert _order_two_thirds(1) == [1]
-    assert _order_two_thirds(5) == [1, 4, 3, 2, 3, 5]
-    assert _order_two_thirds(9)[:9] == [1, 4, 3, 2, 3, 7, 6, 5, 6]
-    assert sorted(set(_order_two_thirds(15))) == list(range(1, 16))
+    assert _order("twothirds", 1) == [1]
+    assert _order("twothirds", 5) == [1, 4, 3, 2, 3, 5]
+    assert _order("twothirds", 9)[:9] == [1, 4, 3, 2, 3, 7, 6, 5, 6]
+    assert sorted(set(_order("twothirds", 15))) == list(range(1, 16))
+
+
+@pytest.mark.parametrize("init", ["half", "twothirds"])
+def test_schedule_invariants(init):
+    for height in range(1, 31):
+        steps = _schedule(init, height)
+        assert sorted({row for row, _, _ in steps}) == list(range(height))
+        for row, lookahead, _ in steps:
+            # A lookahead row reads the row lookahead + 1 above it, if any.
+            assert lookahead == 0 or row == 0 or row > lookahead
+        # An odd-columns pass is its row's first visit, and a plain revisit
+        # of the row follows it.
+        for n, (row, _, odd) in enumerate(steps):
+            if odd:
+                assert row not in [r for r, _, _ in steps[:n]]
+                assert (row, 0, False) in steps[n + 1:]
 
 
 # -- cover algorithms -------------------------------------------------------------
