@@ -202,7 +202,11 @@ def cmd_convert(args) -> int:
         _write(args.output, fileio.dumps_tileset(ts),
                f"{len(ts)} edge tiles over {ts.num_colors} colors")
         return EXIT_OK
-    ts = fileio.loads_tileset(text)
+    try:
+        ts = fileio.loads_tileset(text)
+    except ValueError:
+        fileio.loads_corner_set(text)  # names the fault of a file that is neither
+        raise ValueError("the input is a corner set; use --to wang") from None
     tr = translate_horizontal(ts) if args.to == "corners-h" else translate_vertical(ts)
     _write(args.output, fileio.dumps_corner_set(tr.corners, tr.n_vc),
            f"{len(tr.corners)} corner tiles")

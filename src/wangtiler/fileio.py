@@ -54,7 +54,7 @@ def dumps_tileset(ts: TileSet) -> str:
 def loads_tileset(text: str, name: str = "") -> TileSet:
     header, rows = _read_rows(text, "colors <n>", required=False)
     if rows and rows[0][0] == "corners":
-        raise ValueError("this is a corner-set file; use loads_corner_set")
+        raise ValueError("this is a corner-set file, not an edge tile set")
     quads = _quads(rows, "edge")
     if not quads:
         raise ValueError("tile set file contains no tiles")

@@ -179,6 +179,14 @@ class _Builder:
             terms = self.cell_sum(*a, ia) + self.cell_sum(*b, ib)
             self.add_con(f"{tag}_{g}", terms, LE, 1.0)
 
+    def _occupancy(self, sense) -> None:
+        """occ_i_j, row-major: one tile at most (LE) or exactly (EQ) at each
+        cell (i, j) where ``sense(i, j)`` is not None."""
+        for i in range(1, self.h + 1):
+            for j in range(1, self.w + 1):
+                if (s := sense(i, j)) is not None:
+                    self.add_con(f"occ_{i}_{j}", self.cell_sum(i, j), s, 1.0)
+
     def _sum_obj(self, sense: str) -> Objective:
         return Objective(sense, tuple((1.0, vi) for vi in self.x_ids))
 
@@ -189,10 +197,8 @@ class _Builder:
         from which it propagates inward through the color equalities."""
         for edge in self._edges("v") + self._edges("h"):
             self._match(*edge, EQ)
-        for i in range(1, self.h + 1):
-            for j in range(1, self.w + 1):
-                if i in (1, self.h) or j in (1, self.w):
-                    self.add_con(f"occ_{i}_{j}", self.cell_sum(i, j), EQ, 1.0)
+        self._occupancy(lambda i, j: EQ if i in (1, self.h) or j in (1, self.w)
+                        else None)
 
     def _base_max_rect(self) -> None:
         """Color dominance toward the anchored top-left rectangle plus the
@@ -205,11 +211,7 @@ class _Builder:
                          + self.cell_sum(i, j + 1)
                          + self.cell_sum(i + 1, j + 1, coef=-1.0))
                 self.add_con(f"rect_{i}_{j}", terms, LE, 1.0)
-        self.add_con("occ_1_1", self.cell_sum(1, 1), EQ, 1.0)
-        for i in range(1, self.h + 1):
-            for j in range(1, self.w + 1):
-                if (i, j) != (1, 1):
-                    self.add_con(f"occ_{i}_{j}", self.cell_sum(i, j), LE, 1.0)
+        self._occupancy(lambda i, j: EQ if (i, j) == (1, 1) else LE)
         self.objective = self._sum_obj("max")
 
     def _base_max_cover(self) -> None:
@@ -217,9 +219,7 @@ class _Builder:
         voids satisfy everything."""
         for edge in self._edges("h", True) + self._edges("v", True):
             self._exclude(*edge)
-        for i in range(1, self.h + 1):
-            for j in range(1, self.w + 1):
-                self.add_con(f"occ_{i}_{j}", self.cell_sum(i, j), LE, 1.0)
+        self._occupancy(lambda i, j: LE)
         self.objective = self._sum_obj("max")
 
     def _base_max_csp(self) -> None:
@@ -236,9 +236,7 @@ class _Builder:
                              + self.cell_sum(*b, ib, -1.0) + s, LE, 0.0)
                 self.add_con(f"{tag}_{l}_m", self.cell_sum(*b, ib)
                              + self.cell_sum(*a, ia, -1.0) + s, LE, 0.0)
-        for i in range(1, self.h + 1):
-            for j in range(1, self.w + 1):
-                self.add_con(f"occ_{i}_{j}", self.cell_sum(i, j), EQ, 1.0)
+        self._occupancy(lambda i, j: EQ)
         terms = tuple((-1.0, vi) for vi in slack.values())
         self.objective = Objective("max", terms, float(len(slack)))
 
@@ -359,111 +357,77 @@ def emit_lp(m: IlpModel) -> str:
     return "\n".join(out) + "\n"
 
 
-def _parse_expr(tokens: list[str]):
-    """Signed linear expression -> (terms as (coef, name), constant)."""
-    terms: list[tuple[float, str]] = []
-    constant = 0.0
-    sign = 1.0
-    coef: float | None = None
+#: Each LP header and the headers that may follow it.
+_NEXT = {"Minimize": ("Subject To",), "Maximize": ("Subject To",),
+         "Subject To": ("Bounds", "Binaries", "End"),
+         "Bounds": ("Binaries", "End"), "Binaries": ("End",), "End": ()}
+
+
+def _parse_expr(tokens: list[str], index: dict[str, int]):
+    """An <expr> -> (terms as (coef, variable index), constant)."""
+    terms, sign, coef = [], 1.0, None
     for tok in tokens:
-        if tok == "+":
-            sign, coef = 1.0, None
-        elif tok == "-":
-            sign, coef = -1.0, None
-        elif tok[0] in "0123456789.":  # the grammar writes signs apart
-            val = float(tok)
-            if coef is None:
-                coef = val
-            else:  # two numbers in a row: the first was a constant
-                constant += sign * coef
-                coef = val
+        if coef is not None and tok[0] in "+-0123456789.":
+            raise ValueError(f"{tok!r} after a number; a constant ends the <expr>")
+        if tok == "+" or tok == "-":
+            sign = 1.0 if tok == "+" else -1.0
+        elif tok[0] in "0123456789.":
+            coef = float(tok)
+        elif tok in index:
+            terms.append((sign if coef is None else sign * coef, index[tok]))
+            coef = None
         else:
-            terms.append((sign * (1.0 if coef is None else coef), tok))
-            sign, coef = 1.0, None
-    if coef is not None:
-        constant += sign * coef
-    return terms, constant
+            raise ValueError(f"undeclared variable {tok!r}")
+    return tuple(terms), 0.0 if coef is None else sign * coef
 
 
 def parse_lp(text: str) -> IlpModel:
-    """Parse the LP subset produced by :func:`emit_lp` back into a model."""
-    section = None
-    obj_sense = "none"
-    obj_tokens: list[str] = []
-    con_lines: list[str] = []
-    bounds: list[str] = []
-    binaries: list[str] = []
-    for raw in text.splitlines():
-        line = raw.split("\\")[0].rstrip()
-        if not line.strip():
-            continue
-        word = line.strip().lower()
-        if word in ("maximize", "minimize"):
-            section = "objective"
-            obj_sense = "max" if word == "maximize" else "min"
-            continue
-        if word == "subject to":
-            section = "constraints"
-            continue
-        if word == "bounds":
-            section = "bounds"
-            continue
-        if word in ("binaries", "binary", "bin"):
-            section = "binaries"
-            continue
-        if word == "end":
-            break
-        if section == "objective":
-            obj_tokens.append(line.strip())
-        elif section == "constraints":
-            if ":" in line:
-                con_lines.append(line.strip())
-            else:
-                con_lines[-1] += " " + line.strip()
-        elif section == "bounds":
-            bounds.append(line.strip())
-        elif section == "binaries":
-            binaries.extend(line.split())
-
-    var_order: list[Var] = []
-    index: dict[str, int] = {}
-    for name in binaries:
-        index[name] = len(var_order)
-        var_order.append(Var(name, BINARY, 0.0, 1.0))
-    for b in bounds:
-        toks = b.split()
-        if len(toks) != 5 or toks[1] != "<=" or toks[3] != "<=":
-            raise ValueError(f"unsupported bounds line: {b!r}")
-        name = toks[2]
-        index[name] = len(var_order)
-        var_order.append(Var(name, CONTINUOUS, float(toks[0]), float(toks[4])))
-
-    def resolve(named_terms):
-        out = []
-        for coef, name in named_terms:
-            if name not in index:
-                raise ValueError(f"undeclared variable {name!r}")
-            out.append((coef, index[name]))
-        return tuple(out)
-
-    obj_text = " ".join(obj_tokens)
-    if ":" in obj_text:
-        obj_text = obj_text.split(":", 1)[1]
-    oterms, oconst = _parse_expr(obj_text.split())
-    if obj_sense == "min" and not oterms and not oconst:
-        obj_sense = "none"  # how emit_lp writes a model with no objective
-    objective = Objective(obj_sense, resolve(oterms), oconst)
-
-    cons = []
-    for line in con_lines:
-        name, body = line.split(":", 1)
-        toks = body.split()  # <expr> <sense> <number>
-        if len(toks) < 2 or toks[-2] not in (LE, EQ, GE):
-            raise ValueError(f"constraint without sense: {line!r}")
-        *expr, sense, rhs = toks
-        terms, const = _parse_expr(expr)
-        cons.append(LinCon(name.strip(), resolve(terms), sense, float(rhs) - const))
-    return IlpModel(tuple(var_order), tuple(cons), objective)
+    """Parse the LP text :func:`emit_lp` writes back into a model: exactly
+    README's "LP output grammar", else ValueError naming the 1-based line."""
+    lines = text.splitlines() or [""]
+    at, want, n = {}, ("Minimize", "Maximize"), 0
+    try:
+        for n, line in enumerate(lines):  # the headers, in their order
+            if not n or not line.startswith(" "):
+                if line not in want:
+                    raise ValueError(f"expected {' or '.join(want) or 'nothing'}, "
+                                     f"got {line!r}")
+                at[line], want = n, _NEXT[line]
+        if line != "End":
+            raise ValueError(f"expected End, got {line!r}")
+        # The declarations come last: read them first, so rows resolve names.
+        binaries = at.get("Binaries", n)  # n is End, the last line
+        bounds = at.get("Bounds", binaries)
+        variables = [Var(name, BINARY, 0.0, 1.0)
+                     for name in " ".join(lines[binaries + 1:-1]).split()]
+        for n in range(bounds + 1, binaries):
+            toks = lines[n].split()
+            if len(toks) != 5 or toks[1] != LE or toks[3] != LE:
+                raise ValueError(f"unsupported bounds line: {lines[n]!r}")
+            variables.append(Var(toks[2], CONTINUOUS, float(toks[0]), float(toks[4])))
+        index = {v.name: vi for vi, v in enumerate(variables)}
+        n, sub = 1, at["Subject To"]
+        if not lines[1].startswith(" obj: "):
+            raise ValueError(f"expected ' obj: <expr>', got {lines[1]!r}")
+        terms, const = _parse_expr(" ".join(lines[1:sub]).split()[1:], index)
+        sense = "max" if lines[0] == "Maximize" else "min" if terms or const else "none"
+        objective = Objective(sense, terms, const)
+        cons, n = [], sub + 1
+        while n < bounds:  # a row is a line and its three-space continuations
+            end = n + 1
+            while lines[end].startswith("   "):
+                end += 1
+            name, *toks = " ".join(lines[n:end]).split() or [""]
+            if not name.endswith(":"):
+                raise ValueError(f"constraint without 'name:': {lines[n]!r}")
+            if len(toks) < 2 or toks[-2] not in (LE, EQ, GE):
+                raise ValueError(f"constraint without sense: {lines[n]!r}")
+            terms, const = _parse_expr(toks[:-2], index)
+            cons.append(LinCon(name[:-1], terms, toks[-2], float(toks[-1]) - const))
+            n = end
+    except ValueError as exc:
+        raise ValueError(f"line {n + 1}: {exc}") from None
+    return IlpModel(tuple(variables), tuple(cons), objective)
 
 
 # -- assignment evaluation ----------------------------------------------------

@@ -261,6 +261,18 @@ def test_convert_reads_a_commented_corner_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_convert_to_corners_names_to_wang_for_a_corner_file(tmp_path, capsys):
+    corners = tmp_path / "c.corners"
+    corners.write_text("corners 2\n0 1 1 0\n")
+    out = tmp_path / "x.tiles"
+    for to in ("corners-h", "corners-v"):
+        code, _, err = run(capsys, "convert", "--input", str(corners), "--to",
+                           to, "-o", str(out))
+        assert code == 3
+        assert err == "error: the input is a corner set; use --to wang\n"
+        assert not out.exists()
+
+
 def test_header_without_a_count_is_usage_error(tmp_path, capsys):
     tiles = tmp_path / "h.tiles"
     tiles.write_text("colors\n0 0 0 0\n")

@@ -257,8 +257,9 @@ def test_emit_parse_round_trip_decision():
 
 @pytest.mark.parametrize("formulation", FORMULATIONS)
 def test_emit_parse_round_trip_all_formulations(formulation):
-    for h, w in [(2, 3), (1, 1)]:
-        m = build_model(spec(builtin_set("finite1"), h, w, formulation))
+    specs = [s for s in pinned_specs().values() if s.formulation == formulation]
+    for s in specs:
+        m = build_model(s)
         m2 = parse_lp(emit_lp(m))
         assert signature(m) == signature(m2)
         assert m2.objective == m.objective
@@ -266,12 +267,29 @@ def test_emit_parse_round_trip_all_formulations(formulation):
         assert emit_lp(m2) == emit_lp(m)
 
 
+# Each malformed text, and the line its error names.
+MALFORMED = [
+    ("Minimize\n obj: 0\nSubject To\n c1: x_1_1_0 = 1\nEnd\n",
+     "line 4: undeclared variable 'x_1_1_0'"),
+    ("Minimize\n obj: 0\nSubject To\n c1: x_1_1_0 + x_1_1_1\n"
+     "Binaries\n x_1_1_0 x_1_1_1\nEnd\n", "line 4: constraint without sense"),
+    ("Minimize\n obj: 0\nSubject To\n x_1_1_0 = 1\nBinaries\n x_1_1_0\nEnd\n",
+     "line 4: constraint without 'name:'"),
+    ("Maximize\n obj: hv_1_1\nSubject To\nBounds\n 0 <= hv_1_1\nEnd\n",
+     "line 5: unsupported bounds line"),
+    ("Minimize\n obj: 0\nSubject To\n c1: x_1_1_0 + 5 + x_1_1_1 = 1\n"
+     "Binaries\n x_1_1_0 x_1_1_1\nEnd\n", "line 4: '.' after a number"),
+    ("", "line 1: expected Minimize or Maximize"),
+    ("\\ a comment\nMinimize\n obj: 0\nSubject To\nEnd\n",
+     "line 1: expected Minimize or Maximize"),
+    ("minimize\n obj: 0\nSubject To\nEnd\n", "line 1: expected Minimize"),
+]
+
+
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_lp("Minimize\n obj: 0\nSubject To\n c1: x_1_1_0 = 1\nEnd\n")
-    with pytest.raises(ValueError, match="constraint without sense"):
-        parse_lp("Minimize\n obj: 0\nSubject To\n c1: x_1_1_0 + x_1_1_1\n"
-                 "Binaries\n x_1_1_0 x_1_1_1\nEnd\n")
+    for text, message in MALFORMED:
+        with pytest.raises(ValueError, match=message):
+            parse_lp(text)
 
 
 # -- evaluation ---------------------------------------------------------------------
