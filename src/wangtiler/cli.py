@@ -103,7 +103,9 @@ def cmd_solve(args) -> int:
     style = _svg_style(ts, args)
     bcs = [parse_extension(e) for e in args.ext]
     res = solve_decision(ts, args.height, args.width, bcs, cap=args.cap)
-    print(f"status: {res.status} (states {res.stats.get('states', 0)})")
+    where = "".join(f", cap crossed in {k} {v}" for k, v in res.stats.items()
+                    if k in ("row", "column"))
+    print(f"status: {res.status} (states {res.stats.get('states', 0)}{where})")
     if res.witness is not None:
         report = validate_tiling(ts, res.witness)
         if not report.is_valid:

@@ -2,13 +2,18 @@
 
 All solvers here give provable answers or an honest CAPPED status; none of
 them guesses.  The decision solver, the torus counter and the max-cover
-oracle share one iterative frontier sweep, the transfer-matrix method applied
-cell by cell: the only information a partial tiling exposes to its unfilled
-remainder is the coloring of its boundary, so partial tilings with equal
-boundaries merge into one state.  Per-cell conditions reach the sweep as one
-(cell, tile) mask built from ``extensions.cell_rule``, and ``PeriodicFixed``
-turns it into a sweep of the torus.  Packing is a backtracking search, because
-its use-every-tile-once rule has no small frontier.
+oracle sweep a frontier, the transfer-matrix method applied cell by cell:
+the only information a partial tiling exposes to its unfilled remainder is
+the coloring of its boundary, so partial tilings with equal boundaries merge
+into one state.  A rectangle (decision, max-cover oracle) is swept in numpy,
+each state one int64 in mixed radix colors + 1: about 16 bytes per stored
+state with its parent link, against about 230 for a tuple key with a list
+value.  Keys of 62 bits or more run the same code on Python ints.  The torus
+(``count_torus``, ``smallest_torus``, ``PeriodicFixed``) stays on tuple keys
+in a dict, which is faster on the one-to-six-cell shapes ``smallest_torus``
+tries.  Per-cell conditions reach both sweeps as one (cell, tile) mask built
+from ``extensions.cell_rule``.  Packing is a backtracking search, because its
+use-every-tile-once rule has no small frontier.
 """
 
 from __future__ import annotations
@@ -55,33 +60,126 @@ class TorusResult:
     dim_counts: tuple[tuple[tuple[int, int], int], ...]
 
 
-_NONE = -2  # exposure of a VOID cell, or of an edge that is never read
+#: Rectangle keys below this bound are int64; R**(width+1) at or past it
+#: runs the same sweep on Python ints (``dtype=object``).
+_KEY_LIMIT = 1 << 62
 
 
-def _sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
-           void: bool, torus: bool, links: int, cap: int):
-    """Fill the grid cell by cell, row-major, merging equal frontiers.
+def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
+                cap: int, void: bool):
+    """Fill the rectangle cell by cell, row-major, merging equal frontiers.
+
+    A state is one integer in mixed radix R = colors + 1, whose digit R - 1
+    stands for an edge nothing will read again, or the edge of a VOID cell.
+    Its leading digit is the pending east color, then come the exposed
+    south colors, one per column, rotated so that the current cell's column
+    comes first: the (west, north) request is ``state // R**(w-1)``, and
+    placing a tile gives ``east * R**w + (state % R**(w-1)) * R + south``.
+    The last layer holds at most one state.
+
+    Each cell expands every state at once through a table of the tiles that
+    fit each request (ascending ids, then VOID with ``void``), keeps tile k
+    only where ``mask[i, j, k]`` (every tile without a mask), and merges
+    equal keys.  A key keeps its first child, with ``void`` the first of
+    those with the most tiles placed, and the states stay in the order of
+    their first child, so the witness is the one a dict keyed by the states
+    would give.  A layer stores one int32 parent and one int32 tile per
+    state, about 16 bytes with the state itself.  Keys of 62 bits or more
+    are Python ints in object arrays, through the same code.
+
+    Returns (most placed or None if no state survives, [witness cells],
+    stored states, index of the last cell swept); it stops at the first
+    cell whose layer takes the stored count past ``cap``.
+    """
+    radix = ts.num_colors + 1
+    none = radix - 1
+    head, tail = radix ** width, radix ** (width - 1)
+    dtype = object if radix * head >= _KEY_LIMIT else np.int64
+    west, north = np.divmod(np.arange(radix * radix), radix)
+    fits = (((west[:, None] == none) | (west[:, None] == ts.wests))
+            & ((north[:, None] == none) | (north[:, None] == ts.norths)))
+    # column len(ts) of the table is VOID, which fits every request
+    fits = np.column_stack((fits, np.full(len(fits), void)))
+    request, fit_cols = np.nonzero(fits)
+    counts = np.bincount(request, minlength=len(fits))
+    starts = np.cumsum(counts) - counts
+    tile_of = np.arange(len(ts) + 1, dtype=np.int32)
+    tile_of[-1] = VOID
+    gain = (tile_of != VOID).astype(np.int32)
+    easts, souths = np.append(ts.easts, none), np.append(ts.souths, none)
+    states = np.array([radix * head - 1], dtype=dtype)
+    placed = np.zeros(1, dtype=np.int32)
+    layers: list[tuple[np.ndarray, np.ndarray]] = []
+    stored = 0
+    for p in range(height * width):
+        i, j = divmod(p, width)
+        east = easts if j < width - 1 else np.full_like(easts, none)
+        south = souths if i < height - 1 else np.full_like(souths, none)
+        part = east.astype(dtype) * head + south.astype(dtype)
+        req = (states // tail).astype(np.intp)
+        num = counts[req]
+        parent = np.repeat(np.arange(len(states)), num)
+        col = fit_cols[np.repeat(starts[req] - (np.cumsum(num) - num), num)
+                       + np.arange(len(parent))]
+        if mask is not None:
+            keep = np.append(mask[i, j], True)[col]
+            parent, col = parent[keep], col[keep]
+        if not len(col):
+            return None, [], stored, p
+        keys = (states % tail * radix)[parent] + part[col]
+        got = placed[parent] + gain[col]
+        if void:
+            order = np.argsort(-got, kind="stable")
+            order = order[np.argsort(keys[order], kind="stable")]
+        else:
+            order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        group = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        kept = order[group]
+        out = kept[np.argsort(np.minimum.reduceat(order, group))]
+        stored += len(out)
+        if stored > cap:
+            return None, [], stored, p
+        states, placed = keys[out], got[out]
+        layers.append((parent[out].astype(np.int32), tile_of[col[out]]))
+    cells = np.empty(height * width, dtype=np.int32)
+    idx = 0
+    for p in range(height * width - 1, -1, -1):
+        parents, tiles = layers[p]
+        cells[p], idx = tiles[idx], parents[idx]
+    return int(placed[0]), [cells.reshape(height, width)], stored, height * width - 1
+
+
+_NONE = -2  # an edge that is never read again
+
+
+def _torus_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
+                 cap: int, links: int):
+    """Fill the torus cell by cell, row-major, merging equal frontiers.
 
     A state is a flat tuple: a head, then one record per column, rotated so
     that the current cell's column comes first.  The head holds the pending
-    east color and the records the exposed south colors.  On a torus the
-    head also holds the row's first west color and each record the first
-    row's north color, which the row's last east color and the last row's
-    south colors must match.  Edges nothing will read again are stored as
-    _NONE, so the last layer holds at most one state.  Each state's value is
-    a list: the most tiles placed, the number of ways to place that many,
-    then up to ``links`` (parent index, tile) pairs.  Cell (i, j) may hold
-    tile k only where ``mask[i, j, k]`` (any tile without a mask); with
-    ``void`` it may stay empty.
+    east color and the row's first west color, and each record the exposed
+    south color and the first row's north color of its column, which the
+    row's last east color and the last row's south colors must match.
+    Edges nothing will read again are stored as _NONE, so the last layer
+    holds at most one state.  Each state's value is a list: the number of
+    ways to reach it, then up to ``links`` (parent index, tile) pairs.
+    Cell (i, j) may hold tile k only where ``mask[i, j, k]`` (any tile
+    without a mask).
 
-    Returns (most placed or None if no state survives, ways, link layers,
-    stored states); raises BudgetExceededError past ``cap`` stored states.
+    The torus stays on tuple keys in a dict, unlike the rectangle sweep:
+    ``smallest_torus`` sweeps many shapes of one to six cells, where the
+    fixed cost of a numpy layer outweighs what it saves.
+
+    Returns (height * width, or None if no state survives, ways, up to
+    ``links`` witness cells, stored states, index of the last cell swept);
+    it stops at the first state stored past ``cap``.
     """
     norths, wests, souths, easts = ts.norths, ts.wests, ts.souths, ts.easts
     all_ids = list(range(len(ts)))
     cell_masks = None if mask is None else mask.reshape(height * width, -1).tolist()
-    size = 2 if torus else 1
-    frontier = {(_NONE,) * (size * (width + 1)): [0, 1]}
+    frontier = {(_NONE,) * (2 * width + 2): [1]}
     layers: list[list[list[int]]] = []
     stored = 0
     for p in range(height * width):
@@ -91,60 +189,48 @@ def _sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
                    else list(compress(all_ids, cell_masks[p])))
 
         def pool_for(req: tuple) -> list[tuple]:
-            """(tile, gain, head, record) for each tile fitting ``req``."""
-            west, north = req[0], req[size]
+            """(tile, head, record) for each tile fitting ``req``."""
             pool = []
             for k in allowed:
-                if ((west != _NONE and wests[k] != west)
-                        or (north != _NONE and norths[k] != north)):
-                    continue
-                east = _NONE if last_col else easts[k]
-                south = _NONE if last_row else souths[k]
-                if not torus:
-                    pool.append((k, 1, (east,), (south,)))
+                if ((req[0] != _NONE and wests[k] != req[0])
+                        or (req[2] != _NONE and norths[k] != req[2])):
                     continue
                 first_w = wests[k] if j == 0 else req[1]
                 first_n = norths[k] if i == 0 else req[3]
                 if ((last_col and easts[k] != first_w)
                         or (last_row and souths[k] != first_n)):
                     continue
-                pool.append((k, 1, (east, _NONE if last_col else first_w),
-                             (south, _NONE if last_row else first_n)))
-            if void:
-                pool.append((VOID, 0, (_NONE,), (_NONE,)))
+                pool.append((k, (_NONE, _NONE) if last_col else (easts[k], first_w),
+                             (_NONE, _NONE) if last_row else (souths[k], first_n)))
             return pool
 
         pools: dict[tuple, list[tuple]] = {}
         level: dict[tuple, list[int]] = {}
         for idx, (state, value) in enumerate(frontier.items()):
-            req = state[:2 * size]
+            req = state[:4]
             pool = pools.get(req)
             if pool is None:
                 pool = pools[req] = pool_for(req)
-            rest = state[2 * size:]
-            placed, ways = value[0], value[1]
-            for k, gain, head, record in pool:
+            rest, ways = state[4:], value[0]
+            for k, head, record in pool:
                 key = head + rest + record
-                got = placed + gain
                 old = level.get(key)
                 if old is None:
                     stored += 1
                     if stored > cap:
-                        raise BudgetExceededError(
-                            f"frontier sweep exceeded {cap} stored states")
-                    level[key] = [got, ways, idx, k]
-                elif got > old[0]:
-                    level[key] = [got, ways, idx, k]
-                elif got == old[0]:
-                    old[1] += ways
-                    if len(old) < 2 + 2 * links:
+                        return None, 0, [], stored, p
+                    level[key] = [ways, idx, k]
+                else:
+                    old[0] += ways
+                    if len(old) < 1 + 2 * links:
                         old += (idx, k)
         if not level:
-            return None, 0, layers, stored
+            return None, 0, [], stored, p
         layers.append(list(level.values()))
         frontier = level
-    (best, ways, *_), = frontier.values()
-    return best, ways, layers, stored
+    (ways, *_), = frontier.values()
+    return (height * width, ways, _read_back(layers, height, width, links),
+            stored, height * width - 1)
 
 
 def _read_back(layers, height: int, width: int, limit: int) -> list[np.ndarray]:
@@ -171,8 +257,14 @@ def _frontier(ts: TileSet, height: int, width: int, cap: int,
     """Sweep the instance in its narrower orientation.
 
     ``exts`` holds per-cell conditions, which mask the tiles a cell may
-    hold, and ``PeriodicFixed``, which sweeps the torus.
-    Returns (most placed or None, ways, up to ``limit`` witnesses, stored).
+    hold, and ``PeriodicFixed``, which sweeps the torus (``limit``
+    witnesses, counting the ways); otherwise the rectangle is swept (one
+    witness, cells may stay VOID with ``void``).
+    Returns (most placed or None, ways on a torus, witnesses, stats).
+    ``stats["states"]`` is the stored count; past ``cap`` the sweep stops,
+    most placed is None and stats also names the 1-based "row" where the
+    cap was crossed, or the "column" when a grid wider than tall was swept
+    transposed.
     """
     if height < 1 or width < 1:
         raise ConfigurationError("grid dimensions must be positive")
@@ -201,10 +293,25 @@ def _frontier(ts: TileSet, height: int, width: int, cap: int,
         # and the reflected set keeps the tile ids).
         ts, height, width = ts.reflected(), width, height
         mask = None if mask is None else mask.transpose(1, 0, 2)
-    best, ways, layers, stored = _sweep(ts, height, width, mask, void, torus,
-                                        limit, cap)
-    found = _read_back(layers, height, width, limit) if best is not None else []
-    return best, ways, [Tiling(c.T if transpose else c) for c in found], stored
+    if torus:
+        best, ways, found, stored, last = _torus_sweep(ts, height, width, mask,
+                                                       cap, limit)
+    else:
+        ways = None
+        best, found, stored, last = _grid_sweep(ts, height, width, mask, cap, void)
+    stats = {"states": stored}
+    if stored > cap:
+        stats["column" if transpose else "row"] = last // width + 1
+    return best, ways, [Tiling(c.T if transpose else c) for c in found], stats
+
+
+def _check_budget(cap: int, stats: dict) -> None:
+    """Raise BudgetExceededError, saying where, if a sweep went past ``cap``."""
+    if stats["states"] > cap:
+        where = " ".join(f"{k} {v}" for k, v in stats.items() if k != "states")
+        raise BudgetExceededError(
+            f"frontier sweep stored {stats['states']} states, past its budget "
+            f"of {cap}, in {where}")
 
 
 def solve_decision(ts: TileSet, height: int, width: int, bcs: Iterable = (),
@@ -215,7 +322,10 @@ def solve_decision(ts: TileSet, height: int, width: int, bcs: Iterable = (),
     the exposed south colors across the width plus the pending east color.
     Equal frontiers are merged, with parent links kept for witness
     reconstruction.  INFEASIBLE is a proof; CAPPED means the stored-state
-    budget ran out before an answer.
+    budget ran out before an answer.  ``stats["states"]`` counts the stored
+    states; a CAPPED result counts them up to the cell where the cap was
+    crossed and names its 1-based "row" (or "column", for a grid wider than
+    tall, which is swept transposed).
 
     ``bcs`` may hold the per-cell conditions (``ForceTile``, ``ForbidTile``,
     ``ForceEdgeColor``, ``ForbidEdgeColor``) and ``PeriodicFixed``, which
@@ -224,13 +334,11 @@ def solve_decision(ts: TileSet, height: int, width: int, bcs: Iterable = (),
     """
     if cap <= 0:
         raise ConfigurationError("state cap must be positive")
-    try:
-        best, _, witnesses, stored = _frontier(ts, height, width, cap, bcs)
-    except BudgetExceededError:
-        return SolveResult(CAPPED, stats={"states": cap + 1})
+    best, _, witnesses, stats = _frontier(ts, height, width, cap, bcs)
     if best is None:
-        return SolveResult(INFEASIBLE, stats={"states": stored})
-    return SolveResult(VALID, witnesses[0], stats={"states": stored})
+        return SolveResult(CAPPED if stats["states"] > cap else INFEASIBLE,
+                           stats=stats)
+    return SolveResult(VALID, witnesses[0], stats=stats)
 
 
 def count_torus(ts: TileSet, height: int, width: int,
@@ -239,8 +347,9 @@ def count_torus(ts: TileSet, height: int, width: int,
 
     Raises BudgetExceededError past ``DEFAULT_STATE_CAP`` stored states.
     """
-    _, ways, witnesses, _ = _frontier(ts, height, width, DEFAULT_STATE_CAP,
-                                      [PeriodicFixed()], limit=witness_cap)
+    _, ways, witnesses, stats = _frontier(ts, height, width, DEFAULT_STATE_CAP,
+                                          [PeriodicFixed()], limit=witness_cap)
+    _check_budget(DEFAULT_STATE_CAP, stats)
     return ways, witnesses
 
 
@@ -371,9 +480,11 @@ def max_cover_oracle(ts: TileSet, height: int, width: int,
     Equal frontiers (the exposed colors of the last ``width`` cells) are
     merged, each keeping the most tiles placed so far, which keeps the search
     exhaustive while storing each distinct frontier once.  Raises
-    BudgetExceededError if the sweep would store more than ``budget_states``
-    frontiers rather than returning a guess.
+    BudgetExceededError, naming the stored count and the row where it
+    crossed the budget, if the sweep stores more than ``budget_states``
+    frontiers, rather than returning a guess.
     """
-    best, _, witnesses, _ = _frontier(ts, height, width, budget_states,
-                                      void=True)
+    best, _, witnesses, stats = _frontier(ts, height, width, budget_states,
+                                          void=True)
+    _check_budget(budget_states, stats)
     return best, witnesses[0]

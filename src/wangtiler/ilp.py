@@ -365,19 +365,23 @@ _NEXT = {"Minimize": ("Subject To",), "Maximize": ("Subject To",),
 
 def _parse_expr(tokens: list[str], index: dict[str, int]):
     """An <expr> -> (terms as (coef, variable index), constant)."""
-    terms, sign, coef = [], 1.0, None
+    terms, sign, coef, pending = [], 1.0, None, ""  # pending: a sign without its term
     for tok in tokens:
         if coef is not None and tok[0] in "+-0123456789.":
             raise ValueError(f"{tok!r} after a number; a constant ends the <expr>")
         if tok == "+" or tok == "-":
-            sign = 1.0 if tok == "+" else -1.0
+            if pending:  # two signs in a row: the first has no term
+                break
+            sign, pending = 1.0 if tok == "+" else -1.0, tok
         elif tok[0] in "0123456789.":
-            coef = float(tok)
+            coef, pending = float(tok), ""
         elif tok in index:
             terms.append((sign if coef is None else sign * coef, index[tok]))
-            coef = None
+            coef, pending = None, ""
         else:
             raise ValueError(f"undeclared variable {tok!r}")
+    if pending:
+        raise ValueError(f"{pending!r} without a term after it")
     return tuple(terms), 0.0 if coef is None else sign * coef
 
 

@@ -54,7 +54,7 @@ def test_solve_exit_codes_and_output(tmp_path, capsys):
 
     code, text, _ = run(capsys, "solve", "--tileset", "finite1",
                         "--h", "6", "--w", "6", "--cap", "10")
-    assert code == 2 and "CAPPED" in text
+    assert code == 2 and "status: CAPPED (states 18, cap crossed in row 1)" in text
 
 
 def test_solve_with_extensions(capsys):

@@ -3,8 +3,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wangtiler as wt
+import wangtiler.exact as exact
 from wangtiler import (CAPPED, INFEASIBLE, VALID, BudgetExceededError,
                        ConfigurationError, ForceTile, PeriodicFixed, Tile,
                        TileSet, Tiling, VOID, builtin_set,
@@ -71,8 +73,23 @@ def test_decision_rejects_bad_cell_conditions(h, w, bc, fragment):
 
 
 def test_decision_cap_returns_capped():
+    # The stats give the states stored by the end of the cell whose layer
+    # crossed the cap, and where that was; a grid wider than tall is swept
+    # transposed, so there the cap is crossed in a column.
     res = solve_decision(builtin_set("finite1"), 6, 6, cap=10)
-    assert res.status == CAPPED
+    assert res.status == CAPPED and res.stats == {"states": 18, "row": 1}
+    res = solve_decision(builtin_set("ammann16"), 9, 9, cap=20_000)
+    assert res.status == CAPPED and res.stats == {"states": 28_504, "row": 1}
+    res = solve_decision(builtin_set("finite1"), 3, 9, cap=10)
+    assert res.status == CAPPED and res.stats == {"states": 21, "column": 1}
+    res = solve_decision(builtin_set("finite1"), 8, 5, cap=1988)
+    assert res.status == INFEASIBLE and res.stats == {"states": 1988}
+    res = solve_decision(builtin_set("finite1"), 8, 5, cap=1987)
+    assert res.status == CAPPED and res.stats["row"] == 8
+    # The torus sweep stops at the first state past the cap.
+    c2 = complete_stochastic_set(2)
+    res = solve_decision(c2, 2, 3, [PeriodicFixed()], cap=100)
+    assert res.status == CAPPED and res.stats == {"states": 101, "column": 2}
 
 
 def test_decision_finite1_regression():
@@ -113,6 +130,54 @@ def test_decision_monotonicity_spot():
         assert solve_decision(ts, *base).status == INFEASIBLE
         for (h, w) in [(base[0] + 1, base[1]), (base[0] + 2, base[1] + 2)]:
             assert solve_decision(ts, h, w).status == INFEASIBLE
+
+
+@pytest.mark.parametrize("name, h, w", [("fig3", 5, 7), ("finite1", 8, 5),
+                                        ("finite1", 6, 6), ("ammann16", 6, 6)])
+def test_object_keys_match_int64_keys(monkeypatch, name, h, w):
+    # Keys of 62 bits or more run the rectangle sweep on Python ints; a key
+    # limit of 0 sends every instance down that path.
+    ts = builtin_set(name)
+    conds = [wt.ForbidTile(2, 2, 0), wt.ForceEdgeColor(1, 1, "w", ts.wests[1])]
+
+    def answers():
+        runs = [solve_decision(ts, h, w), solve_decision(ts, h, w, conds)]
+        best, witness = max_cover_oracle(ts, min(h, 4), min(w, 4))
+        return ([(r.status, r.stats,
+                  None if r.witness is None else r.witness.cells.tolist())
+                 for r in runs] + [(best, witness.cells.tolist())])
+
+    expected = answers()
+    monkeypatch.setattr(exact, "_KEY_LIMIT", 0)
+    assert answers() == expected
+
+
+def test_decision_finite2_wide_keys():
+    # 16 colors on a 15-wide frontier: the keys need 66 bits.
+    ts = builtin_set("finite2")
+    assert (ts.num_colors + 1) ** 16 >= 1 << 65
+    res = solve_decision(ts, 15, 15)
+    assert res.status == INFEASIBLE and res.stats == {"states": 922_769}
+
+
+@st.composite
+def small_sets(draw):
+    nc = draw(st.integers(1, 3))
+    quads = draw(st.lists(st.tuples(*[st.integers(0, nc - 1)] * 4),
+                          min_size=1, max_size=5, unique=True))
+    return TileSet([Tile(*q) for q in quads], num_colors=nc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_sets(), st.integers(1, 2), st.integers(1, 3))
+def test_rectangle_sweep_agrees_with_enumeration(ts, h, w):
+    res = solve_decision(ts, h, w)
+    assert (res.status == VALID) == naive_full_tiling_exists(ts, h, w)
+    if res.status == VALID:
+        assert validate_tiling(ts, res.witness).is_valid
+    best, witness = max_cover_oracle(ts, h, w)
+    assert best == naive_max_cover(ts, h, w) == witness.placed
+    assert validate_tiling(ts, witness).is_valid
 
 
 def test_decision_boundary_conditions_respected():
@@ -301,14 +366,18 @@ def test_oracle_matches_naive_enumeration():
 
 
 def test_oracle_budget_error():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError,
+                       match=r"stored \d+ states, past its budget of 50, in row 1$"):
         max_cover_oracle(complete_stochastic_set(3), 4, 4, budget_states=50)
+    with pytest.raises(BudgetExceededError, match=r"in column 2$"):
+        max_cover_oracle(builtin_set("finite1"), 3, 8, budget_states=200)
 
 
 def test_oracle_wide_grid_raises_budget_error():
     # Isolated tiles on a 40-wide grid have a frontier exponential in the
     # width; the sweep must stop at its budget, not overflow the stack.  A
-    # small budget keeps the test light: the states hold 41-entry tuples.
+    # small budget keeps the test light: each state is a 41-digit base-3
+    # key, past 64 bits, so the sweep holds it as a Python int.
     one = TileSet([Tile(0, 0, 1, 1)], num_colors=2)
     with pytest.raises(BudgetExceededError):
         max_cover_oracle(one, 40, 40, budget_states=100_000)

@@ -279,6 +279,14 @@ MALFORMED = [
      "line 5: unsupported bounds line"),
     ("Minimize\n obj: 0\nSubject To\n c1: x_1_1_0 + 5 + x_1_1_1 = 1\n"
      "Binaries\n x_1_1_0 x_1_1_1\nEnd\n", "line 4: '.' after a number"),
+    ("Minimize\n obj: 0\nSubject To\n c1: x + = 1\nBinaries\n x y\nEnd\n",
+     "line 4: '\\+' without a term after it"),
+    ("Minimize\n obj: 0\nSubject To\n c1: x + - y = 1\nBinaries\n x y\nEnd\n",
+     "line 4: '\\+' without a term after it"),
+    ("Minimize\n obj: 0\nSubject To\n c1: - = 1\nBinaries\n x y\nEnd\n",
+     "line 4: '-' without a term after it"),
+    ("Maximize\n obj: x -\nSubject To\nBinaries\n x\nEnd\n",
+     "line 2: '-' without a term after it"),
     ("", "line 1: expected Minimize or Maximize"),
     ("\\ a comment\nMinimize\n obj: 0\nSubject To\nEnd\n",
      "line 1: expected Minimize or Maximize"),
