@@ -2,9 +2,9 @@
 
 Exit codes: 0 solved/completed, 1 INFEASIBLE (or nothing found, or a witness
 that fails its check), 2 CAPPED, deadline hit or state budget exceeded, 3
-usage error.  The default seed is 0, overridable with the WANGTILER_SEED
-environment variable or --seed; the effective seed is printed so every run
-can be reproduced.
+usage error.  The default seed of ``cover`` and ``bench`` is 0, overridable
+with the WANGTILER_SEED environment variable or --seed; the effective seed
+is printed so every run can be reproduced.
 """
 
 from __future__ import annotations
@@ -43,7 +43,11 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def default_seed() -> int:
+def seed_base(args) -> int:
+    """``--seed``, else the WANGTILER_SEED environment variable, else 0;
+    read only by the commands that take a seed."""
+    if args.seed is not None:
+        return args.seed
     text = os.environ.get("WANGTILER_SEED", "0")
     try:
         return int(text)
@@ -121,8 +125,8 @@ def cmd_cover(args) -> int:
     style = _svg_style(ts, args)
     h, w = args.height, args.width
     config = BenchConfig(sets=(), sizes=(), improve=args.improve,
-                         seeds=args.seeds, seed_base=args.seed)
-    print(f"seed base: {args.seed}")
+                         seeds=args.seeds, seed_base=seed_base(args))
+    print(f"seed base: {config.seed_base}")
     row = bench_row(ts, args.tileset, h, w, args.alg, config)
     if args.report == "json":
         payload = {
@@ -262,8 +266,8 @@ def cmd_bench(args) -> int:
                          algs=tuple(args.algs.split(",")),
                          improve=not args.no_improve,
                          seeds=args.seeds,
-                         seed_base=args.seed)
-    print(f"seed base: {args.seed}")
+                         seed_base=seed_base(args))
+    print(f"seed base: {config.seed_base}")
     report = run_benchmark(config)
     sys.stdout.write(report.to_json() if args.report == "json" else report.to_text())
     return EXIT_OK
@@ -301,7 +305,7 @@ def build_parser() -> _Parser:
     p.add_argument("--improve", action="store_true",
                    help="run the alternating row/column improvement loop")
     p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--seed", type=int, default=default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--report", choices=["table", "json"], default="table")
     p.set_defaults(func=cmd_cover)
 
@@ -360,7 +364,7 @@ def build_parser() -> _Parser:
     p.add_argument("--algs", default="1", help="comma-separated among 1,2,3")
     p.add_argument("--no-improve", action="store_true")
     p.add_argument("--seeds", type=int, default=100)
-    p.add_argument("--seed", type=int, default=default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--report", choices=["table", "json"], default="table")
     p.set_defaults(func=cmd_bench)
 

@@ -5,15 +5,18 @@ them guesses.  The decision solver, the torus counter and the max-cover
 oracle sweep a frontier, the transfer-matrix method applied cell by cell:
 the only information a partial tiling exposes to its unfilled remainder is
 the coloring of its boundary, so partial tilings with equal boundaries merge
-into one state.  A rectangle (decision, max-cover oracle) is swept in numpy,
-each state one int64 in mixed radix colors + 1: about 16 bytes per stored
-state with its parent link, against about 230 for a tuple key with a list
-value.  Keys of 62 bits or more run the same code on Python ints.  The torus
-(``count_torus``, ``smallest_torus``, ``PeriodicFixed``) stays on tuple keys
-in a dict, which is faster on the one-to-six-cell shapes ``smallest_torus``
-tries.  Per-cell conditions reach both sweeps as one (cell, tile) mask built
-from ``extensions.cell_rule``.  Packing is a backtracking search, because its
-use-every-tile-once rule has no small frontier.
+into one state.  Each sweep gives one witness: a state keeps its first
+(parent, tile), stored per layer as ``(parents, tiles)``, and one walk back
+from the last state reads the tiling.  A rectangle (decision, max-cover
+oracle) is swept in numpy, each state one int64 in mixed radix colors + 1:
+about 16 bytes per stored state with its parent link, against about 230 for
+a tuple key with a list value.  Keys of 62 bits or more run the same code on
+Python ints.  The torus (``count_torus``, ``smallest_torus``,
+``PeriodicFixed``) stays on tuple keys in a dict, which is faster on the
+one-to-six-cell shapes ``smallest_torus`` tries; a torus state also counts
+the ways to reach it.  Per-cell conditions reach both sweeps as one (cell,
+tile) mask built from ``extensions.cell_rule``.  Packing is a backtracking
+search, because its use-every-tile-once rule has no small frontier.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ class TorusResult:
 
     ``count`` totals the distinct labeled tilings over all shapes of the
     minimum area; ``dims`` is the first shape (ordered by height) that has
-    at least one solution; ``dim_counts`` breaks the count down per shape.
+    at least one solution; ``dim_counts`` breaks the count down per shape,
+    and ``witnesses`` holds one tiling per shape, in the same order.
     """
 
     min_area: int
@@ -87,7 +91,7 @@ def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
     state, about 16 bytes with the state itself.  Keys of 62 bits or more
     are Python ints in object arrays, through the same code.
 
-    Returns (most placed or None if no state survives, [witness cells],
+    Returns (most placed or None if no state survives, the witness cells,
     stored states, index of the last cell swept); it stops at the first
     cell whose layer takes the stored count past ``cap``.
     """
@@ -125,7 +129,7 @@ def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
             keep = np.append(mask[i, j], True)[col]
             parent, col = parent[keep], col[keep]
         if not len(col):
-            return None, [], stored, p
+            return None, None, stored, p
         keys = (states % tail * radix)[parent] + part[col]
         got = placed[parent] + gain[col]
         if void:
@@ -139,22 +143,29 @@ def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
         out = kept[np.argsort(np.minimum.reduceat(order, group))]
         stored += len(out)
         if stored > cap:
-            return None, [], stored, p
+            return None, None, stored, p
         states, placed = keys[out], got[out]
         layers.append((parent[out].astype(np.int32), tile_of[col[out]]))
+    return int(placed[0]), _walk_back(layers, height, width), stored, height * width - 1
+
+
+def _walk_back(layers, height: int, width: int) -> np.ndarray:
+    """The witness cells: from the last layer's one state, follow each
+    state's first (parent, tile) back to the start.  A layer is a pair of
+    sequences, the parent index and the tile of each state."""
     cells = np.empty(height * width, dtype=np.int32)
     idx = 0
     for p in range(height * width - 1, -1, -1):
         parents, tiles = layers[p]
         cells[p], idx = tiles[idx], parents[idx]
-    return int(placed[0]), [cells.reshape(height, width)], stored, height * width - 1
+    return cells.reshape(height, width)
 
 
 _NONE = -2  # an edge that is never read again
 
 
 def _torus_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
-                 cap: int, links: int):
+                 cap: int):
     """Fill the torus cell by cell, row-major, merging equal frontiers.
 
     A state is a flat tuple: a head, then one record per column, rotated so
@@ -163,24 +174,25 @@ def _torus_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
     south color and the first row's north color of its column, which the
     row's last east color and the last row's south colors must match.
     Edges nothing will read again are stored as _NONE, so the last layer
-    holds at most one state.  Each state's value is a list: the number of
-    ways to reach it, then up to ``links`` (parent index, tile) pairs.
-    Cell (i, j) may hold tile k only where ``mask[i, j, k]`` (any tile
-    without a mask).
+    holds at most one state.  A state keeps the number of ways to reach it
+    and its first (parent index, tile), stored per layer as ``(parents,
+    tiles)`` in the order the states first occur, the layout of the
+    rectangle sweep.  Cell (i, j) may hold tile k only where
+    ``mask[i, j, k]`` (any tile without a mask).
 
     The torus stays on tuple keys in a dict, unlike the rectangle sweep:
     ``smallest_torus`` sweeps many shapes of one to six cells, where the
     fixed cost of a numpy layer outweighs what it saves.
 
-    Returns (height * width, or None if no state survives, ways, up to
-    ``links`` witness cells, stored states, index of the last cell swept);
-    it stops at the first state stored past ``cap``.
+    Returns (height * width, or None if no state survives, ways, the
+    witness cells, stored states, index of the last cell swept); it stops
+    at the first state stored past ``cap``.
     """
     norths, wests, souths, easts = ts.norths, ts.wests, ts.souths, ts.easts
     all_ids = list(range(len(ts)))
     cell_masks = None if mask is None else mask.reshape(height * width, -1).tolist()
-    frontier = {(_NONE,) * (2 * width + 2): [1]}
-    layers: list[list[list[int]]] = []
+    frontier, ways = [(_NONE,) * (2 * width + 2)], [1]
+    layers: list[tuple[list[int], list[int]]] = []
     stored = 0
     for p in range(height * width):
         i, j = divmod(p, width)
@@ -205,62 +217,46 @@ def _torus_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
             return pool
 
         pools: dict[tuple, list[tuple]] = {}
-        level: dict[tuple, list[int]] = {}
-        for idx, (state, value) in enumerate(frontier.items()):
+        level: dict[tuple, int] = {}  # state -> its index in the layer
+        counts: list[int] = []
+        parents: list[int] = []
+        tiles: list[int] = []
+        for idx, (state, n) in enumerate(zip(frontier, ways)):
             req = state[:4]
             pool = pools.get(req)
             if pool is None:
                 pool = pools[req] = pool_for(req)
-            rest, ways = state[4:], value[0]
+            rest = state[4:]
             for k, head, record in pool:
                 key = head + rest + record
-                old = level.get(key)
-                if old is None:
+                at = level.get(key)
+                if at is None:
                     stored += 1
                     if stored > cap:
-                        return None, 0, [], stored, p
-                    level[key] = [ways, idx, k]
+                        return None, 0, None, stored, p
+                    level[key] = len(counts)
+                    counts.append(n)
+                    parents.append(idx)
+                    tiles.append(k)
                 else:
-                    old[0] += ways
-                    if len(old) < 1 + 2 * links:
-                        old += (idx, k)
+                    counts[at] += n
         if not level:
-            return None, 0, [], stored, p
-        layers.append(list(level.values()))
-        frontier = level
-    (ways, *_), = frontier.values()
-    return (height * width, ways, _read_back(layers, height, width, links),
+            return None, 0, None, stored, p
+        layers.append((parents, tiles))
+        frontier, ways = level, counts
+    return (height * width, ways[0], _walk_back(layers, height, width),
             stored, height * width - 1)
 
 
-def _read_back(layers, height: int, width: int, limit: int) -> list[np.ndarray]:
-    """Up to ``limit`` distinct tilings, depth first through the parent links."""
-    found: list[np.ndarray] = []
-    stack = [(len(layers) - 1, 0, ())]
-    while stack and len(found) < limit:
-        p, idx, tail = stack.pop()
-        if p < 0:
-            cells = []
-            while tail:
-                k, tail = tail
-                cells.append(k)
-            found.append(np.array(cells, dtype=np.int32).reshape(height, width))
-            continue
-        value = layers[p][idx]
-        for n in range(len(value) - 2, 0, -2):
-            stack.append((p - 1, value[n], (value[n + 1], tail)))
-    return found
-
-
 def _frontier(ts: TileSet, height: int, width: int, cap: int,
-              exts: Iterable = (), void: bool = False, limit: int = 1):
+              exts: Iterable = (), void: bool = False):
     """Sweep the instance in its narrower orientation.
 
     ``exts`` holds per-cell conditions, which mask the tiles a cell may
-    hold, and ``PeriodicFixed``, which sweeps the torus (``limit``
-    witnesses, counting the ways); otherwise the rectangle is swept (one
-    witness, cells may stay VOID with ``void``).
-    Returns (most placed or None, ways on a torus, witnesses, stats).
+    hold, and ``PeriodicFixed``, which sweeps the torus, counting the ways;
+    otherwise the rectangle is swept (cells may stay VOID with ``void``).
+    Returns (most placed or None, ways on a torus, the witness or None,
+    stats).
     ``stats["states"]`` is the stored count; past ``cap`` the sweep stops,
     most placed is None and stats also names the 1-based "row" where the
     cap was crossed, or the "column" when a grid wider than tall was swept
@@ -294,15 +290,15 @@ def _frontier(ts: TileSet, height: int, width: int, cap: int,
         ts, height, width = ts.reflected(), width, height
         mask = None if mask is None else mask.transpose(1, 0, 2)
     if torus:
-        best, ways, found, stored, last = _torus_sweep(ts, height, width, mask,
-                                                       cap, limit)
+        best, ways, cells, stored, last = _torus_sweep(ts, height, width, mask, cap)
     else:
         ways = None
-        best, found, stored, last = _grid_sweep(ts, height, width, mask, cap, void)
+        best, cells, stored, last = _grid_sweep(ts, height, width, mask, cap, void)
     stats = {"states": stored}
     if stored > cap:
         stats["column" if transpose else "row"] = last // width + 1
-    return best, ways, [Tiling(c.T if transpose else c) for c in found], stats
+    witness = None if cells is None else Tiling(cells.T if transpose else cells)
+    return best, ways, witness, stats
 
 
 def _check_budget(cap: int, stats: dict) -> None:
@@ -334,51 +330,41 @@ def solve_decision(ts: TileSet, height: int, width: int, bcs: Iterable = (),
     """
     if cap <= 0:
         raise ConfigurationError("state cap must be positive")
-    best, _, witnesses, stats = _frontier(ts, height, width, cap, bcs)
+    best, _, witness, stats = _frontier(ts, height, width, cap, bcs)
     if best is None:
         return SolveResult(CAPPED if stats["states"] > cap else INFEASIBLE,
                            stats=stats)
-    return SolveResult(VALID, witnesses[0], stats=stats)
+    return SolveResult(VALID, witness, stats=stats)
 
 
-def count_torus(ts: TileSet, height: int, width: int,
-                witness_cap: int = 100) -> tuple[int, list[Tiling]]:
-    """Count labeled tilings of the (height, width) torus; collect witnesses.
+def count_torus(ts: TileSet, height: int, width: int) -> tuple[int, list[Tiling]]:
+    """Count labeled tilings of the (height, width) torus, with one witness.
 
+    Returns (count, [witness]), or (0, []) when the torus has no tiling.
     Raises BudgetExceededError past ``DEFAULT_STATE_CAP`` stored states.
     """
-    _, ways, witnesses, stats = _frontier(ts, height, width, DEFAULT_STATE_CAP,
-                                          [PeriodicFixed()], limit=witness_cap)
+    _, ways, witness, stats = _frontier(ts, height, width, DEFAULT_STATE_CAP,
+                                        [PeriodicFixed()])
     _check_budget(DEFAULT_STATE_CAP, stats)
-    return ways, witnesses
+    return ways, [] if witness is None else [witness]
 
 
-def smallest_torus(ts: TileSet, max_area: int,
-                   witness_cap: int = 100) -> TorusResult | None:
+def smallest_torus(ts: TileSet, max_area: int) -> TorusResult | None:
     """Search (height, width) shapes by area, then by height, for the
-    smallest periodic rectangle; counts every labeled solution of that area.
+    smallest periodic rectangle; counts every labeled solution of that area
+    and keeps one witness per shape that has one.
     """
     if max_area < 1:
         raise ConfigurationError("max_area must be >= 1")
     for area in range(1, max_area + 1):
-        dim_counts = []
-        witnesses: list[Tiling] = []
-        first_dims = None
-        total = 0
-        for h in range(1, area + 1):
-            if area % h:
-                continue
-            w = area // h
-            count, wit = count_torus(ts, h, w, witness_cap)
-            if count:
-                dim_counts.append(((h, w), count))
-                total += count
-                witnesses.extend(wit[: max(0, witness_cap - len(witnesses))])
-                if first_dims is None:
-                    first_dims = (h, w)
-        if total:
-            return TorusResult(area, first_dims, total, tuple(witnesses),
-                               tuple(dim_counts))
+        solved = [(dims, count, wits[0])
+                  for h in range(1, area + 1) if area % h == 0
+                  for dims in [(h, area // h)]
+                  for count, wits in [count_torus(ts, *dims)] if count]
+        if solved:
+            dims, counts, wits = zip(*solved)
+            return TorusResult(area, dims[0], sum(counts), wits,
+                               tuple(zip(dims, counts)))
     return None
 
 
@@ -484,7 +470,7 @@ def max_cover_oracle(ts: TileSet, height: int, width: int,
     crossed the budget, if the sweep stores more than ``budget_states``
     frontiers, rather than returning a guess.
     """
-    best, _, witnesses, stats = _frontier(ts, height, width, budget_states,
-                                          void=True)
+    best, _, witness, stats = _frontier(ts, height, width, budget_states,
+                                        void=True)
     _check_budget(budget_states, stats)
-    return best, witnesses[0]
+    return best, witness

@@ -112,16 +112,6 @@ def load_tileset(path: str | os.PathLike) -> TileSet:
         return loads_tileset(f.read(), name=name)
 
 
-def save_corner_set(corners, n_vc: int, path: str | os.PathLike) -> None:
-    with open(path, "w") as f:
-        f.write(dumps_corner_set(corners, n_vc))
-
-
-def load_corner_set(path: str | os.PathLike) -> tuple[list[CornerTile], int]:
-    with open(path) as f:
-        return loads_corner_set(f.read())
-
-
 def save_tiling(t: Tiling, path: str | os.PathLike) -> None:
     with open(path, "w") as f:
         f.write(dumps_tiling(t))

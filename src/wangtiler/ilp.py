@@ -365,7 +365,9 @@ _NEXT = {"Minimize": ("Subject To",), "Maximize": ("Subject To",),
 
 def _parse_expr(tokens: list[str], index: dict[str, int]):
     """An <expr> -> (terms as (coef, variable index), constant)."""
-    terms, sign, coef, pending = [], 1.0, None, ""  # pending: a sign without its term
+    # pending: the sign still waiting for its term; None just after a term,
+    # where the next token must be a sign
+    terms, sign, coef, pending = [], 1.0, None, ""
     for tok in tokens:
         if coef is not None and tok[0] in "+-0123456789.":
             raise ValueError(f"{tok!r} after a number; a constant ends the <expr>")
@@ -373,11 +375,13 @@ def _parse_expr(tokens: list[str], index: dict[str, int]):
             if pending:  # two signs in a row: the first has no term
                 break
             sign, pending = 1.0 if tok == "+" else -1.0, tok
+        elif pending is None:
+            raise ValueError(f"{tok!r} without a sign before it")
         elif tok[0] in "0123456789.":
             coef, pending = float(tok), ""
         elif tok in index:
             terms.append((sign if coef is None else sign * coef, index[tok]))
-            coef, pending = None, ""
+            coef, pending = None, None
         else:
             raise ValueError(f"undeclared variable {tok!r}")
     if pending:

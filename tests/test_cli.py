@@ -107,20 +107,32 @@ def test_cover_json_report(capsys):
 
 
 def test_cover_seed_env_override(capsys, monkeypatch):
-    import wangtiler.cli as cli
     monkeypatch.setenv("WANGTILER_SEED", "17")
-    parser = cli.build_parser()
-    args = parser.parse_args(["cover", "--tileset", "fig3", "--h", "2",
-                              "--w", "2"])
-    assert args.seed == 17
+    code, text, _ = run(capsys, "cover", "--tileset", "fig3", "--h", "2",
+                        "--w", "2")
+    assert code == 0 and "seed base: 17" in text and "seed 17:" in text
+    code, text, _ = run(capsys, "cover", "--tileset", "fig3", "--h", "2",
+                        "--w", "2", "--seed", "3")
+    assert code == 0 and "seed base: 3" in text
 
 
 def test_non_integer_seed_env_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("WANGTILER_SEED", "abc")
+    for argv in (["cover", "--tileset", "fig3", "--h", "2", "--w", "2"],
+                 ["bench", "--sets", "fig3", "--sizes", "2x2", "--seeds", "1"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert err.startswith("error:") and "WANGTILER_SEED" in err
+
+
+def test_seedless_commands_ignore_a_bad_seed_env(capsys, monkeypatch):
+    monkeypatch.setenv("WANGTILER_SEED", "abc")
+    code, text, err = run(capsys, "emit", "--tileset", "fig3", "--h", "2",
+                          "--w", "2", "--formulation", "decision", "-o", "-")
+    assert code == 0 and text.startswith("Minimize") and not err
     code, _, err = run(capsys, "solve", "--tileset", "fig3", "--h", "2",
                        "--w", "2")
-    assert code == 3
-    assert err.startswith("error:") and "WANGTILER_SEED" in err
+    assert code == 0 and not err
 
 
 def test_torus_subcommand(tmp_path, capsys):

@@ -222,12 +222,25 @@ def test_torus_witnesses_tile_the_plane():
         assert validate_tiling(ts, Tiling(tiled)).is_valid
 
 
+def test_smallest_torus_one_witness_per_shape():
+    ts = TileSet([(0, 0, 0, 1), (0, 1, 0, 0), (0, 2, 1, 2), (1, 2, 0, 2)],
+                 num_colors=3)
+    res = smallest_torus(ts, 6)
+    assert res.min_area == 2
+    assert res.dim_counts == (((1, 2), 2), ((2, 1), 2))
+    assert len(res.witnesses) == len(res.dim_counts)
+    for witness, (dims, _) in zip(res.witnesses, res.dim_counts):
+        assert witness.cells.shape == dims
+        tiled = np.tile(witness.cells, (2, 2))
+        assert validate_tiling(ts, Tiling(tiled)).is_valid
+
+
 def test_count_torus_counts_labelings():
     # complete(2) on a 1x1 torus: tiles with n==s and w==e: 2*2 choices.
     c2 = complete_stochastic_set(2)
     count, wits = count_torus(c2, 1, 1)
     assert count == 4
-    assert len(wits) == 4
+    assert len(wits) == 1
 
 
 def test_count_torus_complete_closed_form():
@@ -255,9 +268,9 @@ def test_count_torus_agrees_with_enumeration():
         ts = random_tileset(rng, max_colors=3, max_tiles=4)
         for (h, w) in [(1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (1, 6)]:
             expected = set(naive_torus_tilings(ts, h, w))
-            count, wits = count_torus(ts, h, w, witness_cap=2)
+            count, wits = count_torus(ts, h, w)
             assert count == len(expected)
-            assert len(wits) == min(2, count)
+            assert len(wits) == min(1, count)
             labelings = {tuple(t.cells.flatten().tolist()) for t in wits}
             assert len(labelings) == len(wits) and labelings <= expected
             for t in wits:

@@ -287,6 +287,12 @@ MALFORMED = [
      "line 4: '-' without a term after it"),
     ("Maximize\n obj: x -\nSubject To\nBinaries\n x\nEnd\n",
      "line 2: '-' without a term after it"),
+    ("Minimize\n obj: 0\nSubject To\n c1: x - y z = 1\nBinaries\n x y z\nEnd\n",
+     "line 4: 'z' without a sign before it"),
+    ("Minimize\n obj: 0\nSubject To\n c1: x y = 1\nBinaries\n x y\nEnd\n",
+     "line 4: 'y' without a sign before it"),
+    ("Minimize\n obj: 0\nSubject To\n c1: x 2 y = 1\nBinaries\n x y\nEnd\n",
+     "line 4: '2' without a sign before it"),
     ("", "line 1: expected Minimize or Maximize"),
     ("\\ a comment\nMinimize\n obj: 0\nSubject To\nEnd\n",
      "line 1: expected Minimize or Maximize"),
