@@ -15,15 +15,17 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import fileio
 from .bench import BenchConfig, bench_row, resolve_set, run_benchmark
 from .errors import BudgetExceededError, ConfigurationError
 from .exact import (CAPPED, DEFAULT_STATE_CAP, INFEASIBLE, VALID, pack_tiles,
                     smallest_torus, solve_decision)
-from .extensions import EXT_KINDS
+from .extensions import EXT_KINDS, PeriodicFixed
 from .ilp import ModelSpec, build_model, emit_lp
 from .render import RenderStyle, check_style, render_svg
-from .tileset import corner_to_wang, validate_tiling
+from .tileset import Tiling, corner_to_wang, validate_tiling
 from .transducer import (DUAL, HORIZONTAL, all_states_on_cycles,
                          build_transducer, parallel_arcs, to_dot,
                          translate_horizontal, translate_vertical)
@@ -102,6 +104,22 @@ def _write_outputs(ts, tiling, args, style: RenderStyle) -> None:
         _write(args.svg, svg, "svg")
 
 
+def _write_witness(ts, res, args, style: RenderStyle, periodic: bool) -> int:
+    """Write a solver's witness, if any, and return the exit code of its
+    status.  The witness is validated first, tiled 2x2 on a torus to check
+    its wrap-around edges; a broken one is reported and not written."""
+    if res.witness is not None:
+        cells = res.witness.cells
+        report = validate_tiling(ts, Tiling(np.tile(cells, (2, 2)) if periodic
+                                            else cells))
+        if not report.is_valid:
+            sys.stderr.write(f"error: the witness breaks the edge "
+                             f"{report.mismatches[0]}\n")
+            return EXIT_INFEASIBLE
+        _write_outputs(ts, res.witness, args, style)
+    return _STATUS_EXIT[res.status]
+
+
 def cmd_solve(args) -> int:
     ts = resolve_set(args.tileset)
     style = _svg_style(ts, args)
@@ -110,14 +128,7 @@ def cmd_solve(args) -> int:
     where = "".join(f", cap crossed in {k} {v}" for k, v in res.stats.items()
                     if k in ("row", "column"))
     print(f"status: {res.status} (states {res.stats.get('states', 0)}{where})")
-    if res.witness is not None:
-        report = validate_tiling(ts, res.witness)
-        if not report.is_valid:
-            sys.stderr.write(f"error: the witness breaks the edge "
-                             f"{report.mismatches[0]}\n")
-            return EXIT_INFEASIBLE
-        _write_outputs(ts, res.witness, args, style)
-    return _STATUS_EXIT[res.status]
+    return _write_witness(ts, res, args, style, PeriodicFixed() in bcs)
 
 
 def cmd_cover(args) -> int:
@@ -177,9 +188,7 @@ def cmd_pack(args) -> int:
                      most_constrained=args.most_constrained)
     print(f"status: {res.status} (nodes {res.stats.get('nodes', 0)}, "
           f"{res.stats.get('seconds', 0.0):.2f}s)")
-    if res.witness is not None:
-        _write_outputs(ts, res.witness, args, style)
-    return _STATUS_EXIT[res.status]
+    return _write_witness(ts, res, args, style, args.periodic)
 
 
 _FORMULATION_ALIAS = {"decision": "decision", "maxrect": "max_rect",

@@ -16,7 +16,8 @@ Python ints.  The torus (``count_torus``, ``smallest_torus``,
 one-to-six-cell shapes ``smallest_torus`` tries; a torus state also counts
 the ways to reach it.  Per-cell conditions reach both sweeps as one (cell,
 tile) mask built from ``extensions.cell_rule``.  Packing is a backtracking
-search, because its use-every-tile-once rule has no small frontier.
+search, because its use-every-tile-once rule has no small frontier: one pool
+lookup per cell, and a cell of a one-wide torus must match itself.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import time
 from itertools import compress, product
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -375,88 +376,86 @@ def pack_tiles(ts: TileSet, height: int, width: int, periodic: bool = False,
 
     Backtracking with forward checking; cells are filled row-major (or by a
     fewest-candidates-first override), tiles tried in ascending id.  With
-    ``periodic`` the opposite boundaries must carry equal colors.  ``deadline``
-    is a wall-clock budget in seconds; hitting it returns CAPPED.
+    ``periodic`` the opposite boundaries must carry equal colors, so a cell
+    of a one-wide torus must match itself.  A cell's candidates come from
+    one lookup of the colors its four neighbours ask for.  ``deadline`` is a
+    wall-clock budget in seconds, at least 0; hitting it returns CAPPED.
     """
     if height < 1 or width < 1:
         raise ConfigurationError("grid dimensions must be positive")
+    if deadline is not None and not deadline >= 0:  # NaN would never trip
+        raise ConfigurationError(f"deadline must be >= 0 seconds, got {deadline}")
     check_extension(Packing(), ts, height, width)
-    norths, wests, souths, easts = ts.norths, ts.wests, ts.souths, ts.easts
-    # ascending tile ids by the (west, north) colors they fit; None fits any
+    # ascending tile ids by the colors a cell's (west, north, south, east)
+    # neighbours ask for; None asks for nothing
     pools: dict[tuple, list[int]] = {}
-    for k in range(len(ts)):
-        for key in product((wests[k], None), (norths[k], None)):
+    for k, (w, n, s, e) in enumerate(zip(ts.wests, ts.norths, ts.souths, ts.easts)):
+        if periodic and ((width == 1 and w != e) or (height == 1 and n != s)):
+            continue  # the cell is its own neighbour across the wrap
+        for key in product((w, None), (n, None), (s, None), (e, None)):
             pools.setdefault(key, []).append(k)
+    size = height * width
 
-    grid = [[VOID] * width for _ in range(height)]
-    used = [False] * len(ts)
+    def at(i: int, j: int) -> int:
+        if periodic:
+            return i % height * width + j % width
+        return i * width + j if 0 <= i < height and 0 <= j < width else size
+
+    # the (west, north, south, east) neighbours of each cell; off an open
+    # grid they are cell ``size``, which stays VOID
+    around = [(at(i, j - 1), at(i - 1, j), at(i + 1, j), at(i, j + 1))
+              for i in range(height) for j in range(width)]
+    # the color each neighbour shows the cell; a VOID id (-1) shows None
+    easts, souths, norths, wests = (side + (None,) for side in
+                                    (ts.easts, ts.souths, ts.norths, ts.wests))
+    cells = [VOID] * (size + 1)
+    used = [False] * (len(ts) + 1)  # used[VOID] is a spare slot
     t0 = time.monotonic()
     nodes = 0
 
-    def facing(a: int, b: int, side: tuple[int, ...]) -> int | None:
-        """The ``side`` color of the tile at (a, b), wrapping round a periodic
-        grid; None for an empty cell or one off the grid."""
-        if periodic:
-            a, b = a % height, b % width
-        elif not (0 <= a < height and 0 <= b < width):
-            return None
-        k = grid[a][b]
-        return None if k == VOID else side[k]
+    def candidates(p: int) -> list[int]:
+        w, n, s, e = around[p]
+        return [k for k in pools.get((easts[cells[w]], souths[cells[n]],
+                                      norths[cells[s]], wests[cells[e]]), ())
+                if not used[k]]
 
-    def candidates(i: int, j: int) -> list[int]:
-        w_req, n_req = facing(i, j - 1, easts), facing(i - 1, j, souths)
-        s_req, e_req = facing(i + 1, j, norths), facing(i, j + 1, wests)
-        return [k for k in pools.get((w_req, n_req), ())
-                if not used[k]
-                and (s_req is None or souths[k] == s_req)
-                and (e_req is None or easts[k] == e_req)]
-
-    order = [(i, j) for i in range(height) for j in range(width)]
-
-    def next_cell(filled: int):
+    def next_cell(filled: int) -> tuple[int, Iterator[int]]:
         if not most_constrained:
-            return order[filled], None
+            return filled, iter(candidates(filled))
         best = None
-        best_cands = None
-        for (i, j) in order:
-            if grid[i][j] != VOID:
-                continue
-            cands = candidates(i, j)
-            if best_cands is None or len(cands) < len(best_cands):
-                best, best_cands = (i, j), cands
-                if not cands:
-                    break
-        return best, best_cands
+        for p in range(size):
+            if cells[p] == VOID:
+                cands = candidates(p)
+                if best is None or len(cands) < len(best[1]):
+                    best = p, cands
+                    if not cands:
+                        break
+        return best[0], iter(best[1])
 
-    frames: list[list] = []  # per filled cell: [i, j, candidates, next index]
+    frames: list[tuple] = []  # per filled cell: (cell, its untried candidates)
     status = VALID
-    while len(frames) < height * width:
+    while len(frames) < size:
         nodes += 1
         if (deadline is not None and nodes % 1024 == 0
                 and time.monotonic() - t0 > deadline):
             status = CAPPED
             break
-        (i, j), cands = next_cell(len(frames))
-        frames.append([i, j, candidates(i, j) if cands is None else cands, 0])
+        frames.append(next_cell(len(frames)))
         while frames:  # place the next untried candidate, backtracking as needed
-            i, j, cands, nxt = frame = frames[-1]
-            if nxt:
-                used[cands[nxt - 1]] = False
-            if nxt < len(cands):
-                grid[i][j] = cands[nxt]
-                used[cands[nxt]] = True
-                frame[3] += 1
+            p, untried = frames[-1]
+            used[cells[p]] = False
+            cells[p] = k = next(untried, VOID)
+            if k != VOID:
+                used[k] = True
                 break
-            grid[i][j] = VOID
             frames.pop()
         else:
             status = INFEASIBLE
             break
 
     stats = {"nodes": nodes, "seconds": time.monotonic() - t0}
-    if status == VALID:
-        return SolveResult(VALID, Tiling(np.array(grid, dtype=np.int32)), stats)
-    return SolveResult(status, stats=stats)
+    grid = np.reshape(cells[:size], (height, width))
+    return SolveResult(status, Tiling(grid) if status == VALID else None, stats)
 
 
 def max_cover_oracle(ts: TileSet, height: int, width: int,

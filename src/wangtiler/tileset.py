@@ -212,28 +212,18 @@ def validate_tiling(ts: TileSet, t: Tiling) -> ValidityReport:
     """
     check_tile_ids(ts, t)
     cells = t.cells
-    mismatches: list[Mismatch] = []
-    souths = ts.souths
-    norths = ts.norths
-    easts = ts.easts
-    wests = ts.wests
-    h, w = cells.shape
-    for i in range(h):
-        row = cells[i]
-        below = cells[i + 1] if i + 1 < h else None
-        for j in range(w):
-            k = row[j]
-            if k == VOID:
-                continue
-            if j + 1 < w and row[j + 1] != VOID:
-                if easts[k] != wests[row[j + 1]]:
-                    mismatches.append(
-                        Mismatch((i + 1, j + 1), (i + 1, j + 2), "horizontal"))
-            if below is not None and below[j] != VOID:
-                if souths[k] != norths[below[j]]:
-                    mismatches.append(
-                        Mismatch((i + 1, j + 1), (i + 2, j + 1), "vertical"))
-    return ValidityReport(not mismatches, tuple(mismatches))
+    placed = cells != VOID
+    easts, wests, souths, norths = (np.append(side, -1)[cells] for side in
+                                    (ts.easts, ts.wests, ts.souths, ts.norths))
+    horizontal = placed[:, :-1] & placed[:, 1:] & (easts[:, :-1] != wests[:, 1:])
+    vertical = placed[:-1] & placed[1:] & (souths[:-1] != norths[1:])
+    # (row, column, 0 for horizontal or 1 for vertical), in the report's
+    # order; the second cell is east of (0) or below (1) the first
+    hits = sorted([(i, j, 0) for i, j in np.argwhere(horizontal).tolist()]
+                  + [(i, j, 1) for i, j in np.argwhere(vertical).tolist()])
+    mismatches = tuple(Mismatch((i + 1, j + 1), (i + 1 + v, j + 2 - v),
+                                ("horizontal", "vertical")[v]) for i, j, v in hits)
+    return ValidityReport(not mismatches, mismatches)
 
 
 def corner_to_wang(cts: Iterable[CornerTile], n_vc: int) -> TileSet:

@@ -12,10 +12,12 @@ for each instance:
 - torus: the count and the SHA-256 of the first witness for one shape;
 - smallest torus: the ``min_area``, ``dims``, ``count`` and ``dim_counts``
   of ``smallest_torus``, the SHA-256 of its first witness, and that of the
-  first witness ``count_torus`` gives for each shape in ``dim_counts``.
+  first witness ``count_torus`` gives for each shape in ``dim_counts``;
+- packing: the status, ``stats["nodes"]`` and the SHA-256 of the witness.
 
 Comparing the output of two checkouts with ``cmp`` shows whether a change
-keeps every answer, count and first witness.  The matrix:
+keeps every answer, count, node count and first witness.  No instance has
+a deadline, so every line is deterministic.  The matrix:
 
 - 640 random sets of at most 3 colours and 8 tiles (seeded), each with a
   decision at up to 6x6, a decision under random per-cell conditions, an
@@ -28,9 +30,13 @@ keeps every answer, count and first witness.  The matrix:
   the smallest torus of the ammann16 corner set, each also with its tile
   ids and colours renamed by a seeded permutation;
 - finite2 15x15 (keys wider than 64 bits) and the one-tile 40x40 oracle
-  under a small budget.
+  under a small budget;
+- packings, open and periodic, each row-major and most-constrained-first:
+  300 random sets (seeded) cycling through every grid of area at most 6,
+  complete:2 at 4x4, 2x8, 8x2, 1x16 and 16x1, fig3 at 1x3 and 3x1; and
+  complete:3 at 9x9, most-constrained-first only, as the benchmark runs it.
 
-It takes about 3 s on one core.  Its name keeps pytest from
+It takes about 6 s on one core.  Its name keeps pytest from
 collecting it.
 """
 
@@ -100,6 +106,33 @@ def smallest(wt, label: str, ts, max_area: int) -> None:
           *(digest(wt.count_torus(ts, *d)[1][0]) for d, _ in res.dim_counts))
 
 
+def pack(wt, label: str, ts, h: int, w: int, periodic: bool,
+         most_constrained: bool) -> None:
+    res = wt.pack_tiles(ts, h, w, periodic=periodic,
+                        most_constrained=most_constrained)
+    print("pack", label, f"{h}x{w}", "periodic" if periodic else "open",
+          "most-constrained" if most_constrained else "row-major", res.status,
+          res.stats["nodes"], "-" if res.witness is None else digest(res.witness))
+
+
+def pack_instances(wt, random_packing_set, shapes) -> None:
+    rng = random.Random(41)
+    cases = []
+    for n in range(300):
+        h, w = shapes[n % len(shapes)]
+        cases.append((f"random{n}", random_packing_set(rng, h * w), h, w))
+    c2, fig3 = wt.complete_stochastic_set(2), wt.builtin_set("fig3")
+    cases += [("complete:2", c2, h, w)
+              for h, w in ((4, 4), (2, 8), (8, 2), (1, 16), (16, 1))]
+    cases += [("fig3", fig3, 1, 3), ("fig3", fig3, 3, 1)]
+    for label, ts, h, w in cases:
+        for periodic in (False, True):
+            for most_constrained in (False, True):
+                pack(wt, label, ts, h, w, periodic, most_constrained)
+    for periodic in (False, True):
+        pack(wt, "complete:3", wt.complete_stochastic_set(3), 9, 9, periodic, True)
+
+
 def random_instances(wt, random_tileset) -> None:
     rng = random.Random(12)
     for n in range(640):
@@ -160,10 +193,11 @@ def main(argv: list[str]) -> int:
         return 3
     sys.path.insert(0, os.path.join(argv[1], "src"))
     import wangtiler as wt
-    from helpers import random_tileset
+    from helpers import PACK_SHAPES, random_packing_set, random_tileset
 
     random_instances(wt, random_tileset)
     named_instances(wt)
+    pack_instances(wt, random_packing_set, PACK_SHAPES)
     return 0
 
 

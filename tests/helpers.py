@@ -7,6 +7,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from wangtiler import Tile, TileSet, VOID
 
 
@@ -18,6 +20,36 @@ def random_tileset(rng: random.Random, max_colors: int = 3,
     while len(quads) < nt:
         quads.add(tuple(rng.randrange(nc) for _ in range(4)))
     return TileSet([Tile(*q) for q in sorted(quads)], num_colors=nc)
+
+
+#: Every grid of area at most 6, the shapes the packing checks run on.
+PACK_SHAPES = tuple((h, w) for h in range(1, 7) for w in range(1, 7) if h * w <= 6)
+
+
+def random_packing_set(rng: random.Random, size: int) -> TileSet:
+    """``size`` distinct random tiles over 2 or 3 colours, enough to pack a
+    grid of that area."""
+    nc = rng.randint(2, 3)
+    quads = set()
+    while len(quads) < size:
+        quads.add(tuple(rng.randrange(nc) for _ in range(4)))
+    return TileSet([Tile(*q) for q in sorted(quads)], num_colors=nc)
+
+
+def naive_first_packing(ts: TileSet, h: int, w: int,
+                        periodic: bool) -> list[list[int]] | None:
+    """The first arrangement of every tile once, in ``itertools.permutations``
+    order, whose shared edges all match; on a torus each arrangement is
+    checked tiled 2x2, which covers its wrap-around edges.  None if there is
+    none."""
+    perms = np.array(list(itertools.permutations(range(len(ts))))).reshape(-1, h, w)
+    grids = np.tile(perms, (1, 2, 2)) if periodic else perms
+    n, we, s, e = (np.array(side)[grids] for side in
+                   (ts.norths, ts.wests, ts.souths, ts.easts))
+    fits = ((e[:, :, :-1] == we[:, :, 1:]).all(axis=(1, 2))
+            & (s[:, :-1] == n[:, 1:]).all(axis=(1, 2)))
+    hits = np.flatnonzero(fits)
+    return perms[hits[0]].tolist() if len(hits) else None
 
 
 def naive_max_cover(ts: TileSet, h: int, w: int) -> int:

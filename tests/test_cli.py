@@ -154,6 +154,10 @@ def test_pack_subcommand(tmp_path, capsys):
     assert code == 0 and "VALID" in text
     tiling = load_tiling(out)
     assert sorted(tiling.cells.flatten().tolist()) == list(range(16))
+    # only tile 1 of fig3 has north == south: no one-row torus packs all three
+    code, text, _ = run(capsys, "pack", "--tileset", "fig3", "--h", "1",
+                        "--w", "3", "--periodic")
+    assert code == 1 and "INFEASIBLE" in text
     # (-1)*(-3) = 3 tiles fills no grid: a usage error, not a traceback
     code, _, err = run(capsys, "pack", "--tileset", "fig3", "--h", "-1",
                        "--w", "-3")
@@ -325,6 +329,49 @@ def test_solve_rejects_a_broken_witness(capsys, monkeypatch):
     code, _, err = run(capsys, "solve", "--tileset", "fig3", "--h", "1",
                        "--w", "2")
     assert code != 0 and err.startswith("error:")
+
+
+def test_solve_rejects_a_broken_wrap_around(capsys, monkeypatch):
+    import wangtiler.cli as cli
+    # fig3 tile 0 alone fits a 1x1 rectangle, but not the 1x1 torus: its
+    # north is 0 and its south 1.
+    ok = wt.SolveResult(wt.VALID, wt.Tiling([[0]]), {"states": 1})
+    monkeypatch.setattr(cli, "solve_decision", lambda *a, **k: ok)
+    argv = ["solve", "--tileset", "fig3", "--h", "1", "--w", "1"]
+    assert run(capsys, *argv)[0] == 0
+    code, _, err = run(capsys, *argv, "--ext", "periodic")
+    assert code == 1 and err.startswith("error: the witness breaks the edge")
+
+
+def test_pack_rejects_a_broken_witness(tmp_path, capsys, monkeypatch):
+    import wangtiler.cli as cli
+    out = tmp_path / "pack.tiling"
+    # fig3 tile 0 has east 0, tile 1 has west 1: the edge between them breaks.
+    bad = wt.SolveResult(wt.VALID, wt.Tiling([[0, 1, 2]]), {"nodes": 3})
+    monkeypatch.setattr(cli, "pack_tiles", lambda *a, **k: bad)
+    code, _, err = run(capsys, "pack", "--tileset", "fig3", "--h", "1",
+                       "--w", "3", "-o", str(out))
+    assert code == 1 and err.startswith("error: the witness breaks the edge")
+    assert not out.exists()
+
+
+def test_pack_rejects_a_broken_wrap_around(capsys, monkeypatch):
+    import wangtiler.cli as cli
+    # fig3 tiles 0, 2, 1 in a row match east to west, and across the wrap,
+    # but tile 0 (north 0, south 1) cannot meet itself on a one-row torus.
+    ok = wt.SolveResult(wt.VALID, wt.Tiling([[0, 2, 1]]), {"nodes": 3})
+    monkeypatch.setattr(cli, "pack_tiles", lambda *a, **k: ok)
+    argv = ["pack", "--tileset", "fig3", "--h", "1", "--w", "3"]
+    assert run(capsys, *argv)[0] == 0
+    code, _, err = run(capsys, *argv, "--periodic")
+    assert code == 1 and err.startswith("error: the witness breaks the edge")
+
+
+def test_pack_rejects_an_unusable_deadline(capsys):
+    for deadline in ("nan", "-1"):
+        code, _, err = run(capsys, "pack", "--tileset", "complete:3", "--h", "9",
+                           "--w", "9", "--periodic", "--deadline", deadline)
+        assert code == 3 and err.startswith("error: deadline")
 
 
 def test_torus_budget_exceeded_exits_capped(capsys, monkeypatch):

@@ -14,8 +14,9 @@ from wangtiler import (CAPPED, INFEASIBLE, VALID, BudgetExceededError,
                        pack_tiles, smallest_torus, solve_decision,
                        validate_tiling)
 
-from helpers import (naive_full_tiling_exists, naive_max_cover,
-                     naive_torus_tilings, random_tileset)
+from helpers import (PACK_SHAPES, naive_first_packing, naive_full_tiling_exists,
+                     naive_max_cover, naive_torus_tilings, random_packing_set,
+                     random_tileset)
 
 
 # -- decision ----------------------------------------------------------------
@@ -338,6 +339,15 @@ def test_pack_deadline_capped():
     assert res.status == CAPPED
 
 
+def test_pack_rejects_an_unusable_deadline():
+    ts = complete_stochastic_set(3)
+    for deadline in (float("nan"), -1):
+        with pytest.raises(ConfigurationError, match="deadline"):
+            pack_tiles(ts, 9, 9, periodic=True, deadline=deadline)
+    assert pack_tiles(complete_stochastic_set(2), 4, 4,
+                      deadline=float("inf")).status == VALID
+
+
 def test_pack_long_chain():
     # 1100 cells, more than the interpreter's recursion limit: the search
     # must not recurse once per cell.
@@ -351,6 +361,30 @@ def test_pack_infeasible_when_no_arrangement():
     ts = TileSet([Tile(0, 0, 0, 0), Tile(1, 1, 1, 1)], num_colors=2)
     res = pack_tiles(ts, 1, 2)
     assert res.status == INFEASIBLE
+
+
+def test_pack_agrees_with_enumeration():
+    # In row-major order the search tries tiles in ascending id, so its
+    # witness is the first permutation that packs.  A cell of a one-wide
+    # torus is its own neighbour across the wrap.
+    rng = random.Random(14)
+    for n in range(300):
+        h, w = PACK_SHAPES[n % len(PACK_SHAPES)]
+        ts = random_packing_set(rng, h * w)
+        for periodic in (False, True):
+            first = naive_first_packing(ts, h, w, periodic)
+            for most_constrained in (False, True):
+                res = pack_tiles(ts, h, w, periodic=periodic,
+                                 most_constrained=most_constrained)
+                assert res.status == (INFEASIBLE if first is None else VALID)
+                if first is None:
+                    continue
+                cells = res.witness.cells
+                assert sorted(cells.flatten().tolist()) == list(range(h * w))
+                tiled = np.tile(cells, (2, 2)) if periodic else cells
+                assert validate_tiling(ts, Tiling(tiled)).is_valid
+                if not most_constrained:
+                    assert cells.tolist() == first
 
 
 # -- maximum-cover oracle --------------------------------------------------------
