@@ -389,11 +389,18 @@ def pack_tiles(ts: TileSet, height: int, width: int, periodic: bool = False,
     # ascending tile ids by the colors a cell's (west, north, south, east)
     # neighbours ask for; None asks for nothing
     pools: dict[tuple, list[int]] = {}
+    # with most_constrained, the pools each tile is listed in (the last
+    # slot is VOID's) and the count of unused tiles in each pool
+    counted: list[tuple] = [()] * (len(ts) + 1)
     for k, (w, n, s, e) in enumerate(zip(ts.wests, ts.norths, ts.souths, ts.easts)):
         if periodic and ((width == 1 and w != e) or (height == 1 and n != s)):
             continue  # the cell is its own neighbour across the wrap
-        for key in product((w, None), (n, None), (s, None), (e, None)):
+        keys = tuple(product((w, None), (n, None), (s, None), (e, None)))
+        for key in keys:
             pools.setdefault(key, []).append(k)
+        if most_constrained:
+            counted[k] = keys
+    free = {key: len(pool) for key, pool in pools.items()}
     size = height * width
 
     def at(i: int, j: int) -> int:
@@ -413,24 +420,22 @@ def pack_tiles(ts: TileSet, height: int, width: int, periodic: bool = False,
     t0 = time.monotonic()
     nodes = 0
 
-    def candidates(p: int) -> list[int]:
+    def asked(p: int) -> tuple:
         w, n, s, e = around[p]
-        return [k for k in pools.get((easts[cells[w]], souths[cells[n]],
-                                      norths[cells[s]], wests[cells[e]]), ())
-                if not used[k]]
+        return easts[cells[w]], souths[cells[n]], norths[cells[s]], wests[cells[e]]
 
     def next_cell(filled: int) -> tuple[int, Iterator[int]]:
-        if not most_constrained:
-            return filled, iter(candidates(filled))
-        best = None
-        for p in range(size):
-            if cells[p] == VOID:
-                cands = candidates(p)
-                if best is None or len(cands) < len(best[1]):
-                    best = p, cands
-                    if not cands:
-                        break
-        return best[0], iter(best[1])
+        best = filled
+        if most_constrained:  # the first empty cell with the fewest candidates
+            fewest = None
+            for p in range(size):
+                if cells[p] == VOID:
+                    count = free.get(asked(p), 0)
+                    if fewest is None or count < fewest:
+                        best, fewest = p, count
+                        if not count:
+                            break
+        return best, iter([k for k in pools.get(asked(best), ()) if not used[k]])
 
     frames: list[tuple] = []  # per filled cell: (cell, its untried candidates)
     status = VALID
@@ -444,9 +449,13 @@ def pack_tiles(ts: TileSet, height: int, width: int, periodic: bool = False,
         while frames:  # place the next untried candidate, backtracking as needed
             p, untried = frames[-1]
             used[cells[p]] = False
+            for key in counted[cells[p]]:
+                free[key] += 1
             cells[p] = k = next(untried, VOID)
             if k != VOID:
                 used[k] = True
+                for key in counted[k]:
+                    free[key] -= 1
                 break
             frames.pop()
         else:

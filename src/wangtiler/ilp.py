@@ -12,11 +12,26 @@ Placements come first, row-major by cell, then tile id: ``x_i_j_k`` of an
 h x w grid over the tile set T has index ``((i-1)*w + j-1)*|T| + k``; the
 ``hv`` slacks follow, then the ``hh`` slacks, each row-major.
 :func:`evaluate_assignment` reads the placements from this layout.
+
+An :class:`IlpModel` stores each part once, in arrays: its
+:class:`Variables` as columns (names, a binary mask, lower and upper
+bounds), its :class:`Constraints` as a CSR matrix (``indptr``, ``indices``,
+``data``, plus one name, sense and right-hand side per row) and its
+:class:`Objective` as index and coefficient arrays with a sense and a
+constant.  ``model.variables``, ``model.constraints`` and
+``objective.terms`` are also read-only sequences: indexing one builds a
+:class:`Var`, a :class:`LinCon` or a ``(coef, index)`` pair, and nothing
+built is kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from array import array
+from collections.abc import Sequence
+from dataclasses import astuple, dataclass, fields
+from itertools import combinations, compress
+
+import numpy as np
 
 from .errors import ConfigurationError, StructuralError
 from .extensions import (EXT_KINDS, SIDES, DifferentEdgeColors, DifferentTile,
@@ -49,17 +64,108 @@ class LinCon:
     rhs: float
 
 
-@dataclass(frozen=True)
-class Objective:
+class _Arrays:
+    """Value equality and read-only arrays for the frozen array holders."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if isinstance(x := getattr(self, f.name), np.ndarray):
+                x.flags.writeable = False
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+                   for x, y in pairs)
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
+class Variables(_Arrays, Sequence):
+    """Variable columns; variable ``vi`` is ``names[vi]``, binary where
+    ``binary[vi]`` (else continuous), within ``[lower[vi], upper[vi]]``.
+    Indexing builds a :class:`Var`; a slice is Variables."""
+    names: tuple[str, ...]
+    binary: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Variables(self.names[i], self.binary[i], self.lower[i], self.upper[i])
+        return Var(self.names[i], BINARY if self.binary[i] else CONTINUOUS,
+                   float(self.lower[i]), float(self.upper[i]))
+
+
+@dataclass(frozen=True, eq=False)
+class Constraints(_Arrays, Sequence):
+    """Constraint rows in CSR form: row r is ``names[r]``, the terms
+    ``data[p] * x[indices[p]]`` for p in ``indptr[r]:indptr[r+1]``, its
+    sense (LE, EQ or GE) and ``rhs[r]``.  Indexing builds a
+    :class:`LinCon`; a slice is Constraints."""
+    names: tuple[str, ...]
+    senses: np.ndarray
+    rhs: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            rows = np.arange(len(self))[i]
+            starts, counts = self.indptr[rows], np.diff(self.indptr)[rows]
+            indptr = np.concatenate(([0], np.cumsum(counts)))
+            at = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+            return Constraints(self.names[i], self.senses[rows], self.rhs[rows],
+                               indptr, self.indices[at], self.data[at])
+        r = range(len(self))[i]
+        a, b = self.indptr[r], self.indptr[r + 1]
+        terms = tuple(zip(self.data[a:b].tolist(), self.indices[a:b].tolist()))
+        return LinCon(self.names[r], terms, str(self.senses[r]), float(self.rhs[r]))
+
+
+class _Terms(Sequence):
+    """An objective's terms as ``(coef, variable index)`` pairs."""
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray):
+        self.data, self.indices = data, indices
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Terms(self.data[i], self.indices[i])
+        return float(self.data[i]), int(self.indices[i])
+
+    def __iter__(self):
+        return zip(self.data.tolist(), self.indices.tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class Objective(_Arrays):
     sense: str  # "max" | "min" | "none"
-    terms: tuple[tuple[float, int], ...]
+    indices: np.ndarray
+    data: np.ndarray
     constant: float = 0.0
+
+    @property
+    def terms(self) -> _Terms:
+        return _Terms(self.data, self.indices)
 
 
 @dataclass(frozen=True)
 class IlpModel:
-    variables: tuple[Var, ...]
-    constraints: tuple[LinCon, ...]
+    variables: Variables
+    constraints: Constraints
     objective: Objective
 
 
@@ -74,6 +180,26 @@ class ModelSpec:
 
 def x_name(i: int, j: int, k: int) -> str:
     return f"x_{i}_{j}_{k}"
+
+
+def _x_names(h: int, w: int, n: int) -> list[str]:
+    """The placement variables' names in layout order."""
+    ks = [str(k) for k in range(n)]
+    return [f"x_{i}_{j}_" + k for i in range(1, h + 1) for j in range(1, w + 1)
+            for k in ks]
+
+
+def _merge(lengths: np.ndarray, indices: np.ndarray, data: np.ndarray):
+    """Per row of the given lengths: equal indices summed in order, each kept
+    at its first occurrence, zero sums dropped."""
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    key = rows * (int(indices.max(initial=0)) + 1) + indices
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    sums = np.bincount(inverse, weights=data, minlength=len(first))
+    order = np.argsort(first)
+    order = order[sums[order] != 0.0]
+    return (np.bincount(rows[first[order]], minlength=len(lengths)),
+            indices[first[order]], sums[order])
 
 
 # Which extension families each formulation's base constraints can carry.
@@ -92,41 +218,71 @@ _PAIR_EXTS = {SameTile: ("same", True), DifferentTile: ("diff", False),
 
 
 class _Builder:
+    """Collects the model's rows, a family at a time, as CSR chunks.  Every
+    variable is binary or continuous within [0, 1]."""
+
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.ts = spec.tileset
         self.h = spec.height
         self.w = spec.width
-        self.vars: list[Var] = []
-        self.cons: list[LinCon] = []
-        self.objective = Objective("none", ())
-        # Tile-id groups: per (side, other) one list per color l of the tiles
+        self.n = len(self.ts)
+        self.x_names = _x_names(self.h, self.w, self.n)
+        self.slack_names: list[str] = []
+        self.con_names: list[str] = []
+        self.senses: list[str] = []
+        self.rhs: list[float] = []
+        self.chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.objective = Objective("none", np.empty(0, np.int32), np.empty(0))
+        # Tile-id groups: per (side, other) one array per color l of the tiles
         # whose side has color l (with other, does not); one per tile id.
-        self.groups = {(s, other): [[k for k, c in enumerate(self.ts.side(s))
-                                     if (c != l) == other]
+        self.groups = {(s, other): [np.array([k for k, c in enumerate(self.ts.side(s))
+                                              if (c != l) == other], dtype=np.int64)
                                     for l in range(self.ts.num_colors)]
                        for s in SIDES for other in (False, True)}
-        self.tiles = [(k,) for k in range(len(self.ts))]
-        # One int object per placement variable, shared by every term that
-        # names it.
-        self.x_ids = list(range(self.h * self.w * len(self.ts)))
+        self.tiles = [np.array([k]) for k in range(self.n)]
+        self.all_tiles = np.arange(self.n)
 
-    def add_var(self, name: str, kind: str, lower: float, upper: float) -> int:
-        self.vars.append(Var(name, kind, lower, upper))
-        return len(self.vars) - 1
+    def cell(self, i: int, j: int) -> int:
+        """The index of x_i_j_0; x_i_j_k follows at + k."""
+        return ((i - 1) * self.w + j - 1) * self.n
 
-    def add_con(self, name: str, terms, sense: str, rhs: float) -> None:
-        merged: dict[int, float] = {}
-        for coef, vi in terms:
-            merged[vi] = merged.get(vi, 0.0) + coef
-        packed = tuple((c, vi) for vi, c in merged.items() if c != 0.0)
-        self.cons.append(LinCon(name, packed, sense, float(rhs)))
+    def add_slack(self, name: str) -> int:
+        self.slack_names.append(name)
+        return len(self.x_names) + len(self.slack_names) - 1
 
-    def cell_sum(self, i: int, j: int, ids=None, coef: float = 1.0):
-        n = len(self.ts)
-        base = ((i - 1) * self.w + j - 1) * n
-        ids = range(n) if ids is None else ids
-        return [(coef, self.x_ids[base + k]) for k in ids]
+    def add_rows(self, names: list[str], sense: str, rhs: float, bases,
+                 templates) -> None:
+        """One row per instance and template, instance-major.  ``bases`` has
+        one row of variable indices per instance, one column per slot (-1
+        leaves the slot out); a template is a list of (slot, offsets, coef)
+        parts, each the terms ``coef * x[base + offset]``.  Where two parts
+        of a row can meet, equal variables are summed in first-occurrence
+        order and zero sums dropped."""
+        if not len(bases):
+            return
+        bases = np.array(bases, dtype=np.int64)
+        parts = [(t, slot, np.asarray(offsets, dtype=np.int64), coef)
+                 for t, template in enumerate(templates)
+                 for slot, offsets, coef in template]
+        sizes = [len(p[2]) for p in parts]
+        of_template, slot, coef = (np.repeat([p[c] for p in parts], sizes)
+                                   for c in (0, 1, 3))
+        cols = bases[:, slot]
+        present = cols >= 0
+        lengths = (present.astype(np.int64)
+                   @ (of_template[:, None] == np.arange(len(templates)))).ravel()
+        indices = (cols + np.concatenate([p[2] for p in parts])).ravel()
+        data = np.tile(coef.astype(float), len(bases))
+        if not present.all():
+            indices, data = indices[present.ravel()], data[present.ravel()]
+        if any(np.any(bases[:, a] == bases[:, b]) for template in templates
+               for (a, _, _), (b, _, _) in combinations(template, 2)):
+            lengths, indices, data = _merge(lengths, indices, data)
+        self.con_names += names
+        self.senses += [sense] * len(names)
+        self.rhs += [float(rhs)] * len(names)
+        self.chunks.append((lengths, indices, data))
 
     def build(self) -> IlpModel:
         spec = self.spec
@@ -136,14 +292,18 @@ class _Builder:
         if self.h < 1 or self.w < 1:
             raise ConfigurationError("grid dimensions must be positive")
         self._check_extensions()
-        for i in range(1, self.h + 1):
-            for j in range(1, self.w + 1):
-                for k in range(len(self.ts)):
-                    self.add_var(x_name(i, j, k), BINARY, 0.0, 1.0)
         getattr(self, f"_base_{spec.formulation}")()
         for ext in spec.extensions:
             self._apply_extension(ext)
-        return IlpModel(tuple(self.vars), tuple(self.cons), self.objective)
+        names = self.x_names + self.slack_names
+        variables = Variables(tuple(names), np.arange(len(names)) < len(self.x_names),
+                              np.zeros(len(names)), np.ones(len(names)))
+        lengths, indices, data = (np.concatenate(col) for col in zip(*self.chunks))
+        constraints = Constraints(tuple(self.con_names), np.array(self.senses),
+                                  np.array(self.rhs),
+                                  np.concatenate(([0], np.cumsum(lengths))),
+                                  indices.astype(np.int32), data)
+        return IlpModel(variables, constraints, self.objective)
 
     def _check_extensions(self) -> None:
         for ext in self.spec.extensions:
@@ -157,69 +317,77 @@ class _Builder:
     # -- adjacency families -------------------------------------------------
 
     def _edges(self, axis: str, other: bool = False):
-        """Interior edges as (tag, cell, groups, neighbor, neighbor groups):
-        axis "v" pairs the south of (i,j) with the north of (i+1,j), axis
-        "h" the east of (i,j) with the west of (i,j+1); row-major.  These
-        are the sides' color groups, the neighbor's taken with ``other``."""
+        """Interior edges as (tags, bases, groups, neighbor groups): axis "v"
+        pairs the south of (i,j) with the north of (i+1,j), axis "h" the
+        east of (i,j) with the west of (i,j+1); row-major.  ``bases`` holds
+        each edge's two cells; the groups are the sides' color groups, the
+        neighbor's taken with ``other``."""
         sa, sb, di, dj = ("s", "n", 1, 0) if axis == "v" else ("e", "w", 0, 1)
-        ga, gb = self.groups[sa, False], self.groups[sb, other]
-        return [(f"{axis}_{i}_{j}", (i, j), ga, (i + di, j + dj), gb)
-                for i in range(1, self.h + 1 - di)
-                for j in range(1, self.w + 1 - dj)]
+        cells = [(i, j) for i in range(1, self.h + 1 - di)
+                 for j in range(1, self.w + 1 - dj)]
+        return ([f"{axis}_{i}_{j}" for i, j in cells],
+                [(self.cell(i, j), self.cell(i + di, j + dj)) for i, j in cells],
+                self.groups[sa, False], self.groups[sb, other])
 
-    def _match(self, tag: str, a, ga, b, gb, sense: str) -> None:
-        """Per group g: the tiles ga[g] at a against the tiles gb[g] at b."""
-        for g, (ia, ib) in enumerate(zip(ga, gb)):
-            terms = self.cell_sum(*a, ia) + self.cell_sum(*b, ib, -1.0)
-            self.add_con(f"{tag}_{g}", terms, sense, 0.0)
+    @staticmethod
+    def _per_group(tags, groups) -> list[str]:
+        return [f"{tag}_{g}" for tag in tags for g in range(len(groups))]
 
-    def _exclude(self, tag: str, a, ga, b, gb) -> None:
-        """Per group g: at most one of the tiles ga[g] at a and gb[g] at b."""
-        for g, (ia, ib) in enumerate(zip(ga, gb)):
-            terms = self.cell_sum(*a, ia) + self.cell_sum(*b, ib)
-            self.add_con(f"{tag}_{g}", terms, LE, 1.0)
+    def _match(self, tags, bases, ga, gb, sense: str) -> None:
+        """Per edge and group g: the tiles ga[g] at its first cell against
+        the tiles gb[g] at its second."""
+        self.add_rows(self._per_group(tags, ga), sense, 0.0, bases,
+                      [[(0, ia, 1.0), (1, ib, -1.0)] for ia, ib in zip(ga, gb)])
 
-    def _occupancy(self, sense) -> None:
-        """occ_i_j, row-major: one tile at most (LE) or exactly (EQ) at each
-        cell (i, j) where ``sense(i, j)`` is not None."""
-        for i in range(1, self.h + 1):
-            for j in range(1, self.w + 1):
-                if (s := sense(i, j)) is not None:
-                    self.add_con(f"occ_{i}_{j}", self.cell_sum(i, j), s, 1.0)
+    def _exclude(self, tags, bases, ga, gb) -> None:
+        """Per edge and group g: at most one of the tiles ga[g] at its first
+        cell and gb[g] at its second."""
+        self.add_rows(self._per_group(tags, ga), LE, 1.0, bases,
+                      [[(0, ia, 1.0), (1, ib, 1.0)] for ia, ib in zip(ga, gb)])
+
+    def _occupancy(self, cells, sense: str) -> None:
+        """occ_i_j over the given cells: one tile at most (LE) or exactly (EQ)."""
+        self.add_rows([f"occ_{i}_{j}" for i, j in cells], sense, 1.0,
+                      [(self.cell(i, j),) for i, j in cells], [[(0, self.all_tiles, 1.0)]])
+
+    def _grid(self):
+        return [(i, j) for i in range(1, self.h + 1) for j in range(1, self.w + 1)]
 
     def _sum_obj(self, sense: str) -> Objective:
-        return Objective(sense, tuple((1.0, vi) for vi in self.x_ids))
+        nx = len(self.x_names)
+        return Objective(sense, np.arange(nx, dtype=np.int32), np.ones(nx))
 
     # -- formulations -------------------------------------------------------
 
     def _base_decision(self) -> None:
         """Equality color matching; occupancy pinned on the boundary only,
         from which it propagates inward through the color equalities."""
-        for edge in self._edges("v") + self._edges("h"):
-            self._match(*edge, EQ)
-        self._occupancy(lambda i, j: EQ if i in (1, self.h) or j in (1, self.w)
-                        else None)
+        for axis in "vh":
+            self._match(*self._edges(axis), EQ)
+        self._occupancy([(i, j) for i, j in self._grid()
+                         if i in (1, self.h) or j in (1, self.w)], EQ)
 
     def _base_max_rect(self) -> None:
         """Color dominance toward the anchored top-left rectangle plus the
         staircase cut that forbids the only non-rectangular corner pattern."""
-        for edge in self._edges("v") + self._edges("h"):
-            self._match(*edge, GE)
-        for i in range(1, self.h):
-            for j in range(1, self.w):
-                terms = (self.cell_sum(i + 1, j)
-                         + self.cell_sum(i, j + 1)
-                         + self.cell_sum(i + 1, j + 1, coef=-1.0))
-                self.add_con(f"rect_{i}_{j}", terms, LE, 1.0)
-        self._occupancy(lambda i, j: EQ if (i, j) == (1, 1) else LE)
+        for axis in "vh":
+            self._match(*self._edges(axis), GE)
+        corners = [(i, j) for i in range(1, self.h) for j in range(1, self.w)]
+        every = self.all_tiles
+        self.add_rows([f"rect_{i}_{j}" for i, j in corners], LE, 1.0,
+                      [(self.cell(i + 1, j), self.cell(i, j + 1), self.cell(i + 1, j + 1))
+                       for i, j in corners],
+                      [[(0, every, 1.0), (1, every, 1.0), (2, every, -1.0)]])
+        self._occupancy([(1, 1)], EQ)
+        self._occupancy(self._grid()[1:], LE)
         self.objective = self._sum_obj("max")
 
     def _base_max_cover(self) -> None:
         """A placed east/south color forbids every mismatched neighbor tile;
         voids satisfy everything."""
-        for edge in self._edges("h", True) + self._edges("v", True):
-            self._exclude(*edge)
-        self._occupancy(lambda i, j: LE)
+        for axis in "hv":
+            self._exclude(*self._edges(axis, True))
+        self._occupancy(self._grid(), LE)
         self.objective = self._sum_obj("max")
 
     def _base_max_csp(self) -> None:
@@ -227,18 +395,21 @@ class _Builder:
         maximizing sum(1 - slack) over both edge families."""
         slack = {}  # edge tag -> hv_i_j (east/west) or hh_i_j (south/north)
         for axis, name in (("h", "hv"), ("v", "hh")):
-            for tag, *_ in self._edges(axis):
-                slack[tag] = self.add_var(name + tag[1:], CONTINUOUS, 0.0, 1.0)
-        for tag, a, ga, b, gb in self._edges("v") + self._edges("h"):
-            s = [(-1.0, slack[tag])]
-            for l, (ia, ib) in enumerate(zip(ga, gb)):
-                self.add_con(f"{tag}_{l}_p", self.cell_sum(*a, ia)
-                             + self.cell_sum(*b, ib, -1.0) + s, LE, 0.0)
-                self.add_con(f"{tag}_{l}_m", self.cell_sum(*b, ib)
-                             + self.cell_sum(*a, ia, -1.0) + s, LE, 0.0)
-        self._occupancy(lambda i, j: EQ)
-        terms = tuple((-1.0, vi) for vi in slack.values())
-        self.objective = Objective("max", terms, float(len(slack)))
+            for tag in self._edges(axis)[0]:
+                slack[tag] = self.add_slack(name + tag[1:])
+        s = (2, (0,), -1.0)
+        for axis in "vh":
+            tags, bases, ga, gb = self._edges(axis)
+            self.add_rows([f"{tag}_{l}_{pm}" for tag in tags for l in range(len(ga))
+                           for pm in "pm"], LE, 0.0,
+                          [(a, b, slack[tag]) for tag, (a, b) in zip(tags, bases)],
+                          [t for ia, ib in zip(ga, gb)
+                           for t in ([(0, ia, 1.0), (1, ib, -1.0), s],
+                                     [(1, ib, 1.0), (0, ia, -1.0), s])])
+        self._occupancy(self._grid(), EQ)
+        indices = np.array(list(slack.values()), dtype=np.int32)
+        self.objective = Objective("max", indices, -np.ones(len(indices)),
+                                   float(len(slack)))
 
     # -- extensions ---------------------------------------------------------
 
@@ -249,46 +420,48 @@ class _Builder:
             ids, force = rule
             kind = next(n for n, cls in EXT_KINDS.items() if cls is type(ext))
             name = "_".join(map(str, (kind, *astuple(ext))))
-            self.add_con(name, self.cell_sum(ext.i, ext.j, ids), EQ, float(force))
+            self.add_rows([name], EQ, float(force), [(self.cell(ext.i, ext.j),)],
+                          [[(0, ids, 1.0)]])
         elif type(ext) in _PAIR_EXTS:
             prefix, equal = _PAIR_EXTS[type(ext)]
             name = "_".join(map(str, (prefix, *astuple(ext))))
             ga, gb = ((self.groups[ext.side, False], self.groups[ext.side2, False])
                       if hasattr(ext, "side") else (self.tiles, self.tiles))
-            pair = (name, (ext.i, ext.j), ga, (ext.p, ext.q), gb)
+            pair = ([name], [(self.cell(ext.i, ext.j), self.cell(ext.p, ext.q))], ga, gb)
             if equal:
                 self._match(*pair, EQ)
             else:
                 self._exclude(*pair)
         elif isinstance(ext, PeriodicFixed):
             n, s, w, e = (self.groups[side, False] for side in "nswe")
-            for j in range(1, self.w + 1):
-                self._match(f"pern_{j}", (1, j), n, (self.h, j), s, EQ)
-            for i in range(1, self.h + 1):
-                self._match(f"perw_{i}", (i, 1), w, (i, self.w), e, EQ)
+            columns, rows = range(1, self.w + 1), range(1, self.h + 1)
+            self._match([f"pern_{j}" for j in columns],
+                        [(self.cell(1, j), self.cell(self.h, j)) for j in columns],
+                        n, s, EQ)
+            self._match([f"perw_{i}" for i in rows],
+                        [(self.cell(i, 1), self.cell(i, self.w)) for i in rows],
+                        w, e, EQ)
         elif isinstance(ext, PeriodicVariable):
             # A tile that ends its row (no east neighbor) must wrap its east
             # color onto the row's west boundary color; same per column.
+            cells = self._grid()
             for name, side, wrap_side, di, dj in (("pvh", "e", "w", 0, 1),
                                                   ("pvv", "s", "n", 1, 0)):
                 lacks, has = self.groups[side, True], self.groups[wrap_side, False]
-                for i in range(1, self.h + 1):
-                    for j in range(1, self.w + 1):
-                        wrap = (i, 1) if dj else (1, j)
-                        for l in range(ts.num_colors):
-                            terms = (self.cell_sum(i, j, lacks[l])
-                                     + self.cell_sum(*wrap, has[l]))
-                            if i + di <= self.h and j + dj <= self.w:
-                                terms += self.cell_sum(i + di, j + dj, coef=-1.0)
-                            self.add_con(f"{name}_{i}_{j}_{l}", terms, LE, 1.0)
+                # slots: the cell, its wrap cell, its next cell (-1 past the edge)
+                bases = [(self.cell(i, j), self.cell(i, 1) if dj else self.cell(1, j),
+                          self.cell(i + di, j + dj) if i + di <= self.h and j + dj <= self.w
+                          else -1) for i, j in cells]
+                self.add_rows(self._per_group([f"{name}_{i}_{j}" for i, j in cells], lacks),
+                              LE, 1.0, bases,
+                              [[(0, lack, 1.0), (1, show, 1.0), (2, self.all_tiles, -1.0)]
+                               for lack, show in zip(lacks, has)])
         elif isinstance(ext, SmallestObjective):
             self.objective = self._sum_obj("min")
         elif isinstance(ext, Packing):
-            for k in range(len(ts)):
-                terms = [term for i in range(1, self.h + 1)
-                         for j in range(1, self.w + 1)
-                         for term in self.cell_sum(i, j, (k,))]
-                self.add_con(f"pack_{k}", terms, EQ, 1.0)
+            cells = [self.cell(i, j) for i, j in self._grid()]
+            self.add_rows([f"pack_{k}" for k in range(len(ts))], EQ, 1.0,
+                          [(k,) for k in range(len(ts))], [[(0, cells, 1.0)]])
         else:
             raise ConfigurationError(f"unknown extension {ext!r}")
 
@@ -304,21 +477,18 @@ def _fmt_num(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
-def _fmt_terms(terms, names, constant: float = 0.0) -> list[str]:
-    """Tokens like ['x_1_1_0', '+ 2 x_1_1_1', '- x_2_1_0', '+ 760']."""
-    toks = []
-    for coef, vi in terms:
-        sign = "-" if coef < 0 else "+"
-        mag = abs(coef)
-        body = names[vi] if mag == 1 else f"{_fmt_num(mag)} {names[vi]}"
-        if not toks and sign == "+":
-            toks.append(body)
-        else:
-            toks.append(f"{sign} {body}")
+def _fmt_terms(indices: np.ndarray, data: np.ndarray, names, plus, minus,
+               constant: float = 0.0) -> list[str]:
+    """Tokens like ['x_1_1_0', '+ 2 x_1_1_1', '- x_2_1_0', '+ 760'];
+    ``plus[vi]`` and ``minus[vi]`` are '+ name' and '- name'."""
+    toks = [plus[vi] if c == 1.0 else minus[vi] if c == -1.0
+            else f"{'-' if c < 0 else '+'} {_fmt_num(abs(c))} {names[vi]}"
+            for vi, c in zip(indices.tolist(), data.tolist())]
+    if toks and toks[0][0] == "+":
+        toks[0] = toks[0][2:]
     if constant or not toks:
-        sign = "-" if constant < 0 else "+"
         tok = _fmt_num(abs(constant))
-        toks.append(tok if not toks else f"{sign} {tok}")
+        toks.append(tok if not toks else f"{'-' if constant < 0 else '+'} {tok}")
     return toks
 
 
@@ -332,23 +502,28 @@ def _wrap(prefix: str, toks: list[str], per_line: int = 10) -> list[str]:
 
 def emit_lp(m: IlpModel) -> str:
     """Deterministic LP-format text; identical models emit identical bytes."""
-    names = [v.name for v in m.variables]
+    var, con, obj = m.variables, m.constraints, m.objective
+    names = var.names
+    plus, minus = ([f"{sign} {name}" for name in names] for sign in "+-")
     out: list[str] = []
-    sense = m.objective.sense
-    out.append("Maximize" if sense == "max" else "Minimize")
-    toks = _fmt_terms(m.objective.terms, names, m.objective.constant)
+    out.append("Maximize" if obj.sense == "max" else "Minimize")
+    toks = _fmt_terms(obj.indices, obj.data, names, plus, minus, obj.constant)
     out.extend(_wrap(" obj: ", toks))
     out.append("Subject To")
-    for con in m.constraints:
-        toks = _fmt_terms(con.terms, names)
-        toks += [con.sense, _fmt_num(con.rhs)]
-        out.extend(_wrap(f" {con.name}: ", toks))
-    bounded = [v for v in m.variables if v.kind == CONTINUOUS]
+    ptr = con.indptr.tolist()
+    for r, (name, sense, rhs) in enumerate(zip(con.names, con.senses.tolist(),
+                                               con.rhs.tolist())):
+        a, b = ptr[r], ptr[r + 1]
+        toks = _fmt_terms(con.indices[a:b], con.data[a:b], names, plus, minus)
+        toks += [sense, _fmt_num(rhs)]
+        out.extend(_wrap(f" {name}: ", toks))
+    bounded = np.flatnonzero(~var.binary).tolist()
     if bounded:
         out.append("Bounds")
-        for v in bounded:
-            out.append(f" {_fmt_num(v.lower)} <= {v.name} <= {_fmt_num(v.upper)}")
-    binaries = [v.name for v in m.variables if v.kind == BINARY]
+        for vi in bounded:
+            out.append(f" {_fmt_num(var.lower[vi])} <= {names[vi]} "
+                       f"<= {_fmt_num(var.upper[vi])}")
+    binaries = list(compress(names, var.binary.tolist()))
     if binaries:
         out.append("Binaries")
         for start in range(0, len(binaries), 8):
@@ -363,30 +538,41 @@ _NEXT = {"Minimize": ("Subject To",), "Maximize": ("Subject To",),
          "Bounds": ("Binaries", "End"), "Binaries": ("End",), "End": ()}
 
 
-def _parse_expr(tokens: list[str], index: dict[str, int]):
-    """An <expr> -> (terms as (coef, variable index), constant)."""
+_SIGNS = {"+": 1.0, "-": -1.0}
+
+
+def _parse_expr(tokens: list[str], index: dict[str, int], indices: array,
+                data: array) -> float:
+    """Append an <expr>'s terms to ``indices`` (variable indices) and
+    ``data`` (coefficients); return its constant."""
     # pending: the sign still waiting for its term; None just after a term,
     # where the next token must be a sign
-    terms, sign, coef, pending = [], 1.0, None, ""
+    sign, coef, pending = 1.0, None, ""
+    add_index, add_coef = indices.append, data.append
     for tok in tokens:
         if coef is not None and tok[0] in "+-0123456789.":
             raise ValueError(f"{tok!r} after a number; a constant ends the <expr>")
-        if tok == "+" or tok == "-":
+        if tok in _SIGNS:
             if pending:  # two signs in a row: the first has no term
                 break
-            sign, pending = 1.0 if tok == "+" else -1.0, tok
+            sign, pending = _SIGNS[tok], tok
         elif pending is None:
             raise ValueError(f"{tok!r} without a sign before it")
         elif tok[0] in "0123456789.":
             coef, pending = float(tok), ""
-        elif tok in index:
-            terms.append((sign if coef is None else sign * coef, index[tok]))
+        elif (vi := index.get(tok)) is not None:
+            add_index(vi)
+            add_coef(sign if coef is None else sign * coef)
             coef, pending = None, None
         else:
             raise ValueError(f"undeclared variable {tok!r}")
     if pending:
         raise ValueError(f"{pending!r} without a term after it")
-    return tuple(terms), 0.0 if coef is None else sign * coef
+    return 0.0 if coef is None else sign * coef
+
+
+def _arrays(indices: array, data: array) -> tuple[np.ndarray, np.ndarray]:
+    return np.frombuffer(indices, dtype=np.intc), np.frombuffer(data)
 
 
 def parse_lp(text: str) -> IlpModel:
@@ -406,21 +592,34 @@ def parse_lp(text: str) -> IlpModel:
         # The declarations come last: read them first, so rows resolve names.
         binaries = at.get("Binaries", n)  # n is End, the last line
         bounds = at.get("Bounds", binaries)
-        variables = [Var(name, BINARY, 0.0, 1.0)
-                     for name in " ".join(lines[binaries + 1:-1]).split()]
+        names = " ".join(lines[binaries + 1:-1]).split()
+        n_binary = len(names)
+        lower, upper = [0.0] * n_binary, [1.0] * n_binary
         for n in range(bounds + 1, binaries):
             toks = lines[n].split()
             if len(toks) != 5 or toks[1] != LE or toks[3] != LE:
                 raise ValueError(f"unsupported bounds line: {lines[n]!r}")
-            variables.append(Var(toks[2], CONTINUOUS, float(toks[0]), float(toks[4])))
-        index = {v.name: vi for vi, v in enumerate(variables)}
+            names.append(toks[2])
+            lower.append(float(toks[0]))
+            upper.append(float(toks[4]))
+        index = {name: vi for vi, name in enumerate(names)}
+        if len(index) < len(names):  # name the first repeat, in text order
+            seen = set()
+            for n in [*range(bounds + 1, binaries), *range(binaries + 1, len(lines) - 1)]:
+                toks = lines[n].split()
+                for name in toks[2:3] if n < binaries else toks:
+                    if name in seen:
+                        raise ValueError(f"{name!r} declared twice")
+                    seen.add(name)
         n, sub = 1, at["Subject To"]
         if not lines[1].startswith(" obj: "):
             raise ValueError(f"expected ' obj: <expr>', got {lines[1]!r}")
-        terms, const = _parse_expr(" ".join(lines[1:sub]).split()[1:], index)
-        sense = "max" if lines[0] == "Maximize" else "min" if terms or const else "none"
-        objective = Objective(sense, terms, const)
-        cons, n = [], sub + 1
+        obj_terms = array("i"), array("d")
+        const = _parse_expr(" ".join(lines[1:sub]).split()[1:], index, *obj_terms)
+        sense = ("max" if lines[0] == "Maximize"
+                 else "min" if obj_terms[0] or const else "none")
+        objective = Objective(sense, *_arrays(*obj_terms), const)
+        terms, cons, indptr, n = (array("i"), array("d")), [], [0], sub + 1
         while n < bounds:  # a row is a line and its three-space continuations
             end = n + 1
             while lines[end].startswith("   "):
@@ -430,12 +629,18 @@ def parse_lp(text: str) -> IlpModel:
                 raise ValueError(f"constraint without 'name:': {lines[n]!r}")
             if len(toks) < 2 or toks[-2] not in (LE, EQ, GE):
                 raise ValueError(f"constraint without sense: {lines[n]!r}")
-            terms, const = _parse_expr(toks[:-2], index)
-            cons.append(LinCon(name[:-1], terms, toks[-2], float(toks[-1]) - const))
+            const = _parse_expr(toks[:-2], index, *terms)
+            cons.append((name[:-1], toks[-2], float(toks[-1]) - const))
+            indptr.append(len(terms[0]))
             n = end
     except ValueError as exc:
         raise ValueError(f"line {n + 1}: {exc}") from None
-    return IlpModel(tuple(variables), tuple(cons), objective)
+    con_names, senses, rhs = zip(*cons) if cons else ((), (), ())
+    variables = Variables(tuple(names), np.arange(len(names)) < n_binary,
+                          np.array(lower), np.array(upper))
+    constraints = Constraints(con_names, np.array(senses, dtype="<U2"), np.array(rhs),
+                              np.array(indptr), *_arrays(*terms))
+    return IlpModel(variables, constraints, objective)
 
 
 # -- assignment evaluation ----------------------------------------------------
@@ -457,48 +662,41 @@ def evaluate_assignment(m: IlpModel, t: Tiling, tol: float = 1e-9) -> Evaluation
     variables take their smallest feasible values given the placements.
     """
     h, w = t.height, t.width
-    binaries = sum(v.kind == BINARY for v in m.variables)
+    var, con = m.variables, m.constraints
+    binaries = int(np.count_nonzero(var.binary))
     n = binaries // (h * w)
-    layout = [x_name(i, j, k) for i in range(1, h + 1)
-              for j in range(1, w + 1) for k in range(n)]
-    if (not n or binaries != len(layout)
-            or [v.name for v in m.variables[:len(layout)]] != layout):
+    layout = _x_names(h, w, n)
+    if not n or binaries != len(layout) or list(var.names[:len(layout)]) != layout:
         raise StructuralError(
             f"model placements do not fit the x_i_j_k layout of a "
             f"{h}x{w} tiling")
-    if int(t.cells.max()) >= n:
+    cells = t.cells.ravel()
+    if int(cells.max()) >= n:
         raise StructuralError("tiling references tile ids beyond the model's")
 
-    values = [0.0] * len(m.variables)
-    for p, k in enumerate(t.cells.ravel().tolist()):
-        if k != VOID:
-            values[p * n + k] = 1.0
-    slack_positions = [vi for vi, v in enumerate(m.variables)
-                       if v.kind == CONTINUOUS]
+    values = np.zeros(len(var))
+    placed = np.flatnonzero(cells != VOID)
+    values[placed * n + cells[placed]] = 1.0
+    rows = np.repeat(np.arange(len(con)), np.diff(con.indptr))
 
-    # Minimal feasible slack: the largest lower bound any <=-constraint with
-    # a -1 slack coefficient imposes, clipped to the variable's range.
-    if slack_positions:
-        slackset = set(slack_positions)
-        lower = {vi: m.variables[vi].lower for vi in slack_positions}
-        for con in m.constraints:
-            svars = [vi for _, vi in con.terms if vi in slackset]
-            if not svars or con.sense != LE:
-                continue
-            lhs = sum(c * values[vi] for c, vi in con.terms if vi not in slackset)
-            for vi in svars:
-                lower[vi] = max(lower[vi], lhs - con.rhs)
-        for vi in slack_positions:
-            values[vi] = min(lower[vi], m.variables[vi].upper)
+    def lhs() -> np.ndarray:
+        return np.bincount(rows, weights=con.data * values[con.indices],
+                           minlength=len(con))
 
-    violated = []
-    for con in m.constraints:
-        lhs = sum(c * values[vi] for c, vi in con.terms)
-        ok = (lhs <= con.rhs + tol if con.sense == LE
-              else lhs >= con.rhs - tol if con.sense == GE
-              else abs(lhs - con.rhs) <= tol)
-        if not ok:
-            violated.append(con.name)
-    objective = (sum(c * values[vi] for c, vi in m.objective.terms)
-                 + m.objective.constant)
-    return Evaluation(not violated, objective, tuple(violated))
+    # Minimal feasible slack: the largest lower bound any <=-constraint
+    # holding the slack imposes (the slacks still 0), clipped to its range.
+    slack = ~var.binary
+    if slack.any():
+        lower = var.lower.copy()
+        hit = slack[con.indices] & (con.senses == LE)[rows]
+        np.maximum.at(lower, con.indices[hit], (lhs() - con.rhs)[rows[hit]])
+        values[slack] = np.minimum(lower, var.upper)[slack]
+
+    total = lhs()
+    ok = np.where(con.senses == LE, total <= con.rhs + tol,
+                  np.where(con.senses == GE, total >= con.rhs - tol,
+                           np.abs(total - con.rhs) <= tol))
+    violated = tuple(con.names[r] for r in np.flatnonzero(~ok).tolist())
+    obj = m.objective
+    objective = sum((obj.data * values[obj.indices]).tolist()) + obj.constant
+    return Evaluation(not violated, objective, violated)

@@ -16,7 +16,9 @@ from wangtiler import (ConfigurationError, DifferentEdgeColors, DifferentTile,
 from wangtiler.ilp import (FORMULATIONS, ModelSpec, build_model, emit_lp,
                            evaluate_assignment, parse_lp, x_name)
 
+import lp_matrix
 from helpers import random_tileset
+from wangtiler.bench import resolve_set
 
 
 CELL_EXTS = (ForceTile(1, 1, 0), ForbidTile(2, 2, 1), SameTile(1, 1, 2, 2),
@@ -267,6 +269,70 @@ def test_emit_parse_round_trip_all_formulations(formulation):
         assert emit_lp(m2) == emit_lp(m)
 
 
+def test_parse_gives_back_the_csr_arrays():
+    # Every lp_matrix case over the smaller sets: the parsed model holds the
+    # built model's arrays, names, senses, right-hand sides and objective.
+    sets = {name: resolve_set(name) for name in lp_matrix.SETS}
+    small = [(label, s) for label, s in lp_matrix.cases(wt, sets)
+             if s.tileset is not sets["ammann16"]]
+    assert len(small) > 500
+    for label, s in small:
+        m = build_model(s)
+        m2 = parse_lp(emit_lp(m))
+        assert m2.constraints == m.constraints, label
+        assert m2.variables == m.variables, label
+        assert m2.objective == m.objective, label
+
+
+def add_con(terms):
+    """The row a list of (coef, variable index) terms makes: equal variables
+    summed in order, each at its first occurrence, zero sums dropped."""
+    merged = {}
+    for coef, vi in terms:
+        merged[vi] = merged.get(vi, 0.0) + coef
+    return tuple((c, vi) for vi, c in merged.items() if c != 0.0)
+
+
+def test_rows_that_name_a_cell_twice_merge():
+    ts = complete_stochastic_set(2)
+    n = len(ts)
+
+    def cell(i, j, w, ids, coef=1.0):
+        return [(coef, ((i - 1) * w + j - 1) * n + k) for k in ids]
+
+    def tiles(side, color, other=False):
+        return [k for k, c in enumerate(ts.side(side)) if (c != color) == other]
+
+    def rows(m):
+        return {c.name: c for c in m.constraints}
+
+    # A pair extension at one cell cancels to empty rows.
+    got = rows(build_model(spec(ts, 2, 2, "decision", SameTile(1, 1, 1, 1),
+                                EqualEdgeColors(1, 1, "n", 1, 1, "n"))))
+    for k in range(n):
+        assert got[f"same_1_1_1_1_{k}"].terms == () == add_con(
+            cell(1, 1, 2, [k]) + cell(1, 1, 2, [k], -1.0))
+    for l in range(2):
+        row = got[f"eqcol_1_1_n_1_1_n_{l}"]
+        assert row.terms == () and row.sense == "=" and row.rhs == 0.0
+    # PeriodicFixed on one row matches each cell's north with its own south.
+    got = rows(build_model(spec(ts, 1, 3, "decision", PeriodicFixed())))
+    for j in range(1, 4):
+        for l in range(2):
+            raw = cell(1, j, 3, tiles("n", l)) + cell(1, j, 3, tiles("s", l), -1.0)
+            assert got[f"pern_{j}_{l}"].terms == add_con(raw)
+            assert add_con(raw) != tuple(raw)
+    # PeriodicVariable at the first column wraps onto the cell itself, where
+    # a tile lacking east l and showing west l counts twice.
+    got = rows(build_model(spec(ts, 2, 2, "max_rect", PeriodicVariable())))
+    for i in (1, 2):
+        for l in range(2):
+            raw = (cell(i, 1, 2, tiles("e", l, True)) + cell(i, 1, 2, tiles("w", l))
+                   + cell(i, 2, 2, range(n), -1.0))
+            assert got[f"pvh_{i}_1_{l}"].terms == add_con(raw)
+            assert 2.0 in [c for c, _ in add_con(raw)]
+
+
 # Each malformed text, and the line its error names.
 MALFORMED = [
     ("Minimize\n obj: 0\nSubject To\n c1: x_1_1_0 = 1\nEnd\n",
@@ -297,6 +363,8 @@ MALFORMED = [
     ("\\ a comment\nMinimize\n obj: 0\nSubject To\nEnd\n",
      "line 1: expected Minimize or Maximize"),
     ("minimize\n obj: 0\nSubject To\nEnd\n", "line 1: expected Minimize"),
+    ("Minimize\n obj: 0\nSubject To\n c1: x + y = 1\nBounds\n 0 <= x <= 1\n"
+     "Binaries\n x y x\nEnd\n", "line 8: 'x' declared twice"),
 ]
 
 
