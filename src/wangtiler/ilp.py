@@ -27,9 +27,11 @@ built is kept.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass, fields
-from itertools import combinations, compress
+from itertools import combinations, compress, repeat
+from math import isfinite
 
 import numpy as np
 
@@ -538,37 +540,126 @@ _NEXT = {"Minimize": ("Subject To",), "Maximize": ("Subject To",),
          "Bounds": ("Binaries", "End"), "Binaries": ("End",), "End": ()}
 
 
-_SIGNS = {"+": 1.0, "-": -1.0}
+#: <expr> tokens queued per batch: enough that the array work costs little
+#: per token, few enough that the queued strings stay small.
+_BATCH = 1 << 16
+
+# A token's code in the lookup: a variable index, or one of these.
+_PLUS, _MINUS, _OTHER = -1, -2, -3
+# Token kinds: a declared name, one that starts like a sign (a term, but not
+# after a number), a sign, a number, an undeclared name, and the kind before
+# a row's first token.
+_VAR, _ODD, _SIGN, _NUM, _BAD, _START = range(6)
+_NUMERIC = "0123456789."
+_SIGNED = "+-" + _NUMERIC
 
 
-def _parse_expr(tokens: list[str], index: dict[str, int], indices: array,
-                data: array) -> float:
-    """Append an <expr>'s terms to ``indices`` (variable indices) and
-    ``data`` (coefficients); return its constant."""
-    # pending: the sign still waiting for its term; None just after a term,
-    # where the next token must be a sign
-    sign, coef, pending = 1.0, None, ""
-    add_index, add_coef = indices.append, data.append
-    for tok in tokens:
-        if coef is not None and tok[0] in "+-0123456789.":
-            raise ValueError(f"{tok!r} after a number; a constant ends the <expr>")
-        if tok in _SIGNS:
-            if pending:  # two signs in a row: the first has no term
-                break
-            sign, pending = _SIGNS[tok], tok
-        elif pending is None:
-            raise ValueError(f"{tok!r} without a sign before it")
-        elif tok[0] in "0123456789.":
-            coef, pending = float(tok), ""
-        elif (vi := index.get(tok)) is not None:
-            add_index(vi)
-            add_coef(sign if coef is None else sign * coef)
-            coef, pending = None, None
-        else:
-            raise ValueError(f"undeclared variable {tok!r}")
-    if pending:
-        raise ValueError(f"{pending!r} without a term after it")
-    return 0.0 if coef is None else sign * coef
+def _expected(want: tuple[str, ...], got: str) -> str:
+    return f"expected {' or '.join(want) or 'nothing'}, got {got}"
+
+
+def _number(tok: str) -> float:
+    """``float(tok)``, refusing the non-finite values outside <number>."""
+    x = float(tok)
+    if not isfinite(x):
+        raise ValueError(f"non-finite number {tok!r}")
+    return x
+
+
+class _Exprs:
+    """Reads rows of <expr> tokens into CSR arrays (``indices``, ``data``,
+    ``indptr``) and row constants (``consts``), a batch at a time.
+
+    A batch is classified with one lookup per token, and only the tokens
+    the lookup leaves unresolved are read one by one.  An <expr>'s only
+    state is the kind of its previous token, so masks over (previous kind,
+    kind) check the grammar, raising the first error in text order with
+    its row's first line.
+    """
+
+    def __init__(self, lookup: dict[str, int], odd: dict[str, int]):
+        # lookup: the declared names plus the signs; odd: the declared names
+        # that start like a sign or a number, which the lookup leaves out
+        self.get, self.odd = lookup.get, odd
+        self.indices, self.data = array("i"), array("d")
+        self.indptr, self.consts = array("q", [0]), array("d")
+        self.toks, self.starts, self.lines = [], [], []
+
+    def add(self, line: int, toks: list[str]) -> None:
+        """Queue one row's tokens; ``line`` is its first line, 0-based."""
+        self.starts.append(len(self.toks))
+        self.lines.append(line)
+        self.toks += toks
+        if len(self.toks) >= _BATCH:
+            self.flush()
+
+    def fail(self, line: int, message: str):
+        """Raise ``message`` for ``line``, unless a queued row fails first."""
+        self.flush()
+        raise ValueError(f"line {line + 1}: {message}")
+
+    def flush(self) -> None:
+        """Check the queued rows and append their arrays."""
+        if not self.starts:
+            return
+        toks, n, starts = self.toks, len(self.toks), np.array(self.starts)
+        codes = np.fromiter(map(self.get, toks, repeat(_OTHER)), np.intc, n)
+        kind = (codes < 0).view(np.int8) << 1  # _VAR or _SIGN until resolved
+        numbers, values, errors = [], [], {}
+        for p in np.flatnonzero(codes == _OTHER).tolist():
+            tok = toks[p]
+            if tok[0] in _NUMERIC:
+                kind[p] = _NUM
+                try:
+                    values.append(_number(tok))
+                    numbers.append(p)
+                except ValueError as exc:
+                    errors[p] = str(exc)
+            elif (vi := self.odd.get(tok)) is not None:
+                kind[p], codes[p] = _ODD, vi
+            else:
+                kind[p], errors[p] = _BAD, f"undeclared variable {tok!r}"
+        prev = np.empty_like(kind)
+        prev[1:] = kind[:-1]
+        prev[starts[starts < n]] = _START
+        ends = np.append(starts[1:], n)
+        last = ends[ends > starts] - 1
+        bad = (prev == _NUM) & (kind != _VAR)
+        bad |= (prev == _SIGN) & (kind == _SIGN)
+        bad |= (prev <= _ODD) & (kind != _SIGN)
+        bad[list(errors)] = True
+        bad[last[kind[last] == _SIGN]] = True
+        if bad.any():  # the first bad token's error, as the token loop gave it
+            p = int(bad.argmax())
+            tok, before = toks[p], prev[p]
+            if before == _NUM and kind[p] != _VAR and tok[0] in _SIGNED:
+                message = f"{tok!r} after a number; a constant ends the <expr>"
+            elif before == _SIGN and kind[p] == _SIGN:
+                message = f"{toks[p - 1]!r} without a term after it"
+            elif before <= _ODD and kind[p] != _SIGN:
+                message = f"{tok!r} without a sign before it"
+            else:
+                message = errors.get(p, f"{tok!r} without a term after it")
+            line = self.lines[bisect_right(self.starts, p) - 1]
+            raise ValueError(f"line {line + 1}: {message}")
+        # A term's coefficient is the sign or the signed number before it.
+        signed = np.where(codes == _MINUS, -1.0, 1.0)
+        numbers = np.array(numbers, dtype=np.intp)
+        signed[numbers] = np.array(values) * np.where(
+            prev[numbers] == _SIGN, signed[numbers - 1], 1.0)
+        terms = np.flatnonzero(kind <= _ODD)
+        base = len(self.indices)
+        self.indices.frombytes(codes[terms].tobytes())
+        self.data.frombytes(np.where(prev[terms] == _START, 1.0,
+                                     signed[terms - 1]).tobytes())
+        self.indptr.frombytes((base + np.searchsorted(terms, ends)).tobytes())
+        # A number that no term follows is its row's constant.
+        consts = np.zeros(len(starts))
+        rows = np.searchsorted(starts, numbers, side="right") - 1
+        at_end = numbers + 1 == ends[rows]
+        consts[rows[at_end]] = signed[numbers[at_end]]
+        self.consts.frombytes(consts.tobytes())
+        self.toks, self.starts, self.lines = [], [], []
 
 
 def _arrays(indices: array, data: array) -> tuple[np.ndarray, np.ndarray]:
@@ -577,18 +668,21 @@ def _arrays(indices: array, data: array) -> tuple[np.ndarray, np.ndarray]:
 
 def parse_lp(text: str) -> IlpModel:
     """Parse the LP text :func:`emit_lp` writes back into a model: exactly
-    README's "LP output grammar", else ValueError naming the 1-based line."""
+    README's "LP output grammar", else ValueError naming the 1-based line.
+    A non-finite number is refused, and text that stops before ``End``
+    names the header due next."""
     lines = text.splitlines() or [""]
     at, want, n = {}, ("Minimize", "Maximize"), 0
     try:
         for n, line in enumerate(lines):  # the headers, in their order
             if not n or not line.startswith(" "):
                 if line not in want:
-                    raise ValueError(f"expected {' or '.join(want) or 'nothing'}, "
-                                     f"got {line!r}")
+                    raise ValueError(_expected(want, repr(line)))
                 at[line], want = n, _NEXT[line]
-        if line != "End":
-            raise ValueError(f"expected End, got {line!r}")
+        if line != "End":  # the text stops before End, or goes on after it
+            n = at.get("End", n) + 1
+            raise ValueError(_expected(want, repr(lines[n]) if n < len(lines)
+                                       else "end of text"))
         # The declarations come last: read them first, so rows resolve names.
         binaries = at.get("Binaries", n)  # n is End, the last line
         bounds = at.get("Bounds", binaries)
@@ -600,8 +694,8 @@ def parse_lp(text: str) -> IlpModel:
             if len(toks) != 5 or toks[1] != LE or toks[3] != LE:
                 raise ValueError(f"unsupported bounds line: {lines[n]!r}")
             names.append(toks[2])
-            lower.append(float(toks[0]))
-            upper.append(float(toks[4]))
+            lower.append(_number(toks[0]))
+            upper.append(_number(toks[4]))
         index = {name: vi for vi, name in enumerate(names)}
         if len(index) < len(names):  # name the first repeat, in text order
             seen = set()
@@ -614,32 +708,45 @@ def parse_lp(text: str) -> IlpModel:
         n, sub = 1, at["Subject To"]
         if not lines[1].startswith(" obj: "):
             raise ValueError(f"expected ' obj: <expr>', got {lines[1]!r}")
-        obj_terms = array("i"), array("d")
-        const = _parse_expr(" ".join(lines[1:sub]).split()[1:], index, *obj_terms)
-        sense = ("max" if lines[0] == "Maximize"
-                 else "min" if obj_terms[0] or const else "none")
-        objective = Objective(sense, *_arrays(*obj_terms), const)
-        terms, cons, indptr, n = (array("i"), array("d")), [], [0], sub + 1
-        while n < bounds:  # a row is a line and its three-space continuations
-            end = n + 1
-            while lines[end].startswith("   "):
-                end += 1
-            name, *toks = " ".join(lines[n:end]).split() or [""]
-            if not name.endswith(":"):
-                raise ValueError(f"constraint without 'name:': {lines[n]!r}")
-            if len(toks) < 2 or toks[-2] not in (LE, EQ, GE):
-                raise ValueError(f"constraint without sense: {lines[n]!r}")
-            const = _parse_expr(toks[:-2], index, *terms)
-            cons.append((name[:-1], toks[-2], float(toks[-1]) - const))
-            indptr.append(len(terms[0]))
-            n = end
     except ValueError as exc:
         raise ValueError(f"line {n + 1}: {exc}") from None
-    con_names, senses, rhs = zip(*cons) if cons else ((), (), ())
+    del lines[bounds + 1:]  # the declarations are read: free their lines
+    # A token that starts like a number is read as one, and one that starts
+    # like a sign is no term after a number: keep such names out of the
+    # lookup, which is the name index itself with the two signs added.
+    odd = {name: index.pop(name) for name in names if name[0] in _SIGNED}
+    index["+"], index["-"] = _PLUS, _MINUS
+    obj = _Exprs(index, odd)
+    obj.add(1, " ".join(lines[1:sub])[len(" obj: "):].split())
+    obj.flush()
+    const = obj.consts[0]
+    sense = "max" if lines[0] == "Maximize" else "min" if obj.indices or const else "none"
+    objective = Objective(sense, *_arrays(obj.indices, obj.data), const)
+    rows, con_names, senses, rhs, n = _Exprs(index, odd), [], [], [], sub + 1
+    while n < bounds:  # a row is a line and its three-space continuations
+        end = n + 1
+        while lines[end].startswith("   "):
+            end += 1
+        toks = " ".join(lines[n:end]).split()
+        if not toks or not toks[0].endswith(":"):
+            rows.fail(n, f"constraint without 'name:': {lines[n]!r}")
+        if len(toks) < 3 or toks[-2] not in (LE, EQ, GE):
+            rows.fail(n, f"constraint without sense: {lines[n]!r}")
+        rows.add(n, toks[1:-2])
+        con_names.append(toks[0][:-1])
+        senses.append(toks[-2])
+        try:
+            rhs.append(_number(toks[-1]))
+        except ValueError as exc:
+            rows.fail(n, str(exc))
+        n = end
+    rows.flush()
     variables = Variables(tuple(names), np.arange(len(names)) < n_binary,
                           np.array(lower), np.array(upper))
-    constraints = Constraints(con_names, np.array(senses, dtype="<U2"), np.array(rhs),
-                              np.array(indptr), *_arrays(*terms))
+    constraints = Constraints(tuple(con_names), np.array(senses, dtype="<U2"),
+                              np.array(rhs) - np.frombuffer(rows.consts),
+                              np.frombuffer(rows.indptr, dtype=np.int64),
+                              *_arrays(rows.indices, rows.data))
     return IlpModel(variables, constraints, objective)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import wangtiler as wt
+import wangtiler.ilp as ilp
 from wangtiler import (ConfigurationError, DifferentEdgeColors, DifferentTile,
                        EqualEdgeColors, ForbidEdgeColor, ForbidTile,
                        ForceEdgeColor, ForceTile, Packing, PeriodicFixed,
@@ -365,6 +366,41 @@ MALFORMED = [
     ("minimize\n obj: 0\nSubject To\nEnd\n", "line 1: expected Minimize"),
     ("Minimize\n obj: 0\nSubject To\n c1: x + y = 1\nBounds\n 0 <= x <= 1\n"
      "Binaries\n x y x\nEnd\n", "line 8: 'x' declared twice"),
+    # Text that stops early names the header due next; text after End, that
+    # nothing may follow.
+    ("Minimize\n", "line 2: expected Subject To, got end of text"),
+    ("Minimize\n obj: 0\nSubject To\n c1: x = 1\n",
+     "line 5: expected Bounds or Binaries or End, got end of text"),
+    ("Minimize\n obj: 0\nSubject To\nEnd\n x\n", "line 5: expected nothing, got ' x'"),
+    # Non-finite numbers, wherever a number may stand.
+    ("Minimize\n obj: 0\nSubject To\n c1: x = nan\nBinaries\n x\nEnd\n",
+     "line 4: non-finite number 'nan'"),
+    ("Minimize\n obj: 0\nSubject To\n c1: x = 1e999\nBinaries\n x\nEnd\n",
+     "line 4: non-finite number '1e999'"),
+    ("Minimize\n obj: 0\nSubject To\n c1: x\n   - 1e999 y = 1\nBinaries\n x y\nEnd\n",
+     "line 4: non-finite number '1e999'"),
+    ("Maximize\n obj: x - 1e999\nSubject To\nBinaries\n x\nEnd\n",
+     "line 2: non-finite number '1e999'"),
+    ("Minimize\n obj: 0\nSubject To\nBounds\n nan <= y <= inf\nEnd\n",
+     "line 5: non-finite number 'nan'"),
+    ("Minimize\n obj: 0\nSubject To\nBounds\n 0 <= y <= inf\nEnd\n",
+     "line 5: non-finite number 'inf'"),
+    # The first error in text order: an <expr> error before its row's
+    # right-hand side, a row's error before the next row's name or sense.
+    ("Minimize\n obj: 0\nSubject To\n c1: x y = nan\nBinaries\n x y\nEnd\n",
+     "line 4: 'y' without a sign before it"),
+    ("Minimize\n obj: 0\nSubject To\n c1: x + 2x = 1\n c2 x = 1\nBinaries\n x\nEnd\n",
+     "line 4: could not convert string to float: '2x'"),
+    ("Minimize\n obj: 0\nSubject To\n c1: x + z = 1\n c2: x 1\nBinaries\n x\nEnd\n",
+     "line 4: undeclared variable 'z'"),
+    # A declared name that starts like a number is read as a number, and one
+    # that starts like a sign is no term after a number.
+    ("Minimize\n obj: 0\nSubject To\n c1: - 2c = 1\nBinaries\n 2c\nEnd\n",
+     "line 4: could not convert string to float: '2c'"),
+    ("Minimize\n obj: 0\nSubject To\n c1: 2 -a = 1\nBinaries\n -a\nEnd\n",
+     "line 4: '-a' after a number"),
+    ("Minimize\n obj: 0\nSubject To\n c1: -a x = 1\nBinaries\n -a x\nEnd\n",
+     "line 4: 'x' without a sign before it"),
 ]
 
 
@@ -372,6 +408,72 @@ def test_parse_rejects_garbage():
     for text, message in MALFORMED:
         with pytest.raises(ValueError, match=message):
             parse_lp(text)
+
+
+def test_a_name_that_starts_like_a_sign_is_a_term():
+    m = parse_lp("Minimize\n obj: -a\nSubject To\n c1: +b - 2 x + -a = 1\n"
+                 "Binaries\n x -a +b\nEnd\n")
+    assert list(m.objective.terms) == [(1.0, 1)]
+    assert m.constraints[0].terms == ((1.0, 2), (-2.0, 0), (1.0, 1))
+
+
+# -- token batches ------------------------------------------------------------------
+
+def batched_model():
+    """complete:2 30x30 max_cover, whose rows hold about two batches of
+    <expr> tokens: the model, its text's lines, each row's first line, and
+    where each row's <expr> tokens start and end among all rows'."""
+    m = build_model(spec(complete_stochastic_set(2), 30, 30, "max_cover"))
+    lines = emit_lp(m).splitlines()
+    end = lines.index("Binaries")
+    first = [k for k in range(lines.index("Subject To") + 1, end)
+             if not lines[k].startswith("   ")]
+    sizes = [len(" ".join(lines[a:b]).split()) - 3  # less name, sense and rhs
+             for a, b in zip(first, first[1:] + [end])]
+    ends = np.cumsum(sizes)
+    return m, lines, first, ends - sizes, ends
+
+
+def test_a_row_across_the_batch_size_parses_to_the_built_arrays():
+    m, lines, first, starts, ends = batched_model()
+    assert ends[-1] > 2 * ilp._BATCH
+    assert np.any((starts < ilp._BATCH) & (ends > ilp._BATCH))
+    m2 = parse_lp("\n".join(lines) + "\n")
+    assert m2.constraints == m.constraints
+    assert m2.variables == m.variables and m2.objective == m.objective
+
+
+def past_the_first_batch(starts) -> int:
+    """A row of the second batch, with rows of the same batch after it."""
+    return int(np.argmax(starts > ilp._BATCH)) + 3
+
+
+def test_an_error_past_the_first_batch_names_its_rows_first_line():
+    m, lines, first, starts, ends = batched_model()
+    r = past_the_first_batch(starts)
+    k = first[r] + 1  # the row's second line
+    assert lines[k].startswith("   + x_")
+    lines[k] = lines[k].replace("+ x_", "+ y_", 1)
+    with pytest.raises(ValueError, match=f"^line {first[r] + 1}: undeclared variable 'y_"):
+        parse_lp("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("at, old, new, message", [
+    (0, ": ", " ", "constraint without 'name:'"),
+    (-1, "<= 1", "== 1", "constraint without sense"),
+    (-1, "<= 1", "<= one", "could not convert string to float: 'one'"),
+    (-1, "<= 1", "<= inf", "non-finite number 'inf'")])
+def test_a_rows_expr_error_comes_before_the_next_rows_error(at, old, new, message):
+    m, lines, first, starts, ends = batched_model()
+    r = past_the_first_batch(starts)
+    k = (first[r + 1], first[r + 2] - 1)[at]  # the next row's first or last line
+    assert old in lines[k]
+    lines[k] = lines[k].replace(old, new, 1)
+    with pytest.raises(ValueError, match=f"^line {first[r + 1] + 1}: {message}"):
+        parse_lp("\n".join(lines) + "\n")
+    lines[first[r]] = lines[first[r]].replace(": x_", ": z_", 1)
+    with pytest.raises(ValueError, match=f"^line {first[r] + 1}: undeclared variable 'z_"):
+        parse_lp("\n".join(lines) + "\n")
 
 
 # -- evaluation ---------------------------------------------------------------------
