@@ -37,6 +37,6 @@ print("2x2 repetition of a witness valid?",
 
 # Tile packing: every tile exactly once, wrap-around boundaries.
 c3 = wt.complete_stochastic_set(3)
-res = wt.pack_tiles(c3, 9, 9, periodic=True, deadline=30, most_constrained=True)
+res = wt.pack_tiles(c3, 9, 9, periodic=True, deadline=30)
 print(f"\ncomplete(3) 9x9 periodic packing: {res.status} "
       f"({res.stats['nodes']} nodes, {res.stats['seconds']:.2f}s)")

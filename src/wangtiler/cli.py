@@ -184,8 +184,7 @@ def cmd_pack(args) -> int:
     ts = resolve_set(args.tileset)
     style = _svg_style(ts, args)
     res = pack_tiles(ts, args.height, args.width, periodic=args.periodic,
-                     deadline=args.deadline,
-                     most_constrained=args.most_constrained)
+                     deadline=args.deadline)
     print(f"status: {res.status} (nodes {res.stats.get('nodes', 0)}, "
           f"{res.stats.get('seconds', 0.0):.2f}s)")
     return _write_witness(ts, res, args, style, args.periodic)
@@ -330,8 +329,6 @@ def build_parser() -> _Parser:
     p.add_argument("--periodic", action="store_true")
     p.add_argument("--deadline", type=float, default=None,
                    help="wall-clock budget in seconds")
-    p.add_argument("--most-constrained", action="store_true",
-                   help="fill the fewest-candidates cell first")
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("emit", help="write a model in LP format")

@@ -370,12 +370,11 @@ def smallest_torus(ts: TileSet, max_area: int) -> TorusResult | None:
 
 
 def pack_tiles(ts: TileSet, height: int, width: int, periodic: bool = False,
-               deadline: float | None = None,
-               most_constrained: bool = False) -> SolveResult:
+               deadline: float | None = None) -> SolveResult:
     """Place every tile of the set exactly once on the grid.
 
-    Backtracking with forward checking; cells are filled row-major (or by a
-    fewest-candidates-first override), tiles tried in ascending id.  With
+    Backtracking with forward checking; the next cell filled is the first
+    empty one with the fewest candidates, tiles tried in ascending id.  With
     ``periodic`` the opposite boundaries must carry equal colors, so a cell
     of a one-wide torus must match itself.  A cell's candidates come from
     one lookup of the colors its four neighbours ask for.  ``deadline`` is a
@@ -389,8 +388,8 @@ def pack_tiles(ts: TileSet, height: int, width: int, periodic: bool = False,
     # ascending tile ids by the colors a cell's (west, north, south, east)
     # neighbours ask for; None asks for nothing
     pools: dict[tuple, list[int]] = {}
-    # with most_constrained, the pools each tile is listed in (the last
-    # slot is VOID's) and the count of unused tiles in each pool
+    # the pools each tile is listed in (the last slot is VOID's) and the
+    # count of unused tiles in each pool
     counted: list[tuple] = [()] * (len(ts) + 1)
     for k, (w, n, s, e) in enumerate(zip(ts.wests, ts.norths, ts.souths, ts.easts)):
         if periodic and ((width == 1 and w != e) or (height == 1 and n != s)):
@@ -398,8 +397,7 @@ def pack_tiles(ts: TileSet, height: int, width: int, periodic: bool = False,
         keys = tuple(product((w, None), (n, None), (s, None), (e, None)))
         for key in keys:
             pools.setdefault(key, []).append(k)
-        if most_constrained:
-            counted[k] = keys
+        counted[k] = keys
     free = {key: len(pool) for key, pool in pools.items()}
     size = height * width
 
@@ -424,17 +422,17 @@ def pack_tiles(ts: TileSet, height: int, width: int, periodic: bool = False,
         w, n, s, e = around[p]
         return easts[cells[w]], souths[cells[n]], norths[cells[s]], wests[cells[e]]
 
-    def next_cell(filled: int) -> tuple[int, Iterator[int]]:
-        best = filled
-        if most_constrained:  # the first empty cell with the fewest candidates
-            fewest = None
-            for p in range(size):
-                if cells[p] == VOID:
-                    count = free.get(asked(p), 0)
-                    if fewest is None or count < fewest:
-                        best, fewest = p, count
-                        if not count:
-                            break
+    def next_cell() -> tuple[int, Iterator[int]]:
+        """The first empty cell with the fewest candidates, and an iterator
+        over them."""
+        best, fewest = size, None
+        for p in range(size):
+            if cells[p] == VOID:
+                count = free.get(asked(p), 0)
+                if fewest is None or count < fewest:
+                    best, fewest = p, count
+                    if not count:
+                        break
         return best, iter([k for k in pools.get(asked(best), ()) if not used[k]])
 
     frames: list[tuple] = []  # per filled cell: (cell, its untried candidates)
@@ -445,7 +443,7 @@ def pack_tiles(ts: TileSet, height: int, width: int, periodic: bool = False,
                 and time.monotonic() - t0 > deadline):
             status = CAPPED
             break
-        frames.append(next_cell(len(frames)))
+        frames.append(next_cell())
         while frames:  # place the next untried candidate, backtracking as needed
             p, untried = frames[-1]
             used[cells[p]] = False

@@ -15,13 +15,12 @@ h x w grid over the tile set T has index ``((i-1)*w + j-1)*|T| + k``; the
 
 An :class:`IlpModel` stores each part once, in arrays: its
 :class:`Variables` as columns (names, a binary mask, lower and upper
-bounds), its :class:`Constraints` as a CSR matrix (``indptr``, ``indices``,
-``data``, plus one name, sense and right-hand side per row) and its
-:class:`Objective` as index and coefficient arrays with a sense and a
-constant.  ``model.variables``, ``model.constraints`` and
-``objective.terms`` are also read-only sequences: indexing one builds a
-:class:`Var`, a :class:`LinCon` or a ``(coef, index)`` pair, and nothing
-built is kept.
+bounds; variable ``vi`` is index ``vi`` of each), its :class:`Constraints`
+as a CSR matrix (``indptr``, ``indices``, ``data``, plus one name, sense
+and right-hand side per row) and its :class:`Objective` as index and
+coefficient arrays with a sense and a constant.  ``model.constraints`` is
+also a read-only sequence of rows: indexing it builds a :class:`LinCon`,
+which is not kept, and a slice is Constraints.
 """
 
 from __future__ import annotations
@@ -44,18 +43,7 @@ from .tileset import VOID, TileSet, Tiling
 
 FORMULATIONS = ("decision", "max_rect", "max_cover", "max_csp")
 
-BINARY = "binary"
-CONTINUOUS = "continuous"
-
 LE, EQ, GE = "<=", "=", ">="
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-    kind: str
-    lower: float
-    upper: float
 
 
 @dataclass(frozen=True)
@@ -85,10 +73,9 @@ class _Arrays:
 
 
 @dataclass(frozen=True, eq=False)
-class Variables(_Arrays, Sequence):
+class Variables(_Arrays):
     """Variable columns; variable ``vi`` is ``names[vi]``, binary where
-    ``binary[vi]`` (else continuous), within ``[lower[vi], upper[vi]]``.
-    Indexing builds a :class:`Var`; a slice is Variables."""
+    ``binary[vi]`` (else continuous), within ``[lower[vi], upper[vi]]``."""
     names: tuple[str, ...]
     binary: np.ndarray
     lower: np.ndarray
@@ -96,12 +83,6 @@ class Variables(_Arrays, Sequence):
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Variables(self.names[i], self.binary[i], self.lower[i], self.upper[i])
-        return Var(self.names[i], BINARY if self.binary[i] else CONTINUOUS,
-                   float(self.lower[i]), float(self.upper[i]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,34 +115,12 @@ class Constraints(_Arrays, Sequence):
         return LinCon(self.names[r], terms, str(self.senses[r]), float(self.rhs[r]))
 
 
-class _Terms(Sequence):
-    """An objective's terms as ``(coef, variable index)`` pairs."""
-
-    def __init__(self, data: np.ndarray, indices: np.ndarray):
-        self.data, self.indices = data, indices
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _Terms(self.data[i], self.indices[i])
-        return float(self.data[i]), int(self.indices[i])
-
-    def __iter__(self):
-        return zip(self.data.tolist(), self.indices.tolist())
-
-
 @dataclass(frozen=True, eq=False)
 class Objective(_Arrays):
     sense: str  # "max" | "min" | "none"
     indices: np.ndarray
     data: np.ndarray
     constant: float = 0.0
-
-    @property
-    def terms(self) -> _Terms:
-        return _Terms(self.data, self.indices)
 
 
 @dataclass(frozen=True)
@@ -669,8 +628,9 @@ def _arrays(indices: array, data: array) -> tuple[np.ndarray, np.ndarray]:
 def parse_lp(text: str) -> IlpModel:
     """Parse the LP text :func:`emit_lp` writes back into a model: exactly
     README's "LP output grammar", else ValueError naming the 1-based line.
-    A non-finite number is refused, and text that stops before ``End``
-    names the header due next."""
+    A non-finite number is refused, and so is a row constant that
+    overflows its right-hand side (checked once every row has been read);
+    text that stops before ``End`` names the header due next."""
     lines = text.splitlines() or [""]
     at, want, n = {}, ("Minimize", "Maximize"), 0
     try:
@@ -741,10 +701,16 @@ def parse_lp(text: str) -> IlpModel:
             rows.fail(n, str(exc))
         n = end
     rows.flush()
+    with np.errstate(over="ignore"):
+        rhs = np.array(rhs) - np.frombuffer(rows.consts)
+    finite = np.isfinite(rhs)
+    if not finite.all():  # name the first such row's first line
+        r = int(finite.argmin())
+        n = [k for k in range(sub + 1, bounds) if not lines[k].startswith("   ")][r]
+        raise ValueError(f"line {n + 1}: the constant overflows the right-hand side")
     variables = Variables(tuple(names), np.arange(len(names)) < n_binary,
                           np.array(lower), np.array(upper))
-    constraints = Constraints(tuple(con_names), np.array(senses, dtype="<U2"),
-                              np.array(rhs) - np.frombuffer(rows.consts),
+    constraints = Constraints(tuple(con_names), np.array(senses, dtype="<U2"), rhs,
                               np.frombuffer(rows.indptr, dtype=np.int64),
                               *_arrays(rows.indices, rows.data))
     return IlpModel(variables, constraints, objective)

@@ -36,20 +36,17 @@ def random_packing_set(rng: random.Random, size: int) -> TileSet:
     return TileSet([Tile(*q) for q in sorted(quads)], num_colors=nc)
 
 
-def naive_first_packing(ts: TileSet, h: int, w: int,
-                        periodic: bool) -> list[list[int]] | None:
-    """The first arrangement of every tile once, in ``itertools.permutations``
-    order, whose shared edges all match; on a torus each arrangement is
-    checked tiled 2x2, which covers its wrap-around edges.  None if there is
-    none."""
+def naive_packing_exists(ts: TileSet, h: int, w: int, periodic: bool) -> bool:
+    """Whether some arrangement of every tile once has all its shared edges
+    matching; on a torus each arrangement is checked tiled 2x2, which covers
+    its wrap-around edges."""
     perms = np.array(list(itertools.permutations(range(len(ts))))).reshape(-1, h, w)
     grids = np.tile(perms, (1, 2, 2)) if periodic else perms
     n, we, s, e = (np.array(side)[grids] for side in
                    (ts.norths, ts.wests, ts.souths, ts.easts))
     fits = ((e[:, :, :-1] == we[:, :, 1:]).all(axis=(1, 2))
             & (s[:, :-1] == n[:, 1:]).all(axis=(1, 2)))
-    hits = np.flatnonzero(fits)
-    return perms[hits[0]].tolist() if len(hits) else None
+    return bool(fits.any())
 
 
 def naive_max_cover(ts: TileSet, h: int, w: int) -> int:
@@ -184,3 +181,13 @@ def naive_torus_tilings(ts: TileSet, h: int, w: int) -> list[tuple[int, ...]]:
                for (i, j), k in zip(itertools.product(range(h), range(w)), assign)):
             found.append(assign)
     return found
+
+
+def lp_row(m, r: int) -> tuple[str, dict[str, float], str, float]:
+    """Row ``r`` of an ILP model, read from its CSR arrays: the row's name,
+    ``{variable name: coefficient}``, sense and right-hand side."""
+    con, names = m.constraints, m.variables.names
+    a, b = con.indptr[r], con.indptr[r + 1]
+    terms = {names[vi]: coef for vi, coef in
+             zip(con.indices[a:b].tolist(), con.data[a:b].tolist())}
+    return con.names[r], terms, str(con.senses[r]), float(con.rhs[r])

@@ -83,9 +83,9 @@ def main(argv: list[str]) -> int:
     for label, spec in cases(wt, sets):
         model = build_model(spec)
         text = emit_lp(model)
-        nonzeros = sum(len(c.terms) for c in model.constraints)
         print(label, sha(text), sha(emit_lp(parse_lp(text))),
-              len(model.variables), len(model.constraints), nonzeros)
+              len(model.variables), len(model.constraints),
+              len(model.constraints.indices))
     return 0
 
 

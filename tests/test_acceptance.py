@@ -139,8 +139,7 @@ def test_criterion_06_tile_packing():
     for n, (h, w) in ((2, (4, 4)), (3, (9, 9))):
         ts = complete_stochastic_set(n)
         t0 = time.perf_counter()
-        res = pack_tiles(ts, h, w, periodic=True, deadline=60,
-                         most_constrained=True)
+        res = pack_tiles(ts, h, w, periodic=True, deadline=60)
         dt = time.perf_counter() - t0
         assert res.status == VALID
         assert sorted(res.witness.cells.flatten().tolist()) == list(range(h * w))
@@ -152,7 +151,7 @@ def test_criterion_06_tile_packing():
     # a commercial MILP solver to finish in seconds).
     deadline = float(os.environ.get("WANGTILER_ACCEPT_PACK4", "300"))
     res4 = pack_tiles(complete_stochastic_set(4), 16, 16, periodic=True,
-                      deadline=deadline, most_constrained=True)
+                      deadline=deadline)
     report(6, ok,
            f"complete(2) {budgets[0]:.2f}s, complete(3) {budgets[1]:.2f}s "
            f"(< 10s each); complete(4) 16x16 attempt: {res4.status} "

@@ -14,9 +14,9 @@ from wangtiler import (CAPPED, INFEASIBLE, VALID, BudgetExceededError,
                        pack_tiles, smallest_torus, solve_decision,
                        validate_tiling)
 
-from helpers import (PACK_SHAPES, naive_first_packing, naive_full_tiling_exists,
-                     naive_max_cover, naive_torus_tilings, random_packing_set,
-                     random_tileset)
+from helpers import (PACK_SHAPES, naive_full_tiling_exists, naive_max_cover,
+                     naive_packing_exists, naive_torus_tilings,
+                     random_packing_set, random_tileset)
 
 
 # -- decision ----------------------------------------------------------------
@@ -357,6 +357,15 @@ def test_pack_long_chain():
     assert res.witness.cells[0].tolist() == list(range(1100))
 
 
+def test_pack_keeps_the_benchmarks_keyword():
+    ts = complete_stochastic_set(2)
+    kept, res = pack_tiles(ts, 4, 4, most_constrained=True), pack_tiles(ts, 4, 4)
+    assert kept.stats["nodes"] == res.stats["nodes"]
+    assert kept.witness.cells.tolist() == res.witness.cells.tolist()
+    with pytest.raises(ConfigurationError, match="one order"):
+        pack_tiles(ts, 4, 4, most_constrained=False)
+
+
 def test_pack_infeasible_when_no_arrangement():
     ts = TileSet([Tile(0, 0, 0, 0), Tile(1, 1, 1, 1)], num_colors=2)
     res = pack_tiles(ts, 1, 2)
@@ -364,27 +373,21 @@ def test_pack_infeasible_when_no_arrangement():
 
 
 def test_pack_agrees_with_enumeration():
-    # In row-major order the search tries tiles in ascending id, so its
-    # witness is the first permutation that packs.  A cell of a one-wide
-    # torus is its own neighbour across the wrap.
+    # A cell of a one-wide torus is its own neighbour across the wrap.
     rng = random.Random(14)
     for n in range(300):
         h, w = PACK_SHAPES[n % len(PACK_SHAPES)]
         ts = random_packing_set(rng, h * w)
         for periodic in (False, True):
-            first = naive_first_packing(ts, h, w, periodic)
-            for most_constrained in (False, True):
-                res = pack_tiles(ts, h, w, periodic=periodic,
-                                 most_constrained=most_constrained)
-                assert res.status == (INFEASIBLE if first is None else VALID)
-                if first is None:
-                    continue
-                cells = res.witness.cells
-                assert sorted(cells.flatten().tolist()) == list(range(h * w))
-                tiled = np.tile(cells, (2, 2)) if periodic else cells
-                assert validate_tiling(ts, Tiling(tiled)).is_valid
-                if not most_constrained:
-                    assert cells.tolist() == first
+            exists = naive_packing_exists(ts, h, w, periodic)
+            res = pack_tiles(ts, h, w, periodic=periodic)
+            assert res.status == (VALID if exists else INFEASIBLE)
+            if not exists:
+                continue
+            cells = res.witness.cells
+            assert sorted(cells.flatten().tolist()) == list(range(h * w))
+            tiled = np.tile(cells, (2, 2)) if periodic else cells
+            assert validate_tiling(ts, Tiling(tiled)).is_valid
 
 
 # -- maximum-cover oracle --------------------------------------------------------

@@ -18,7 +18,7 @@ from wangtiler.ilp import (FORMULATIONS, ModelSpec, build_model, emit_lp,
                            evaluate_assignment, parse_lp, x_name)
 
 import lp_matrix
-from helpers import random_tileset
+from helpers import lp_row, random_tileset
 from wangtiler.bench import resolve_set
 
 
@@ -37,10 +37,9 @@ def names(m, prefix):
 
 
 def signature(m):
-    return sorted(
-        (c.name, c.sense, c.rhs,
-         tuple(sorted((m.variables[vi].name, coef) for coef, vi in c.terms)))
-        for c in m.constraints)
+    return sorted((name, sense, rhs, tuple(sorted(terms.items())))
+                  for name, terms, sense, rhs in
+                  (lp_row(m, r) for r in range(len(m.constraints))))
 
 
 # -- builder -------------------------------------------------------------------
@@ -48,7 +47,7 @@ def signature(m):
 def test_decision_fig3_2x2_counts():
     m = build_model(spec(builtin_set("fig3"), 2, 2, "decision"))
     assert len(m.variables) == 12
-    assert all(v.kind == "binary" for v in m.variables)
+    assert m.variables.binary.all()
     assert len(names(m, "v_")) == 1 * 2 * 2
     assert len(names(m, "h_")) == 2 * 1 * 2
     assert len(names(m, "occ_")) == 4
@@ -66,9 +65,9 @@ def test_decision_boundary_union_no_duplicates():
 
 def test_variable_naming_scheme():
     m = build_model(spec(builtin_set("fig3"), 2, 3, "decision"))
-    assert m.variables[0].name == "x_1_1_0"
+    assert m.variables.names[0] == "x_1_1_0"
     assert x_name(2, 3, 1) == "x_2_3_1"
-    assert m.variables[-1].name == "x_2_3_2"
+    assert m.variables.names[-1] == "x_2_3_2"
 
 
 def test_max_rect_structure():
@@ -79,7 +78,7 @@ def test_max_rect_structure():
     assert anchor.sense == "=" and anchor.rhs == 1
     others = [c for c in names(m, "occ_") if c.name != "occ_1_1"]
     assert all(c.sense == "<=" for c in others)
-    assert m.objective.sense == "max" and len(m.objective.terms) == 27
+    assert m.objective.sense == "max" and len(m.objective.indices) == 27
 
 
 def test_max_cover_structure():
@@ -87,17 +86,16 @@ def test_max_cover_structure():
     m = build_model(spec(ts, 2, 2, "max_cover"))
     assert all(c.sense == "<=" for c in m.constraints)
     # paired indicator families: e=l on the left cell, w!=l on the right
-    c = next(c for c in m.constraints if c.name == "h_1_1_0")
-    terms = {m.variables[vi].name: coef for coef, vi in c.terms}
+    _, terms, _, _ = lp_row(m, m.constraints.names.index("h_1_1_0"))
     assert terms == {"x_1_1_0": 1.0, "x_1_2_0": 1.0, "x_1_2_1": 1.0}
 
 
 def test_max_csp_structure():
     m = build_model(spec(builtin_set("fig3"), 2, 2, "max_csp"))
-    slack_names = [v.name for v in m.variables if v.kind == "continuous"]
+    var, slack = m.variables, ~m.variables.binary
+    slack_names = [name for name, s in zip(var.names, slack) if s]
     assert slack_names == ["hv_1_1", "hv_2_1", "hh_1_1", "hh_1_2"]
-    assert all(v.lower == 0.0 and v.upper == 1.0
-               for v in m.variables if v.kind == "continuous")
+    assert (var.lower[slack] == 0.0).all() and (var.upper[slack] == 1.0).all()
     assert len(names(m, "v_")) == 2 * 2 * 2  # _p and _m per (i,j,l)
     assert len(names(m, "h_")) == 2 * 2 * 2
     assert m.objective.sense == "max"
@@ -266,7 +264,7 @@ def test_emit_parse_round_trip_all_formulations(formulation):
         m2 = parse_lp(emit_lp(m))
         assert signature(m) == signature(m2)
         assert m2.objective == m.objective
-        assert [v.name for v in m.variables] == [v.name for v in m2.variables]
+        assert m.variables.names == m2.variables.names
         assert emit_lp(m2) == emit_lp(m)
 
 
@@ -385,6 +383,14 @@ MALFORMED = [
      "line 5: non-finite number 'nan'"),
     ("Minimize\n obj: 0\nSubject To\nBounds\n 0 <= y <= inf\nEnd\n",
      "line 5: non-finite number 'inf'"),
+    # A row's constant moved into a finite right-hand side can overflow;
+    # that is checked after every row is read, so other errors win.
+    ("Minimize\n obj: 0\nSubject To\n c1: x + 1e308 = -1e308\nBinaries\n x\nEnd\n",
+     "line 4: the constant overflows the right-hand side"),
+    ("Minimize\n obj: 0\nSubject To\n c0: x = 1\n c1: x + 1e308\n   = -1e308\n"
+     "Binaries\n x\nEnd\n", "line 5: the constant overflows the right-hand side"),
+    ("Minimize\n obj: 0\nSubject To\n c1: x + 1e308 = -1e308\n c2: z = 1\n"
+     "Binaries\n x\nEnd\n", "line 5: undeclared variable 'z'"),
     # The first error in text order: an <expr> error before its row's
     # right-hand side, a row's error before the next row's name or sense.
     ("Minimize\n obj: 0\nSubject To\n c1: x y = nan\nBinaries\n x y\nEnd\n",
@@ -404,6 +410,7 @@ MALFORMED = [
 ]
 
 
+@pytest.mark.filterwarnings("error")
 def test_parse_rejects_garbage():
     for text, message in MALFORMED:
         with pytest.raises(ValueError, match=message):
@@ -413,7 +420,8 @@ def test_parse_rejects_garbage():
 def test_a_name_that_starts_like_a_sign_is_a_term():
     m = parse_lp("Minimize\n obj: -a\nSubject To\n c1: +b - 2 x + -a = 1\n"
                  "Binaries\n x -a +b\nEnd\n")
-    assert list(m.objective.terms) == [(1.0, 1)]
+    assert m.objective.data.tolist() == [1.0]
+    assert m.objective.indices.tolist() == [1]
     assert m.constraints[0].terms == ((1.0, 2), (-2.0, 0), (1.0, 1))
 
 
