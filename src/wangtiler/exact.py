@@ -16,8 +16,12 @@ Python ints.  The torus (``count_torus``, ``smallest_torus``,
 one-to-six-cell shapes ``smallest_torus`` tries; a torus state also counts
 the ways to reach it.  Per-cell conditions reach both sweeps as one (cell,
 tile) mask built from ``extensions.cell_rule``.  Packing is a backtracking
-search, because its use-every-tile-once rule has no small frontier: one pool
-lookup per cell, and a cell of a one-wide torus must match itself.
+search, because its use-every-tile-once rule has no small frontier.  Each
+empty cell keeps the key of its pool, the tiles that fit what its
+neighbours ask for, updated when a neighbour is filled or emptied, so a
+node costs one pool lookup per cell that changed; the next cell is the
+first argmin of the pools' free counts read through those keys.  A cell of
+a one-wide torus must match itself.
 """
 
 from __future__ import annotations
@@ -376,8 +380,13 @@ def pack_tiles(ts: TileSet, height: int, width: int, periodic: bool = False,
     Backtracking with forward checking; the next cell filled is the first
     empty one with the fewest candidates, tiles tried in ascending id.  With
     ``periodic`` the opposite boundaries must carry equal colors, so a cell
-    of a one-wide torus must match itself.  A cell's candidates come from
-    one lookup of the colors its four neighbours ask for.  ``deadline`` is a
+    of a one-wide torus must match itself.  A cell's candidates are the
+    unused tiles of one pool, keyed by the colors its four neighbours ask
+    for.  Each empty cell keeps its pool key, updated when it or a
+    neighbour is filled or emptied: one pool lookup per cell that changed.
+    The pools keep counts of their unused tiles, and the next cell is the
+    first argmin of those counts read through the cells' keys, so a node
+    costs about the same whatever the grid size.  ``deadline`` is a
     wall-clock budget in seconds, at least 0; hitting it returns CAPPED.
     """
     if height < 1 or width < 1:
@@ -387,18 +396,23 @@ def pack_tiles(ts: TileSet, height: int, width: int, periodic: bool = False,
     check_extension(Packing(), ts, height, width)
     # ascending tile ids by the colors a cell's (west, north, south, east)
     # neighbours ask for; None asks for nothing
-    pools: dict[tuple, list[int]] = {}
-    # the pools each tile is listed in (the last slot is VOID's) and the
-    # count of unused tiles in each pool
-    counted: list[tuple] = [()] * (len(ts) + 1)
+    by_key: dict[tuple, list[int]] = {}
+    asks: list[tuple] = [()] * len(ts)  # the keys each tile is listed under
     for k, (w, n, s, e) in enumerate(zip(ts.wests, ts.norths, ts.souths, ts.easts)):
         if periodic and ((width == 1 and w != e) or (height == 1 and n != s)):
             continue  # the cell is its own neighbour across the wrap
-        keys = tuple(product((w, None), (n, None), (s, None), (e, None)))
-        for key in keys:
-            pools.setdefault(key, []).append(k)
-        counted[k] = keys
-    free = {key: len(pool) for key, pool in pools.items()}
+        asks[k] = tuple(product((w, None), (n, None), (s, None), (e, None)))
+        for key in asks[k]:
+            by_key.setdefault(key, []).append(k)
+    # each key numbered once, plus two: ``unasked``, which no tile answers,
+    # and ``filled``, a filled cell's, which counts more free tiles than any
+    # pool; ``free`` counts the unused tiles of each pool, and ``counted[k]``
+    # numbers the pools tile k is in
+    ids = {key: i for i, key in enumerate(by_key)}
+    pools = [*by_key.values(), []]
+    unasked, filled = len(by_key), len(by_key) + 1
+    free = np.array([len(pool) for pool in pools] + [len(ts) + 1])
+    counted = [np.array([ids[key] for key in keys], dtype=np.intp) for keys in asks]
     size = height * width
 
     def at(i: int, j: int) -> int:
@@ -410,31 +424,19 @@ def pack_tiles(ts: TileSet, height: int, width: int, periodic: bool = False,
     # grid they are cell ``size``, which stays VOID
     around = [(at(i, j - 1), at(i - 1, j), at(i + 1, j), at(i, j + 1))
               for i in range(height) for j in range(width)]
+    # each cell and its distinct neighbours on the grid, the cells whose key
+    # a placement there changes (on a narrow torus a neighbour can repeat, or
+    # be the cell itself)
+    near = [tuple({p, *around[p]} - {size}) for p in range(size)]
     # the color each neighbour shows the cell; a VOID id (-1) shows None
     easts, souths, norths, wests = (side + (None,) for side in
                                     (ts.easts, ts.souths, ts.norths, ts.wests))
     cells = [VOID] * (size + 1)
-    used = [False] * (len(ts) + 1)  # used[VOID] is a spare slot
+    used = [False] * len(ts)
+    # each cell's key: ``filled``, or the pool its neighbours ask for
+    keyof = np.full(size, ids.get((None,) * 4, unasked), dtype=np.intp)
     t0 = time.monotonic()
     nodes = 0
-
-    def asked(p: int) -> tuple:
-        w, n, s, e = around[p]
-        return easts[cells[w]], souths[cells[n]], norths[cells[s]], wests[cells[e]]
-
-    def next_cell() -> tuple[int, Iterator[int]]:
-        """The first empty cell with the fewest candidates, and an iterator
-        over them."""
-        best, fewest = size, None
-        for p in range(size):
-            if cells[p] == VOID:
-                count = free.get(asked(p), 0)
-                if fewest is None or count < fewest:
-                    best, fewest = p, count
-                    if not count:
-                        break
-        return best, iter([k for k in pools.get(asked(best), ()) if not used[k]])
-
     frames: list[tuple] = []  # per filled cell: (cell, its untried candidates)
     status = VALID
     while len(frames) < size:
@@ -443,17 +445,27 @@ def pack_tiles(ts: TileSet, height: int, width: int, periodic: bool = False,
                 and time.monotonic() - t0 > deadline):
             status = CAPPED
             break
-        frames.append(next_cell())
+        # the first empty cell with the fewest candidates
+        p = int(free[keyof].argmin())
+        frames.append((p, iter([k for k in pools[keyof[p]] if not used[k]])))
         while frames:  # place the next untried candidate, backtracking as needed
             p, untried = frames[-1]
-            used[cells[p]] = False
-            for key in counted[cells[p]]:
-                free[key] += 1
-            cells[p] = k = next(untried, VOID)
+            old, k = cells[p], next(untried, VOID)
+            cells[p] = k
+            if old != VOID:  # take back the tile tried last
+                used[old] = False
+                free[counted[old]] += 1
             if k != VOID:
                 used[k] = True
-                for key in counted[k]:
-                    free[key] -= 1
+                free[counted[k]] -= 1
+            if k != old:  # the cell changed, and with it its empty neighbours' keys
+                keyof[p] = filled
+                for q in near[p]:
+                    if cells[q] == VOID:
+                        w, n, s, e = around[q]
+                        keyof[q] = ids.get((easts[cells[w]], souths[cells[n]],
+                                            norths[cells[s]], wests[cells[e]]), unasked)
+            if k != VOID:
                 break
             frames.pop()
         else:

@@ -33,8 +33,8 @@ a deadline, so every line is deterministic.  The matrix:
   under a small budget;
 - packings, open and periodic: 300 random sets (seeded) cycling through
   every grid of area at most 6, complete:2 at 4x4, 2x8, 8x2, 1x16 and
-  16x1, fig3 at 1x3 and 3x1, and complete:3 at 9x9, as the benchmark runs
-  it.
+  16x1, fig3 at 1x3 and 3x1, complete:3 at 9x9, as the benchmark runs
+  it, and an open 1x1100 chain that fits in one order only.
 
 It takes about 6 s on one core.  Its name keeps pytest from
 collecting it.
@@ -129,6 +129,8 @@ def pack_instances(wt, random_packing_set, shapes) -> None:
             pack(wt, label, ts, h, w, periodic)
     for periodic in (False, True):
         pack(wt, "complete:3", wt.complete_stochastic_set(3), 9, 9, periodic)
+    chain = wt.TileSet([wt.Tile(0, c, 0, c + 1) for c in range(1100)])
+    pack(wt, "chain", chain, 1, 1100, False)
 
 
 def random_instances(wt, random_tileset) -> None:

@@ -355,6 +355,39 @@ def test_pack_long_chain():
     res = pack_tiles(chain, 1, 1100)
     assert res.status == VALID
     assert res.witness.cells[0].tolist() == list(range(1100))
+    assert res.stats["nodes"] == 1100  # no backtracking
+
+
+# Status, node count and witness (row-major cells) of fewest-candidates-first
+# packing, ties to the first cell and tiles in ascending id; a change to how
+# the search finds its next cell must keep all three.
+PINNED_PACKINGS = [
+    (3, 9, 9, True, VALID, 30089,
+     [0, 1, 9, 7, 12, 31, 13, 40, 63, 2, 18, 5, 72, 28, 39, 33, 35, 24,
+      3, 4, 36, 8, 21, 32, 75, 60, 57, 30, 27, 6, 54, 29, 45, 34, 64, 42,
+      37, 10, 65, 19, 11, 20, 73, 15, 58, 14, 22, 16, 17, 23, 26, 25, 67, 43,
+      41, 48, 61, 71, 53, 78, 62, 52, 70, 44, 49, 68, 80, 77, 79, 69, 59, 76,
+      55, 38, 47, 74, 46, 66, 56, 50, 51]),
+    (3, 9, 9, False, VALID, 6507,
+     [0, 1, 9, 7, 12, 31, 13, 14, 48, 2, 18, 5, 72, 28, 39, 33, 35, 51,
+      3, 4, 36, 8, 21, 32, 75, 55, 66, 30, 27, 6, 54, 29, 45, 34, 10, 42,
+      37, 11, 73, 16, 17, 19, 64, 15, 57, 20, 23, 22, 67, 68, 26, 24, 58, 43,
+      25, 40, 41, 52, 44, 78, 62, 53, 79, 59, 50, 49, 69, 60, 61, 70, 71, 80,
+      38, 47, 46, 63, 56, 74, 76, 65, 77]),
+    (2, 2, 8, True, VALID, 23,
+     [0, 2, 3, 6, 11, 7, 4, 10, 1, 12, 8, 9, 15, 13, 5, 14]),
+    (2, 1, 16, True, INFEASIBLE, 2749, None),
+    (2, 16, 1, False, VALID, 18,
+     [0, 1, 2, 8, 3, 9, 4, 5, 6, 10, 11, 12, 7, 14, 15, 13]),
+]
+
+
+@pytest.mark.parametrize("n, h, w, periodic, status, nodes, cells", PINNED_PACKINGS)
+def test_pack_node_counts_are_pinned(n, h, w, periodic, status, nodes, cells):
+    res = pack_tiles(complete_stochastic_set(n), h, w, periodic=periodic)
+    assert (res.status, res.stats["nodes"]) == (status, nodes)
+    if cells is not None:
+        assert res.witness.cells.flatten().tolist() == cells
 
 
 def test_pack_keeps_the_benchmarks_keyword():
