@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from itertools import compress, product
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
