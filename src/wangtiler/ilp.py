@@ -21,6 +21,12 @@ and right-hand side per row) and its :class:`Objective` as index and
 coefficient arrays with a sense and a constant.  ``model.constraints`` is
 also a read-only sequence of rows: indexing it builds a :class:`LinCon`,
 which is not kept, and a slice is Constraints.
+
+LP text goes both ways in whole-array passes.  :func:`emit_lp` formats
+the objective and the constraint rows together: one table of ``" + name"``
+and ``" - name"`` pieces, one take for every term, one ``np.insert`` for
+the line breaks and each row's tail, one join.  :func:`parse_lp` reads the
+rows' tokens in batches, with one dict lookup per token.
 """
 
 from __future__ import annotations
@@ -434,63 +440,129 @@ def build_model(spec: ModelSpec) -> IlpModel:
 
 # -- LP text emission and parsing --------------------------------------------
 
+#: What starts a row's next line: every tenth token of a row starts one.
+_BREAK = "\n   "
+
+
 def _fmt_num(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
-def _fmt_terms(indices: np.ndarray, data: np.ndarray, names, plus, minus,
-               constant: float = 0.0) -> list[str]:
-    """Tokens like ['x_1_1_0', '+ 2 x_1_1_1', '- x_2_1_0', '+ 760'];
-    ``plus[vi]`` and ``minus[vi]`` are '+ name' and '- name'."""
-    toks = [plus[vi] if c == 1.0 else minus[vi] if c == -1.0
-            else f"{'-' if c < 0 else '+'} {_fmt_num(abs(c))} {names[vi]}"
-            for vi, c in zip(indices.tolist(), data.tolist())]
-    if toks and toks[0][0] == "+":
-        toks[0] = toks[0][2:]
-    if constant or not toks:
-        tok = _fmt_num(abs(constant))
-        toks.append(tok if not toks else f"{'-' if constant < 0 else '+'} {tok}")
-    return toks
+def _nonfinite(values: np.ndarray) -> int:
+    """The index of the first non-finite value, or -1."""
+    finite = np.isfinite(values)
+    return -1 if finite.all() else int(finite.argmin())
 
 
-def _wrap(prefix: str, toks: list[str], per_line: int = 10) -> list[str]:
-    lines = []
-    for start in range(0, len(toks), per_line):
-        chunk = " ".join(toks[start:start + per_line])
-        lines.append(f"{prefix}{chunk}" if start == 0 else f"   {chunk}")
-    return lines
+def _check_finite(m: IlpModel) -> None:
+    """ValueError for a non-finite number that :func:`emit_lp` would write,
+    naming its row, its variable or ``obj``."""
+    var, con, obj = m.variables, m.constraints, m.objective
+    names = var.names
+    if (p := _nonfinite(obj.data)) >= 0:
+        raise ValueError(f"obj: non-finite coefficient {float(obj.data[p])} "
+                         f"of {names[obj.indices[p]]!r}")
+    if not isfinite(obj.constant):
+        raise ValueError(f"obj: non-finite constant {float(obj.constant)}")
+    if (p := _nonfinite(con.data)) >= 0:
+        r = int(np.searchsorted(con.indptr, p, side="right")) - 1
+        raise ValueError(f"row {con.names[r]!r}: non-finite coefficient "
+                         f"{float(con.data[p])} of {names[con.indices[p]]!r}")
+    if (r := _nonfinite(con.rhs)) >= 0:
+        raise ValueError(f"row {con.names[r]!r}: non-finite right-hand side "
+                         f"{float(con.rhs[r])}")
+    bounded = np.flatnonzero(~var.binary)
+    for bound in (var.lower[bounded], var.upper[bounded]):
+        if (p := _nonfinite(bound)) >= 0:
+            raise ValueError(f"variable {names[bounded[p]]!r}: non-finite bound "
+                             f"{float(bound[p])}")
+
+
+def _term_pieces(m: IlpModel) -> np.ndarray:
+    """Every term's piece, the objective's first and then each row's:
+    ``" + name"``, ``" - name"`` or, for another coefficient, ``" + 2 name"``."""
+    obj, con, names = m.objective, m.constraints, m.variables.names
+    indices = np.concatenate((obj.indices, con.indices))
+    data = np.concatenate((obj.data, con.data))
+    table = (np.array([[" + "], [" - "]], dtype=object)
+             + np.array(names, dtype=object)).ravel()
+    pieces = table[indices + len(names) * (data == -1.0)]
+    odd = np.flatnonzero(np.abs(data) != 1.0)
+    pieces[odd] = [f" {'-' if c < 0 else '+'} {_fmt_num(abs(c))} {names[vi]}"
+                   for c, vi in zip(data[odd].tolist(), indices[odd].tolist())]
+    return pieces
+
+
+def _declarations(var: Variables) -> str:
+    """The Bounds and Binaries sections, each only if it has a variable,
+    and End."""
+    lines, names = [], var.names
+    bounded = np.flatnonzero(~var.binary).tolist()
+    if bounded:
+        lines.append("Bounds")
+        lines += [f" {_fmt_num(var.lower[vi])} <= {names[vi]} <= {_fmt_num(var.upper[vi])}"
+                  for vi in bounded]
+    binaries = list(compress(names, var.binary.tolist()))
+    if binaries:
+        lines.append("Binaries")
+        lines += [" " + " ".join(binaries[start:start + 8])
+                  for start in range(0, len(binaries), 8)]
+    lines.append("End")
+    return "\n" + "\n".join(lines) + "\n"
 
 
 def emit_lp(m: IlpModel) -> str:
-    """Deterministic LP-format text; identical models emit identical bytes."""
-    var, con, obj = m.variables, m.constraints, m.objective
-    names = var.names
-    plus, minus = ([f"{sign} {name}" for name in names] for sign in "+-")
-    out: list[str] = []
-    out.append("Maximize" if obj.sense == "max" else "Minimize")
-    toks = _fmt_terms(obj.indices, obj.data, names, plus, minus, obj.constant)
-    out.extend(_wrap(" obj: ", toks))
-    out.append("Subject To")
-    ptr = con.indptr.tolist()
-    for r, (name, sense, rhs) in enumerate(zip(con.names, con.senses.tolist(),
-                                               con.rhs.tolist())):
-        a, b = ptr[r], ptr[r + 1]
-        toks = _fmt_terms(con.indices[a:b], con.data[a:b], names, plus, minus)
-        toks += [sense, _fmt_num(rhs)]
-        out.extend(_wrap(f" {name}: ", toks))
-    bounded = np.flatnonzero(~var.binary).tolist()
-    if bounded:
-        out.append("Bounds")
-        for vi in bounded:
-            out.append(f" {_fmt_num(var.lower[vi])} <= {names[vi]} "
-                       f"<= {_fmt_num(var.upper[vi])}")
-    binaries = list(compress(names, var.binary.tolist()))
-    if binaries:
-        out.append("Binaries")
-        for start in range(0, len(binaries), 8):
-            out.append(" " + " ".join(binaries[start:start + 8]))
-    out.append("End")
-    return "\n".join(out) + "\n"
+    """Deterministic LP-format text; identical models emit identical bytes.
+    A non-finite coefficient, right-hand side, bound or objective constant
+    raises ValueError naming its row, its variable or ``obj``.
+
+    The objective is row 0 and the constraints follow it.  One take from a
+    table of ``" + name"`` and ``" - name"`` pieces, two per variable,
+    gives every term its piece; the few non-unit coefficients are written
+    one by one, and each non-empty row's first piece becomes its head
+    (``"\\n name: "`` and the term without its ``"+ "``).  One stable
+    ``np.insert`` puts ``"\\n  "`` before every tenth term of a row, each
+    row's tail after its terms (its sense and right-hand side, or the
+    objective constant, or ``"0"`` for an empty row, wrapped like the
+    terms) and the declarations at the end.  One join makes the text.
+    """
+    _check_finite(m)
+    con, obj = m.constraints, m.objective
+    k = len(obj.indices)
+    indptr = np.concatenate(([0], k + con.indptr))
+    lengths = np.diff(indptr)
+    pieces = _term_pieces(m)
+    heads = [f"{'Maximize' if obj.sense == 'max' else 'Minimize'}\n obj: "]
+    heads += [f"\n {name}: " for name in con.names]
+    full = np.flatnonzero(lengths)
+    first = indptr[full]
+    pieces[first] = [heads[r] + (p[3:] if p[1] == "+" else p[1:])
+                     for r, p in zip(full.tolist(), pieces[first].tolist())]
+    # The tails: the objective's constant, then each row's sense and
+    # right-hand side, after a "0" where the row has no terms.
+    c = obj.constant
+    if not k:
+        tails = [heads[0] + _fmt_num(abs(c))]
+    elif c:
+        tails = [f"{' ' if k % 10 else _BREAK}{'-' if c < 0 else '+'} {_fmt_num(abs(c))}"]
+    else:
+        tails = [""]
+    tails[0] += "\nSubject To"
+    rhs, which = np.unique(con.rhs, return_inverse=True)
+    rhs = np.array([_fmt_num(x) for x in rhs.tolist()], dtype=object)[which]
+    rest = lengths[1:] % 10
+    tails += (np.where(rest == 0, _BREAK, " ").astype(object) + con.senses
+              + np.where(rest == 9, _BREAK, " ") + rhs).tolist()
+    for r in np.flatnonzero(lengths[1:] == 0).tolist():
+        tails[r + 1] = f"{heads[r + 1]}0 {con.senses[r]} {rhs[r]}"
+    # A break before the terms 10, 20, ... of each row (a piece brings its
+    # own first space), then the tails, then the declarations.
+    breaks = np.maximum(lengths - 1, 0) // 10
+    at = 10 * np.arange(1, breaks.sum() + 1) + np.repeat(
+        indptr[:-1] - 10 * (np.cumsum(breaks) - breaks), breaks)
+    pieces = np.insert(pieces, np.concatenate((at, indptr[1:], indptr[-1:])),
+                       [_BREAK[:-1]] * len(at) + tails + [_declarations(m.variables)])
+    return "".join(pieces.tolist())
 
 
 #: Each LP header and the headers that may follow it.

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from itertools import compress
 
 import numpy as np
 
@@ -191,3 +192,65 @@ def lp_row(m, r: int) -> tuple[str, dict[str, float], str, float]:
     terms = {names[vi]: coef for vi, coef in
              zip(con.indices[a:b].tolist(), con.data[a:b].tolist())}
     return con.names[r], terms, str(con.senses[r]), float(con.rhs[r])
+
+
+# -- the per-row LP formatter, kept as the reference for ilp.emit_lp -----------
+
+def _fmt_num(x: float) -> str:
+    return str(int(x)) if float(x).is_integer() else repr(float(x))
+
+
+def _fmt_terms(indices: np.ndarray, data: np.ndarray, names, plus, minus,
+               constant: float = 0.0) -> list[str]:
+    """Tokens like ['x_1_1_0', '+ 2 x_1_1_1', '- x_2_1_0', '+ 760'];
+    ``plus[vi]`` and ``minus[vi]`` are '+ name' and '- name'."""
+    toks = [plus[vi] if c == 1.0 else minus[vi] if c == -1.0
+            else f"{'-' if c < 0 else '+'} {_fmt_num(abs(c))} {names[vi]}"
+            for vi, c in zip(indices.tolist(), data.tolist())]
+    if toks and toks[0][0] == "+":
+        toks[0] = toks[0][2:]
+    if constant or not toks:
+        tok = _fmt_num(abs(constant))
+        toks.append(tok if not toks else f"{'-' if constant < 0 else '+'} {tok}")
+    return toks
+
+
+def _wrap(prefix: str, toks: list[str], per_line: int = 10) -> list[str]:
+    lines = []
+    for start in range(0, len(toks), per_line):
+        chunk = " ".join(toks[start:start + per_line])
+        lines.append(f"{prefix}{chunk}" if start == 0 else f"   {chunk}")
+    return lines
+
+
+def reference_emit_lp(m) -> str:
+    """The LP text of an ILP model, formatted a row at a time: the emitter
+    ``ilp.emit_lp`` replaced, which it must match byte for byte."""
+    var, con, obj = m.variables, m.constraints, m.objective
+    names = var.names
+    plus, minus = ([f"{sign} {name}" for name in names] for sign in "+-")
+    out: list[str] = []
+    out.append("Maximize" if obj.sense == "max" else "Minimize")
+    toks = _fmt_terms(obj.indices, obj.data, names, plus, minus, obj.constant)
+    out.extend(_wrap(" obj: ", toks))
+    out.append("Subject To")
+    ptr = con.indptr.tolist()
+    for r, (name, sense, rhs) in enumerate(zip(con.names, con.senses.tolist(),
+                                               con.rhs.tolist())):
+        a, b = ptr[r], ptr[r + 1]
+        toks = _fmt_terms(con.indices[a:b], con.data[a:b], names, plus, minus)
+        toks += [sense, _fmt_num(rhs)]
+        out.extend(_wrap(f" {name}: ", toks))
+    bounded = np.flatnonzero(~var.binary).tolist()
+    if bounded:
+        out.append("Bounds")
+        for vi in bounded:
+            out.append(f" {_fmt_num(var.lower[vi])} <= {names[vi]} "
+                       f"<= {_fmt_num(var.upper[vi])}")
+    binaries = list(compress(names, var.binary.tolist()))
+    if binaries:
+        out.append("Binaries")
+        for start in range(0, len(binaries), 8):
+            out.append(" " + " ".join(binaries[start:start + 8]))
+    out.append("End")
+    return "\n".join(out) + "\n"

@@ -1,9 +1,12 @@
 import hashlib
 import itertools
 import random
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wangtiler as wt
 import wangtiler.ilp as ilp
@@ -18,7 +21,7 @@ from wangtiler.ilp import (FORMULATIONS, ModelSpec, build_model, emit_lp,
                            evaluate_assignment, parse_lp, x_name)
 
 import lp_matrix
-from helpers import lp_row, random_tileset
+from helpers import lp_row, random_tileset, reference_emit_lp
 from wangtiler.bench import resolve_set
 
 
@@ -186,6 +189,12 @@ def pinned_specs():
         finite1, 3, 2, "max_rect", PeriodicVariable(), SmallestObjective())
     cases["decision complete:2 4x4 Packing"] = spec(
         complete_stochastic_set(2), 4, 4, "decision", Packing())
+    # Rows of 256 terms: their occ rows wrap onto 26 lines.
+    c4 = complete_stochastic_set(4)
+    for f in ("max_cover", "max_csp"):
+        cases[f"{f} complete:4 2x2"] = spec(c4, 2, 2, f)
+    cases["decision complete:4 2x2 PeriodicFixed"] = spec(
+        c4, 2, 2, "decision", PeriodicFixed())
     return cases
 
 
@@ -240,6 +249,12 @@ PINNED_LP = {
         "403ef58412eb96e43767feedfe5832716cee264e9ac7f917b01bf3a733f04458",
     "decision complete:2 4x4 Packing":
         "ee6f38a1bffc2ca796a71a4b82e581df67a020bf15080f3d554e5d1d051ba97a",
+    "max_cover complete:4 2x2":
+        "861401929bc9641fc715d5de604d54805330440a15588fe0f7b93d6a749d6794",
+    "max_csp complete:4 2x2":
+        "0b9640f732d1346db0aa71d7f351173332ce96c7326b4f333033d098ada564d5",
+    "decision complete:4 2x2 PeriodicFixed":
+        "9f5fe494db1ba2a9497c2becf358c05fe8f03c4f012e7f83623c2b01a4e1e968",
 }
 
 
@@ -247,6 +262,87 @@ def test_emit_lp_pinned():
     got = {label: hashlib.sha256(emit_lp(build_model(s)).encode()).hexdigest()
            for label, s in pinned_specs().items()}
     assert got == PINNED_LP
+
+
+@st.composite
+def lp_models(draw):
+    """A hand-built model: up to 6 variables, binary or bounded; up to 4
+    rows of 0-25 terms, so that the sense and the right-hand side fall on
+    both sides of a line break; an objective of 0-25 terms with or without
+    a constant."""
+    n = draw(st.integers(0, 6))
+    binary = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    bound = st.sampled_from([0.0, 1.0, -2.5, 3.0])
+    coef = st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 1e-7, -1e-7, 1e16, -1e16])
+
+    def terms(max_size):
+        size = draw(st.integers(0, max_size if n else 0))
+        indices = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=size,
+                                max_size=size))
+        data = draw(st.lists(coef, min_size=size, max_size=size))
+        return np.array(indices, dtype=np.int32), np.array(data)
+
+    variables = ilp.Variables(tuple(f"v_{vi}" for vi in range(n)), binary,
+                              np.array(draw(st.lists(bound, min_size=n, max_size=n))),
+                              np.array(draw(st.lists(bound, min_size=n, max_size=n))))
+    rows = [terms(25) for _ in range(draw(st.integers(0, 4)))]
+    constraints = ilp.Constraints(
+        tuple(f"c_{r}" for r in range(len(rows))),
+        np.array(draw(st.lists(st.sampled_from(["<=", "=", ">="]), min_size=len(rows),
+                               max_size=len(rows))), dtype="<U2"),
+        np.array(draw(st.lists(st.sampled_from([0.0, 1.0, -3.0, 2.5, 1e16]),
+                               min_size=len(rows), max_size=len(rows)))),
+        np.cumsum([0] + [len(i) for i, _ in rows]),
+        np.concatenate([np.empty(0, np.int32)] + [i for i, _ in rows]),
+        np.concatenate([np.empty(0)] + [d for _, d in rows]))
+    objective = ilp.Objective(draw(st.sampled_from(["max", "min", "none"])), *terms(25),
+                              draw(st.sampled_from([0.0, 760.0, -3.0, 2.5])))
+    return ilp.IlpModel(variables, constraints, objective)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_models())
+def test_emit_lp_matches_the_row_by_row_formatter(m):
+    text = emit_lp(m)
+    assert text == reference_emit_lp(m)
+    assert emit_lp(parse_lp(text)) == text
+
+
+def with_value(m, part, field, at, value):
+    """The model with ``value`` written into one field of one of its parts,
+    at index ``at`` of an array field (``None`` for a number)."""
+    holder = getattr(m, part)
+    new = value
+    if at is not None:
+        new = getattr(holder, field).copy()
+        new[at] = value
+    return replace(m, **{part: replace(holder, **{field: new})})
+
+
+# A number written into a built model, and the error emit_lp raises.
+NONFINITE = [
+    ("decision fig3 1x1", "constraints", "rhs", 0, np.inf,
+     "row 'occ_1_1': non-finite right-hand side inf"),
+    ("decision fig3 1x1", "constraints", "data", 1, np.nan,
+     "row 'occ_1_1': non-finite coefficient nan of 'x_1_1_1'"),
+    ("max_csp fig3 1x3", "variables", "upper", -1, np.inf,
+     "variable 'hv_1_2': non-finite bound inf"),
+    ("max_csp fig3 1x3", "variables", "lower", -2, -np.inf,
+     "variable 'hv_1_1': non-finite bound -inf"),
+    ("max_csp fig3 1x3", "objective", "data", 0, -np.inf,
+     "obj: non-finite coefficient -inf of 'hv_1_1'"),
+    ("max_csp fig3 1x3", "objective", "constant", None, np.nan,
+     "obj: non-finite constant nan"),
+]
+
+
+@pytest.mark.parametrize("label, part, field, at, value, message", NONFINITE)
+def test_emit_rejects_a_non_finite_number(label, part, field, at, value, message):
+    formulation, name, size = label.split()
+    h, w = map(int, size.split("x"))
+    m = build_model(spec(builtin_set(name), h, w, formulation))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        emit_lp(with_value(m, part, field, at, value))
 
 
 def test_emit_parse_round_trip_decision():
