@@ -275,8 +275,8 @@ def lp_models(draw):
     bound = st.sampled_from([0.0, 1.0, -2.5, 3.0])
     coef = st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 1e-7, -1e-7, 1e16, -1e16])
 
-    def terms(max_size):
-        size = draw(st.integers(0, max_size if n else 0))
+    def terms():
+        size = draw(st.integers(0, 25 if n else 0))
         indices = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=size,
                                 max_size=size))
         data = draw(st.lists(coef, min_size=size, max_size=size))
@@ -285,7 +285,7 @@ def lp_models(draw):
     variables = ilp.Variables(tuple(f"v_{vi}" for vi in range(n)), binary,
                               np.array(draw(st.lists(bound, min_size=n, max_size=n))),
                               np.array(draw(st.lists(bound, min_size=n, max_size=n))))
-    rows = [terms(25) for _ in range(draw(st.integers(0, 4)))]
+    rows = [terms() for _ in range(draw(st.integers(0, 4)))]
     constraints = ilp.Constraints(
         tuple(f"c_{r}" for r in range(len(rows))),
         np.array(draw(st.lists(st.sampled_from(["<=", "=", ">="]), min_size=len(rows),
@@ -295,7 +295,7 @@ def lp_models(draw):
         np.cumsum([0] + [len(i) for i, _ in rows]),
         np.concatenate([np.empty(0, np.int32)] + [i for i, _ in rows]),
         np.concatenate([np.empty(0)] + [d for _, d in rows]))
-    objective = ilp.Objective(draw(st.sampled_from(["max", "min", "none"])), *terms(25),
+    objective = ilp.Objective(draw(st.sampled_from(["max", "min", "none"])), *terms(),
                               draw(st.sampled_from([0.0, 760.0, -3.0, 2.5])))
     return ilp.IlpModel(variables, constraints, objective)
 
