@@ -125,7 +125,9 @@ def cmd_solve(args) -> int:
     style = _svg_style(ts, args)
     bcs = [parse_extension(e) for e in args.ext]
     res = solve_decision(ts, args.height, args.width, bcs, cap=args.cap)
-    where = "".join(f", cap crossed in {k} {v}" for k, v in res.stats.items()
+    lead = ("no partial tiling survives" if res.status == INFEASIBLE
+            else "cap crossed in")
+    where = "".join(f", {lead} {k} {v}" for k, v in res.stats.items()
                     if k in ("row", "column"))
     print(f"status: {res.status} (states {res.stats.get('states', 0)}{where})")
     return _write_witness(ts, res, args, style, PeriodicFixed() in bcs)

@@ -137,15 +137,24 @@ def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
             return None, None, stored, p
         keys = (states % tail * radix)[parent] + part[col]
         got = placed[parent] + gain[col]
-        if void:
-            order = np.argsort(-got, kind="stable")
-            order = order[np.argsort(keys[order], kind="stable")]
-        else:
-            order = np.argsort(keys, kind="stable")
+        n = len(keys)
+        order = np.argsort(keys)
         ordered = keys[order]
         group = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-        kept = order[group]
-        out = kept[np.argsort(np.minimum.reduceat(order, group))]
+        del ordered
+        first = np.minimum.reduceat(order, group)
+        if void:
+            # most placed first, then the lowest index: one packed rank
+            rank = (got.max() - got[order]).astype(np.int64) * n + order
+            kept = np.minimum.reduceat(rank, group) % n
+            del rank
+        else:
+            kept = first
+        del order
+        slot = np.full(n, -1, dtype=np.int32)
+        slot[first] = kept
+        out = slot[slot >= 0]
+        del slot
         stored += len(out)
         if stored > cap:
             return None, None, stored, p
@@ -265,7 +274,9 @@ def _frontier(ts: TileSet, height: int, width: int, cap: int,
     ``stats["states"]`` is the stored count; past ``cap`` the sweep stops,
     most placed is None and stats also names the 1-based "row" where the
     cap was crossed, or the "column" when a grid wider than tall was swept
-    transposed.
+    transposed.  A rectangle where no state survives names the row (or
+    column) of the cell that killed the last state: the rows up to it have
+    no tiling on their own.  A torus that dies names nothing.
     """
     if height < 1 or width < 1:
         raise ConfigurationError("grid dimensions must be positive")
@@ -300,7 +311,7 @@ def _frontier(ts: TileSet, height: int, width: int, cap: int,
         ways = None
         best, cells, stored, last = _grid_sweep(ts, height, width, mask, cap, void)
     stats = {"states": stored}
-    if stored > cap:
+    if stored > cap or (best is None and not torus):
         stats["column" if transpose else "row"] = last // width + 1
     witness = None if cells is None else Tiling(cells.T if transpose else cells)
     return best, ways, witness, stats
@@ -326,7 +337,10 @@ def solve_decision(ts: TileSet, height: int, width: int, bcs: Iterable = (),
     budget ran out before an answer.  ``stats["states"]`` counts the stored
     states; a CAPPED result counts them up to the cell where the cap was
     crossed and names its 1-based "row" (or "column", for a grid wider than
-    tall, which is swept transposed).
+    tall, which is swept transposed).  An INFEASIBLE rectangle names the
+    row (or column) where no partial tiling survived, a certificate for
+    free: that many top rows (left columns) alone have no tiling.  An
+    INFEASIBLE torus names neither.
 
     ``bcs`` may hold the per-cell conditions (``ForceTile``, ``ForbidTile``,
     ``ForceEdgeColor``, ``ForbidEdgeColor``) and ``PeriodicFixed``, which

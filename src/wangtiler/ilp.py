@@ -542,7 +542,7 @@ def emit_lp(m: IlpModel) -> str:
     # right-hand side, after a "0" where the row has no terms.
     c = obj.constant
     if not k:
-        tails = [heads[0] + _fmt_num(abs(c))]
+        tails = [heads[0] + ("- " if c < 0 else "") + _fmt_num(abs(c))]
     elif c:
         tails = [f"{' ' if k % 10 else _BREAK}{'-' if c < 0 else '+'} {_fmt_num(abs(c))}"]
     else:

@@ -211,7 +211,8 @@ def _fmt_terms(indices: np.ndarray, data: np.ndarray, names, plus, minus,
         toks[0] = toks[0][2:]
     if constant or not toks:
         tok = _fmt_num(abs(constant))
-        toks.append(tok if not toks else f"{'-' if constant < 0 else '+'} {tok}")
+        sign = "-" if constant < 0 else "+"
+        toks.append(f"{sign} {tok}" if toks or constant < 0 else tok)
     return toks
 
 

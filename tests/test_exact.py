@@ -84,7 +84,7 @@ def test_decision_cap_returns_capped():
     res = solve_decision(builtin_set("finite1"), 3, 9, cap=10)
     assert res.status == CAPPED and res.stats == {"states": 21, "column": 1}
     res = solve_decision(builtin_set("finite1"), 8, 5, cap=1988)
-    assert res.status == INFEASIBLE and res.stats == {"states": 1988}
+    assert res.status == INFEASIBLE and res.stats == {"states": 1988, "row": 8}
     res = solve_decision(builtin_set("finite1"), 8, 5, cap=1987)
     assert res.status == CAPPED and res.stats["row"] == 8
     # The torus sweep stops at the first state past the cap.
@@ -158,7 +158,7 @@ def test_decision_finite2_wide_keys():
     ts = builtin_set("finite2")
     assert (ts.num_colors + 1) ** 16 >= 1 << 65
     res = solve_decision(ts, 15, 15)
-    assert res.status == INFEASIBLE and res.stats == {"states": 922_769}
+    assert res.status == INFEASIBLE and res.stats == {"states": 922_769, "row": 4}
 
 
 @st.composite

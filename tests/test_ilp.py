@@ -305,7 +305,23 @@ def lp_models(draw):
 def test_emit_lp_matches_the_row_by_row_formatter(m):
     text = emit_lp(m)
     assert text == reference_emit_lp(m)
-    assert emit_lp(parse_lp(text)) == text
+    back = parse_lp(text)
+    assert emit_lp(back) == text
+    assert back.objective.constant == m.objective.constant
+
+
+def test_emit_keeps_the_sign_of_a_term_less_objective_constant():
+    # An objective with no terms is its constant alone; a negative one keeps
+    # its sign as a "- " token, a positive one is written bare.
+    for constant, line in ((-3.0, " obj: - 3"), (760.0, " obj: 760"), (0.0, " obj: 0")):
+        m = ilp.IlpModel(ilp.Variables((), np.empty(0, bool), np.empty(0), np.empty(0)),
+                         ilp.Constraints((), np.empty(0, "<U2"), np.empty(0),
+                                         np.zeros(1, np.int64), np.empty(0, np.int32),
+                                         np.empty(0)),
+                         ilp.Objective("min", np.empty(0, np.int32), np.empty(0), constant))
+        text = emit_lp(m)
+        assert text.splitlines()[1] == line
+        assert parse_lp(text).objective.constant == constant
 
 
 def with_value(m, part, field, at, value):
