@@ -10,7 +10,12 @@ into one state.  Each sweep gives one witness: a state keeps its first
 from the last state reads the tiling.  A rectangle (decision, max-cover
 oracle) is swept in numpy, each state one int64 in mixed radix colors + 1:
 about 16 bytes per stored state with its parent link, against about 230 for
-a tuple key with a list value.  Keys of 62 bits or more run the same code on
+a tuple key with a list value.  Equal keys merge after one unstable argsort
+per cell: each key's first child is the minimum index of its group
+(``np.minimum.reduceat``), the kept child (the first with the most tiles
+placed, for the oracle) the minimum of a packed (placed, index) rank, and
+one scatter by first child restores the order, so nothing depends on how
+the sort orders equal keys.  Keys of 62 bits or more run the same code on
 Python ints.  The torus (``count_torus``, ``smallest_torus``,
 ``PeriodicFixed``) stays on tuple keys in a dict, which is faster on the
 one-to-six-cell shapes ``smallest_torus`` tries; a torus state also counts
@@ -92,13 +97,22 @@ def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
     equal keys.  A key keeps its first child, with ``void`` the first of
     those with the most tiles placed, and the states stay in the order of
     their first child, so the witness is the one a dict keyed by the states
-    would give.  A layer stores one int32 parent and one int32 tile per
+    would give.  The merge takes one default (unstable) argsort of the
+    keys; the groups of equal keys in sorted order give each key's first
+    child as ``np.minimum.reduceat`` of the sorted indices, and with
+    ``void`` the kept child as the group minimum of ``(most placed - placed)
+    * n + index``, the most placed and then the lowest index.  One scatter
+    of the kept children into an n-slot array at their first child's index
+    puts them back in first-child order, with no second sort.  Every step
+    reads a group as a set, so the result does not depend on the sort's
+    stability.  A layer stores one int32 parent and one int32 tile per
     state, about 16 bytes with the state itself.  Keys of 62 bits or more
     are Python ints in object arrays, through the same code.
 
     Returns (most placed or None if no state survives, the witness cells,
     stored states, index of the last cell swept); it stops at the first
-    cell whose layer takes the stored count past ``cap``.
+    cell whose layer takes the stored count past ``cap``, or that no state
+    survives.
     """
     radix = ts.num_colors + 1
     none = radix - 1

@@ -184,6 +184,55 @@ def naive_torus_tilings(ts: TileSet, h: int, w: int) -> list[tuple[int, ...]]:
     return found
 
 
+def reference_grid_sweep(ts: TileSet, height: int, width: int, mask, cap: int,
+                         void: bool):
+    """The rectangle frontier sweep of ``exact._grid_sweep`` on tuple states
+    in an insertion-ordered dict, returning what it returns: (most placed
+    or None, the witness cells, stored states, index of the last cell).
+
+    A state is (pending east, south of column 0, ..., south of column w-1),
+    None for an edge nothing will read again.  Each state tries the tiles in
+    ascending id, then VOID with ``void``; ``mask[i][j][k]`` (when given)
+    allows tile k at (i, j), and VOID is always allowed.  A key keeps its
+    first (parent, tile), with ``void`` the first child with the most tiles
+    placed, and the states stay in the order their keys first appear."""
+    frontier = {(None,) * (width + 1): 0}  # state -> tiles placed
+    layers: list[list[tuple[int, int]]] = []
+    stored = 0
+    for p in range(height * width):
+        i, j = divmod(p, width)
+        level: dict[tuple, tuple[int, int, int]] = {}  # state -> (placed, parent, tile)
+        for idx, (state, placed) in enumerate(frontier.items()):
+            west, north = state[0], state[1 + j]
+            for k in [*range(len(ts)), *([VOID] if void else [])]:
+                if k == VOID:
+                    east = south = None
+                else:
+                    if ((mask is not None and not mask[i][j][k])
+                            or west not in (None, ts.wests[k])
+                            or north not in (None, ts.norths[k])):
+                        continue
+                    east = ts.easts[k] if j < width - 1 else None
+                    south = ts.souths[k] if i < height - 1 else None
+                got = placed + (k != VOID)
+                key = (east, *state[1:1 + j], south, *state[2 + j:])
+                if key not in level or got > level[key][0]:
+                    level[key] = (got, idx, k)
+        if not level:
+            return None, None, stored, p
+        stored += len(level)
+        if stored > cap:
+            return None, None, stored, p
+        layers.append([(parent, k) for _, parent, k in level.values()])
+        frontier = {key: got for key, (got, _, _) in level.items()}
+    cells = np.empty(height * width, dtype=np.int32)
+    idx = 0
+    for p in range(height * width - 1, -1, -1):
+        idx, cells[p] = layers[p][idx]
+    return (next(iter(frontier.values())), cells.reshape(height, width), stored,
+            height * width - 1)
+
+
 def lp_row(m, r: int) -> tuple[str, dict[str, float], str, float]:
     """Row ``r`` of an ILP model, read from its CSR arrays: the row's name,
     ``{variable name: coefficient}``, sense and right-hand side."""

@@ -51,7 +51,12 @@ def test_solve_exit_codes_and_output(tmp_path, capsys):
 
     code, text, _ = run(capsys, "solve", "--tileset", "finite1",
                         "--h", "8", "--w", "5")
-    assert code == 1 and "INFEASIBLE" in text
+    assert code == 1
+    assert "status: INFEASIBLE (states 1988, no partial tiling survives row 8)" in text
+    code, text, _ = run(capsys, "solve", "--tileset", "finite1",
+                        "--h", "12", "--w", "15")
+    assert code == 1 and "no partial tiling survives column 5" in text
+    assert "cap crossed" not in text
 
     code, text, _ = run(capsys, "solve", "--tileset", "finite1",
                         "--h", "6", "--w", "6", "--cap", "10")

@@ -16,7 +16,7 @@ from wangtiler import (CAPPED, INFEASIBLE, VALID, BudgetExceededError,
 
 from helpers import (PACK_SHAPES, naive_full_tiling_exists, naive_max_cover,
                      naive_packing_exists, naive_torus_tilings,
-                     random_packing_set, random_tileset)
+                     random_packing_set, random_tileset, reference_grid_sweep)
 
 
 # -- decision ----------------------------------------------------------------
@@ -91,6 +91,25 @@ def test_decision_cap_returns_capped():
     c2 = complete_stochastic_set(2)
     res = solve_decision(c2, 2, 3, [PeriodicFixed()], cap=100)
     assert res.status == CAPPED and res.stats == {"states": 101, "column": 2}
+
+
+@pytest.mark.parametrize("name, h, w, where, line", [
+    ("finite1", 15, 12, "row", 7), ("finite2", 10, 10, "row", 4),
+    ("finite1", 12, 15, "column", 5), ("finite1", 8, 5, "row", 8)])
+def test_infeasible_names_where_no_state_survived(name, h, w, where, line):
+    # The sweep dies in that row (a wide grid is swept transposed, so there
+    # in a column): the top rows, or left columns, up to it have no tiling.
+    ts = builtin_set(name)
+    res = solve_decision(ts, h, w)
+    assert res.status == INFEASIBLE and res.stats[where] == line
+    assert set(res.stats) == {"states", where}
+    top = (line, w) if where == "row" else (h, line)
+    assert solve_decision(ts, *top).status == INFEASIBLE
+
+
+def test_infeasible_torus_names_no_row():
+    res = solve_decision(builtin_set("finite1"), 3, 3, [PeriodicFixed()])
+    assert res.status == INFEASIBLE and set(res.stats) == {"states"}
 
 
 def test_decision_finite1_regression():
@@ -179,6 +198,40 @@ def test_rectangle_sweep_agrees_with_enumeration(ts, h, w):
     best, witness = max_cover_oracle(ts, h, w)
     assert best == naive_max_cover(ts, h, w) == witness.placed
     assert validate_tiling(ts, witness).is_valid
+
+
+@st.composite
+def sweeps(draw):
+    """A small set, a 1-4 x 1-4 rectangle, ``void`` on or off, maybe a random
+    (cell, tile) mask, and a cap that is either out of reach or small."""
+    ts = draw(small_sets())
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    mask = draw(st.none() | st.lists(st.booleans(), min_size=h * w * len(ts),
+                                     max_size=h * w * len(ts)))
+    if mask is not None:
+        mask = np.array(mask, dtype=bool).reshape(h, w, len(ts))
+    cap = draw(st.sampled_from([1 << 30]) | st.integers(1, 60))
+    return ts, h, w, mask, cap, draw(st.booleans())
+
+
+@pytest.mark.parametrize("key_limit", [exact._KEY_LIMIT, 0])
+@settings(max_examples=150, deadline=None)
+@given(sweeps())
+def test_grid_sweep_merges_like_an_ordered_dict(key_limit, sweep):
+    # The merge rule, pinned: a key keeps its first child, with void the
+    # first of those with the most tiles placed, and the states keep the
+    # order of their first child; the witness and the stored count follow.
+    # A key limit of 0 runs the same sweep on Python ints.
+    ts, h, w, mask, cap, void = sweep
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_KEY_LIMIT", key_limit)
+        best, cells, stored, last = exact._grid_sweep(ts, h, w, mask, cap, void)
+    want_best, want_cells, want_stored, want_last = reference_grid_sweep(
+        ts, h, w, mask, cap, void)
+    assert (best, stored, last) == (want_best, want_stored, want_last)
+    assert (cells is None) == (want_cells is None)
+    if cells is not None:
+        assert cells.tolist() == want_cells.tolist()
 
 
 def test_decision_boundary_conditions_respected():
