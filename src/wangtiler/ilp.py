@@ -26,11 +26,20 @@ LP text goes both ways in whole-array passes.  :func:`emit_lp` formats
 the objective and the constraint rows together: one table of ``" + name"``
 and ``" - name"`` pieces, one take for every term, one ``np.insert`` for
 the line breaks and each row's tail, one join.  :func:`parse_lp` reads the
-rows' tokens in batches, with one dict lookup per token.
+objective and the rows' tokens in batches, with one dict lookup per token.
+
+One name rule holds on both sides.  :func:`emit_lp` writes only names that
+read back: it refuses an empty name, one with whitespace, one that starts
+with a digit, ``.``, ``+`` or ``-``, and a variable name written twice.
+:func:`parse_lp` reads a declared name as a term wherever it stands, even
+one spelled like a number or a sign; any other ``+`` or ``-`` is a sign,
+any other token that starts with a digit or ``.`` a number, and the rest
+undeclared variables.
 """
 
 from __future__ import annotations
 
+import re
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
@@ -443,6 +452,13 @@ def build_model(spec: ModelSpec) -> IlpModel:
 #: What starts a row's next line: every tenth token of a row starts one.
 _BREAK = "\n   "
 
+#: The first characters of a number, and of a number or a sign.  No name
+#: that emit_lp writes starts with one; in names joined by newlines,
+#: _SIGNED_START finds one that does.
+_NUMERIC = "0123456789."
+_SIGNED = "+-" + _NUMERIC
+_SIGNED_START = re.compile(f"\n[{re.escape(_SIGNED)}]")
+
 
 def _fmt_num(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
@@ -476,6 +492,28 @@ def _check_finite(m: IlpModel) -> None:
         if (p := _nonfinite(bound)) >= 0:
             raise ValueError(f"variable {names[bounded[p]]!r}: non-finite bound "
                              f"{float(bound[p])}")
+
+
+def _check_names(m: IlpModel) -> None:
+    """ValueError naming the first variable, then row, name that LP text
+    cannot hold: an empty one, one with whitespace or one that starts like
+    a number or a sign; or a variable name that repeats an earlier one."""
+    var, con = m.variables.names, m.constraints.names
+    every = var + con
+    joined = "".join(every)  # with no whitespace, newlines split the next join exactly
+    if (all(every) and joined.split() == [joined]
+            and not _SIGNED_START.search("\n" + "\n".join(every))
+            and len(set(var)) == len(var)):
+        return
+    seen = set()
+    for kind, names in (("variable", var), ("row", con)):
+        for name in names:
+            if name.split() != [name] or name[0] in _SIGNED:
+                raise ValueError(f"{kind} {name!r}: a name in LP text is not empty, holds "
+                                 f"no whitespace and starts with no digit, '.', '+' or '-'")
+            if kind == "variable" and name in seen:
+                raise ValueError(f"variable {name!r} named twice")
+            seen.add(name)
 
 
 def _term_pieces(m: IlpModel) -> np.ndarray:
@@ -514,7 +552,9 @@ def _declarations(var: Variables) -> str:
 def emit_lp(m: IlpModel) -> str:
     """Deterministic LP-format text; identical models emit identical bytes.
     A non-finite coefficient, right-hand side, bound or objective constant
-    raises ValueError naming its row, its variable or ``obj``.
+    raises ValueError naming its row, its variable or ``obj``, and so does
+    the first variable or row name that the text cannot hold (the module's
+    name rule).
 
     The objective is row 0 and the constraints follow it.  One take from a
     table of ``" + name"`` and ``" - name"`` pieces, two per variable,
@@ -527,6 +567,7 @@ def emit_lp(m: IlpModel) -> str:
     terms) and the declarations at the end.  One join makes the text.
     """
     _check_finite(m)
+    _check_names(m)
     con, obj = m.constraints, m.objective
     k = len(obj.indices)
     indptr = np.concatenate(([0], k + con.indptr))
@@ -577,12 +618,9 @@ _BATCH = 1 << 16
 
 # A token's code in the lookup: a variable index, or one of these.
 _PLUS, _MINUS, _OTHER = -1, -2, -3
-# Token kinds: a declared name, one that starts like a sign (a term, but not
-# after a number), a sign, a number, an undeclared name, and the kind before
-# a row's first token.
-_VAR, _ODD, _SIGN, _NUM, _BAD, _START = range(6)
-_NUMERIC = "0123456789."
-_SIGNED = "+-" + _NUMERIC
+# Token kinds: a declared name (a term wherever it stands), a sign, a number,
+# an undeclared name, and the kind before a row's first token.
+_VAR, _SIGN, _NUM, _BAD, _START = range(5)
 
 
 def _expected(want: tuple[str, ...], got: str) -> str:
@@ -608,10 +646,8 @@ class _Exprs:
     its row's first line.
     """
 
-    def __init__(self, lookup: dict[str, int], odd: dict[str, int]):
-        # lookup: the declared names plus the signs; odd: the declared names
-        # that start like a sign or a number, which the lookup leaves out
-        self.get, self.odd = lookup.get, odd
+    def __init__(self, lookup: dict[str, int]):
+        self.get = lookup.get  # the declared names, and the signs unless declared
         self.indices, self.data = array("i"), array("d")
         self.indptr, self.consts = array("q", [0]), array("d")
         self.toks, self.starts, self.lines = [], [], []
@@ -635,7 +671,7 @@ class _Exprs:
             return
         toks, n, starts = self.toks, len(self.toks), np.array(self.starts)
         codes = np.fromiter(map(self.get, toks, repeat(_OTHER)), np.intc, n)
-        kind = (codes < 0).view(np.int8) << 1  # _VAR or _SIGN until resolved
+        kind = (codes < 0).view(np.int8)  # _VAR or _SIGN until resolved
         numbers, values, errors = [], [], {}
         for p in np.flatnonzero(codes == _OTHER).tolist():
             tok = toks[p]
@@ -646,8 +682,6 @@ class _Exprs:
                     numbers.append(p)
                 except ValueError as exc:
                     errors[p] = str(exc)
-            elif (vi := self.odd.get(tok)) is not None:
-                kind[p], codes[p] = _ODD, vi
             else:
                 kind[p], errors[p] = _BAD, f"undeclared variable {tok!r}"
         prev = np.empty_like(kind)
@@ -657,7 +691,7 @@ class _Exprs:
         last = ends[ends > starts] - 1
         bad = (prev == _NUM) & (kind != _VAR)
         bad |= (prev == _SIGN) & (kind == _SIGN)
-        bad |= (prev <= _ODD) & (kind != _SIGN)
+        bad |= (prev == _VAR) & (kind != _SIGN)
         bad[list(errors)] = True
         bad[last[kind[last] == _SIGN]] = True
         if bad.any():  # the first bad token's error, as the token loop gave it
@@ -667,7 +701,7 @@ class _Exprs:
                 message = f"{tok!r} after a number; a constant ends the <expr>"
             elif before == _SIGN and kind[p] == _SIGN:
                 message = f"{toks[p - 1]!r} without a term after it"
-            elif before <= _ODD and kind[p] != _SIGN:
+            elif before == _VAR and kind[p] != _SIGN:
                 message = f"{tok!r} without a sign before it"
             else:
                 message = errors.get(p, f"{tok!r} without a term after it")
@@ -678,7 +712,7 @@ class _Exprs:
         numbers = np.array(numbers, dtype=np.intp)
         signed[numbers] = np.array(values) * np.where(
             prev[numbers] == _SIGN, signed[numbers - 1], 1.0)
-        terms = np.flatnonzero(kind <= _ODD)
+        terms = np.flatnonzero(kind == _VAR)
         base = len(self.indices)
         self.indices.frombytes(codes[terms].tobytes())
         self.data.frombytes(np.where(prev[terms] == _START, 1.0,
@@ -691,10 +725,6 @@ class _Exprs:
         consts[rows[at_end]] = signed[numbers[at_end]]
         self.consts.frombytes(consts.tobytes())
         self.toks, self.starts, self.lines = [], [], []
-
-
-def _arrays(indices: array, data: array) -> tuple[np.ndarray, np.ndarray]:
-    return np.frombuffer(indices, dtype=np.intc), np.frombuffer(data)
 
 
 def parse_lp(text: str) -> IlpModel:
@@ -743,18 +773,11 @@ def parse_lp(text: str) -> IlpModel:
     except ValueError as exc:
         raise ValueError(f"line {n + 1}: {exc}") from None
     del lines[bounds + 1:]  # the declarations are read: free their lines
-    # A token that starts like a number is read as one, and one that starts
-    # like a sign is no term after a number: keep such names out of the
-    # lookup, which is the name index itself with the two signs added.
-    odd = {name: index.pop(name) for name in names if name[0] in _SIGNED}
-    index["+"], index["-"] = _PLUS, _MINUS
-    obj = _Exprs(index, odd)
-    obj.add(1, " ".join(lines[1:sub])[len(" obj: "):].split())
-    obj.flush()
-    const = obj.consts[0]
-    sense = "max" if lines[0] == "Maximize" else "min" if obj.indices or const else "none"
-    objective = Objective(sense, *_arrays(obj.indices, obj.data), const)
-    rows, con_names, senses, rhs, n = _Exprs(index, odd), [], [], [], sub + 1
+    index.setdefault("+", _PLUS)  # a declared name is a term, even "+" or "-"
+    index.setdefault("-", _MINUS)
+    rows = _Exprs(index)  # the objective is row 0, the constraints follow
+    rows.add(1, " ".join(lines[1:sub])[len(" obj: "):].split())
+    con_names, senses, rhs, n = [], [], [], sub + 1
     while n < bounds:  # a row is a line and its three-space continuations
         end = n + 1
         while lines[end].startswith("   "):
@@ -773,8 +796,12 @@ def parse_lp(text: str) -> IlpModel:
             rows.fail(n, str(exc))
         n = end
     rows.flush()
+    terms, const = rows.indptr[1], rows.consts[0]  # the objective's
+    indices, data = np.frombuffer(rows.indices, dtype=np.intc), np.frombuffer(rows.data)
+    sense = "max" if lines[0] == "Maximize" else "min" if terms or const else "none"
+    objective = Objective(sense, indices[:terms], data[:terms], const)
     with np.errstate(over="ignore"):
-        rhs = np.array(rhs) - np.frombuffer(rows.consts)
+        rhs = np.array(rhs) - np.frombuffer(rows.consts)[1:]
     finite = np.isfinite(rhs)
     if not finite.all():  # name the first such row's first line
         r = int(finite.argmin())
@@ -783,8 +810,8 @@ def parse_lp(text: str) -> IlpModel:
     variables = Variables(tuple(names), np.arange(len(names)) < n_binary,
                           np.array(lower), np.array(upper))
     constraints = Constraints(tuple(con_names), np.array(senses, dtype="<U2"), rhs,
-                              np.frombuffer(rows.indptr, dtype=np.int64),
-                              *_arrays(rows.indices, rows.data))
+                              np.frombuffer(rows.indptr, dtype=np.int64)[1:] - terms,
+                              indices[terms:], data[terms:])
     return IlpModel(variables, constraints, objective)
 
 

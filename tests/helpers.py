@@ -37,6 +37,15 @@ def random_packing_set(rng: random.Random, size: int) -> TileSet:
     return TileSet([Tile(*q) for q in sorted(quads)], num_colors=nc)
 
 
+def de_bruijn(n: int) -> list[int]:
+    """The cyclic de Bruijn sequence of order 2 over n symbols: each pair
+    (a, b) is (B[i], B[i+1]) for exactly one i, indices taken mod n*n.  It
+    is the Lyndon words of length 1 and 2, in lexicographic order, joined:
+    [0, 0, 1, 1] for n = 2."""
+    return [c for a in range(n) for word in ([a], *([a, b] for b in range(a + 1, n)))
+            for c in word]
+
+
 def naive_packing_exists(ts: TileSet, h: int, w: int, periodic: bool) -> bool:
     """Whether some arrangement of every tile once has all its shared edges
     matching; on a torus each arrangement is checked tiled 2x2, which covers

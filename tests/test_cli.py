@@ -152,6 +152,12 @@ def test_torus_subcommand(tmp_path, capsys):
                         "--max-area", "2")
     assert code == 1
 
+    code, text, _ = run(capsys, "torus", "--tileset", "fig3", "--max-area", "4",
+                        "--report", "json")
+    report = json.loads(text)
+    assert code == 0 and report["min_area"] == 1 and report["dims"] == [1, 1]
+    assert report["count"] == sum(c for _, c in report["dim_counts"])
+
 
 def test_pack_subcommand(tmp_path, capsys):
     out = tmp_path / "pack.tiling"
@@ -208,6 +214,8 @@ def test_transducer_subcommand(tmp_path, capsys):
     assert "parallel 1 -> 0: arcs [3, 4]" in text
     assert "all used states on cycles: True" in text
     assert dot.read_text().startswith("digraph")
+    code, text, _ = run(capsys, "transducer", "--tileset", "fig3", "--parallel-arcs")
+    assert code == 0 and "no parallel arcs" in text
 
 
 def test_render_subcommand(tmp_path, capsys):

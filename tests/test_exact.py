@@ -14,7 +14,7 @@ from wangtiler import (CAPPED, INFEASIBLE, VALID, BudgetExceededError,
                        pack_tiles, smallest_torus, solve_decision,
                        validate_tiling)
 
-from helpers import (PACK_SHAPES, naive_full_tiling_exists, naive_max_cover,
+from helpers import (PACK_SHAPES, de_bruijn, naive_full_tiling_exists, naive_max_cover,
                      naive_packing_exists, naive_torus_tilings,
                      random_packing_set, random_tileset, reference_grid_sweep)
 
@@ -450,6 +450,31 @@ def test_pack_keeps_the_benchmarks_keyword():
     assert kept.witness.cells.tolist() == res.witness.cells.tolist()
     with pytest.raises(ConfigurationError, match="one order"):
         pack_tiles(ts, 4, 4, most_constrained=False)
+
+
+def test_de_bruijn_sequences():
+    assert de_bruijn(2) == [0, 0, 1, 1]
+    assert de_bruijn(3) == [0, 0, 1, 0, 2, 1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pack_solves_the_de_bruijn_instances(n):
+    # (n, w, s, e) = (B[i], B[j], B[i+1], B[j+1]) at cell (i, j) of the
+    # n^2 x n^2 torus uses every tile of complete(n) once, so packing it is
+    # VALID, periodic or open.
+    ts, b, size = complete_stochastic_set(n), de_bruijn(n), n * n
+    ids = {t.as_tuple(): k for k, t in enumerate(ts)}
+    known = Tiling([[ids[b[i], b[j], b[(i + 1) % size], b[(j + 1) % size]]
+                     for j in range(size)] for i in range(size)])
+    assert sorted(known.cells.flatten().tolist()) == list(range(len(ts)))
+    assert validate_tiling(ts, Tiling(np.tile(known.cells, (2, 2)))).is_valid
+    for periodic in (True, False):
+        res = pack_tiles(ts, size, size, periodic=periodic)
+        assert res.status == VALID
+        cells = res.witness.cells
+        assert sorted(cells.flatten().tolist()) == list(range(len(ts)))
+        tiled = np.tile(cells, (2, 2)) if periodic else cells
+        assert validate_tiling(ts, Tiling(tiled)).is_valid
 
 
 def test_pack_infeasible_when_no_arrangement():

@@ -104,6 +104,8 @@ def test_max_row_cover_rejects_vectors_of_the_wrong_length():
             max_row_cover(ts, 2, short, free(ts, 2))
         with pytest.raises(ConfigurationError, match="one entry per color"):
             max_row_cover(ts, 2, free(ts, 2), short)
+    with pytest.raises(ConfigurationError, match="one entry per column"):
+        max_row_cover(ts, 2, free(ts, 1), free(ts, 2))
 
 
 def test_max_row_cover_rejects_entries_other_than_0_1_inf():
@@ -337,6 +339,12 @@ def test_alg4_finite2_quality_band():
 def test_alg4_bad_init():
     with pytest.raises(ConfigurationError):
         cover(builtin_set("fig3"), 2, 2, "fancy", seed=0)
+
+
+@pytest.mark.parametrize("h, w", [(0, 2), (2, 0), (-1, -1)])
+def test_cover_rejects_a_grid_without_cells(h, w):
+    with pytest.raises(ConfigurationError, match="grid dimensions must be positive"):
+        cover(builtin_set("fig3"), h, w, "simple", seed=0)
 
 
 def test_all_runs_sound_and_seeded():

@@ -119,6 +119,33 @@ def test_extension_compatibility_matrix():
         build_model(spec(ts, 2, 2, "decision", SmallestObjective()))
 
 
+@pytest.mark.parametrize("h, w, formulation, exts, message", [
+    (2, 2, "bogus", (), "formulation must be one of"),
+    (0, 2, "decision", (), "grid dimensions must be positive"),
+    (2, 2, "decision", ("not an extension",), "unknown extension 'not an extension'"),
+])
+def test_build_rejects_a_spec_it_cannot_model(h, w, formulation, exts, message):
+    with pytest.raises(ConfigurationError, match=message):
+        build_model(spec(builtin_set("fig3"), h, w, formulation, *exts))
+
+
+def test_model_parts_compare_by_value_and_type():
+    m = build_model(spec(builtin_set("fig3"), 1, 2, "max_csp"))
+    again = build_model(spec(builtin_set("fig3"), 1, 2, "max_csp"))
+    assert m.variables == again.variables and m.objective == again.objective
+    assert m.variables != m.objective and m.constraints != 5
+
+
+def test_a_constraints_slice_is_constraints():
+    m = build_model(spec(builtin_set("fig3"), 2, 2, "max_rect"))
+    con = m.constraints
+    for part in (slice(1, 4), slice(None, None, -2), slice(5, 5)):
+        rows = range(len(con))[part]
+        got = con[part]
+        assert isinstance(got, ilp.Constraints) and len(got) == len(rows)
+        assert [got[r] for r in range(len(got))] == [con[r] for r in rows]
+
+
 def test_packing_requires_matching_cardinality():
     ts = complete_stochastic_set(2)
     m = build_model(spec(ts, 4, 4, "decision", Packing()))
@@ -361,6 +388,83 @@ def test_emit_rejects_a_non_finite_number(label, part, field, at, value, message
         emit_lp(with_value(m, part, field, at, value))
 
 
+def with_name(m, part, at, name):
+    """The model with ``name`` written over one name of its variables or
+    constraints."""
+    holder = getattr(m, part)
+    names = list(holder.names)
+    names[at] = name
+    return replace(m, **{part: replace(holder, names=tuple(names))})
+
+
+NAME_RULE = ("a name in LP text is not empty, holds no whitespace and starts "
+             "with no digit, '.', '+' or '-'")
+
+
+@pytest.mark.parametrize("part, at, name, message", [
+    ("variables", 0, "a b", f"variable 'a b': {NAME_RULE}"),
+    ("variables", -1, "x_1_1_0", "variable 'x_1_1_0' named twice"),
+    ("variables", 2, "-a", f"variable '-a': {NAME_RULE}"),
+    ("constraints", 0, "", f"row '': {NAME_RULE}"),
+    ("constraints", -1, "2c", f"row '2c': {NAME_RULE}"),
+    ("constraints", 1, ".5", f"row '.5': {NAME_RULE}"),
+    ("constraints", 1, "a\tb", f"row 'a\\tb': {NAME_RULE}"),
+])
+def test_emit_refuses_a_name_that_does_not_read_back(part, at, name, message):
+    m = build_model(spec(builtin_set("fig3"), 1, 3, "max_csp"))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        emit_lp(with_name(m, part, at, name))
+
+
+#: The characters of the names drawn below: letters, digits, whitespace and
+#: the characters that start a number or a sign.
+NAME_CHARS = "abZ09 .+-:"
+
+
+def first_unwritable(m):
+    """(kind, name) of the first variable, then row, name that LP text
+    cannot hold, or None."""
+    seen = set()
+    for kind, names in (("variable", m.variables.names), ("row", m.constraints.names)):
+        for name in names:
+            if not re.fullmatch(r"[^\s0-9.+-]\S*", name) or (kind == "variable"
+                                                            and name in seen):
+                return kind, name
+            seen.add(name)
+    return None
+
+
+@st.composite
+def named_lp_models(draw):
+    """An lp_models model with up to 3 of its variable and row names
+    replaced by text over NAME_CHARS or by a variable's name."""
+    m = draw(lp_models())
+    for _ in range(draw(st.integers(0, 3))):
+        part = draw(st.sampled_from(["variables", "constraints"]))
+        if names := getattr(m, part).names:
+            name = draw(st.text(NAME_CHARS, max_size=3)
+                        | st.sampled_from(m.variables.names or ("",)))
+            m = with_name(m, part, draw(st.integers(0, len(names) - 1)), name)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(named_lp_models())
+def test_emit_lp_writes_only_names_that_read_back(m):
+    if bad := first_unwritable(m):
+        kind, name = bad
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{kind} {name!r}')}[: ]"):
+            emit_lp(m)
+        return
+    text = emit_lp(m)
+    back = parse_lp(text)
+    assert emit_lp(back) == text
+    binary = m.variables.binary  # the Binaries are declared before the Bounds
+    order = np.concatenate((np.flatnonzero(binary), np.flatnonzero(~binary)))
+    assert back.variables.names == tuple(m.variables.names[vi] for vi in order)
+    assert back.constraints.names == m.constraints.names
+
+
 def test_emit_parse_round_trip_decision():
     m = build_model(spec(builtin_set("fig3"), 2, 2, "decision"))
     m2 = parse_lp(emit_lp(m))
@@ -511,12 +615,8 @@ MALFORMED = [
      "line 4: could not convert string to float: '2x'"),
     ("Minimize\n obj: 0\nSubject To\n c1: x + z = 1\n c2: x 1\nBinaries\n x\nEnd\n",
      "line 4: undeclared variable 'z'"),
-    # A declared name that starts like a number is read as a number, and one
-    # that starts like a sign is no term after a number.
-    ("Minimize\n obj: 0\nSubject To\n c1: - 2c = 1\nBinaries\n 2c\nEnd\n",
-     "line 4: could not convert string to float: '2c'"),
-    ("Minimize\n obj: 0\nSubject To\n c1: 2 -a = 1\nBinaries\n -a\nEnd\n",
-     "line 4: '-a' after a number"),
+    ("Minimize\n x: 0\nSubject To\nEnd\n", "line 2: expected ' obj: <expr>', got ' x: 0'"),
+    # A declared name is a term, so a sign must still come between two.
     ("Minimize\n obj: 0\nSubject To\n c1: -a x = 1\nBinaries\n -a x\nEnd\n",
      "line 4: 'x' without a sign before it"),
 ]
@@ -535,6 +635,18 @@ def test_a_name_that_starts_like_a_sign_is_a_term():
     assert m.objective.data.tolist() == [1.0]
     assert m.objective.indices.tolist() == [1]
     assert m.constraints[0].terms == ((1.0, 2), (-2.0, 0), (1.0, 1))
+
+
+@pytest.mark.parametrize("row, names, terms", [
+    ("- 2c", "2c", ((-1.0, 0),)),  # spelled like a number
+    ("2 -a", "-a", ((2.0, 0),)),  # spelled like a sign, after a number
+    ("x + -", "x -", ((1.0, 0), (1.0, 1))),  # a declared sign is no sign
+    ("x - +", "x +", ((1.0, 0), (-1.0, 1))),
+])
+def test_a_declared_name_is_a_term_wherever_it_stands(row, names, terms):
+    m = parse_lp(f"Minimize\n obj: 0\nSubject To\n c1: {row} = 1\n"
+                 f"Binaries\n {names}\nEnd\n")
+    assert m.constraints[0].terms == terms
 
 
 # -- token batches ------------------------------------------------------------------
@@ -650,6 +762,8 @@ def test_evaluate_dimension_mismatch():
     m = build_model(spec(builtin_set("fig3"), 2, 2, "decision"))
     with pytest.raises(StructuralError):
         evaluate_assignment(m, Tiling.filled(2, 3))
+    with pytest.raises(StructuralError, match="tile ids beyond the model's"):
+        evaluate_assignment(m, Tiling([[0, 1], [2, 3]]))
     # Placements are read from the layout: binaries out of x_i_j_k order, or
     # one that is no placement, do not fit it.
     ts = TileSet([Tile(0, 0, 0, 0), Tile(1, 1, 1, 1)])

@@ -77,3 +77,20 @@ def test_max_cover_optimum_is_the_oracle(inst):
     best, _ = wt.max_cover_oracle(ts, h, w)
     assert optimum == pytest.approx(best, abs=1e-6)
     assert best >= wt.cover(ts, h, w, "simple", seed=0).placed
+
+
+@pytest.mark.parametrize("name, h, w, dead, smaller", [
+    ("finite2", 10, 10, (4, 10), (3, 10)),
+    ("finite1", 15, 12, (7, 12), (6, 12)),
+    ("finite1", 12, 15, (12, 5), (12, 4)),
+])
+def test_highs_confirms_the_infeasible_certificate(name, h, w, dead, smaller):
+    # The row (or column) an INFEASIBLE sweep names is where no partial
+    # tiling survives: the rectangle that ends there has no tiling, and the
+    # one a row (or column) smaller has one.
+    ts = wt.builtin_set(name)
+    res = wt.solve_decision(ts, h, w)
+    assert res.status == wt.INFEASIBLE
+    assert (res.stats.get("row", h), res.stats.get("column", w)) == dead
+    assert highs(build_model(ModelSpec(ts, *dead, "decision"))) is None
+    assert highs(build_model(ModelSpec(ts, *smaller, "decision"))) == 0.0

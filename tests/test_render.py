@@ -65,6 +65,17 @@ def test_corner_squares_mode():
                    RenderStyle(draw_mode="corner-squares", corner_alphabet=0))
 
 
+@pytest.mark.parametrize("style, message", [
+    (RenderStyle(draw_mode="hexagons"), "unknown draw mode 'hexagons'"),
+    (RenderStyle(draw_mode="corner-squares", corner_alphabet=len(DEFAULT_PALETTE) + 1),
+     f"palette has {len(DEFAULT_PALETTE)} colors, corner alphabet needs "
+     f"{len(DEFAULT_PALETTE) + 1}"),
+])
+def test_style_that_cannot_draw_the_set(style, message):
+    with pytest.raises(ValueError, match=message):
+        render_svg(builtin_set("fig3"), Tiling([[0]]), style)
+
+
 def test_cell_px_must_be_positive():
     for cell_px in (0, -4):
         with pytest.raises(ValueError, match="cell size"):

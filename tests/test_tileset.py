@@ -47,6 +47,19 @@ def test_tiling_accessors_and_immutability():
         Tiling([[-5]])
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Tile(0, -1, 0, 0), "edge colors must be non-negative"),
+    (lambda: CornerTile(0, 0, -1, 0), "corner colors must be non-negative"),
+    (lambda: TileSet([]), "at least one tile"),
+    (lambda: Tiling([0, 1]), "non-empty 2D array"),
+    (lambda: Tiling(np.empty((0, 3))), "non-empty 2D array"),
+    (lambda: Tiling.filled(0, 3), "tiling dimensions must be positive"),
+])
+def test_constructors_reject_what_they_cannot_hold(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_validate_tiling_fig3_pair():
     # east of (0,1,0,1) is 1 and meets west 1 of (0,1,1,0)
     ts = builtin_set("fig3")

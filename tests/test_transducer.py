@@ -93,6 +93,7 @@ def test_isolated_states_ignored():
 def test_longest_path_at_least():
     g = build_transducer(builtin_set("fig3"), HORIZONTAL)
     assert longest_path_at_least(g, 2)
+    assert longest_path_at_least(g, 0) and longest_path_at_least(g, -3)
     one_way = build_transducer(TileSet([Tile(0, 0, 1, 1)], num_colors=2),
                                HORIZONTAL)
     assert longest_path_at_least(one_way, 1)
@@ -106,6 +107,8 @@ def test_reachable_sets_dual():
     assert reach1[1] == {0}
     reach2 = reachable_sets(g, 2)
     assert reach2[1] == {0, 1}
+    with pytest.raises(ValueError, match="distance must be >= 1"):
+        reachable_sets(g, 0)
 
 
 def test_translate_single_tile():
