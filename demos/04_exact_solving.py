@@ -3,7 +3,8 @@
 The decision solver, the torus counter and the max-cover oracle sweep the
 grid cell by cell, keeping every reachable boundary coloring; answers are
 proofs, and an explicit state budget turns memory blow-up into an honest
-CAPPED status.
+CAPPED status.  The max-cover oracle sweeps in passes that allow 0, 1, 2,
+4, ... VOID cells; the first pass that ends with a cover has the optimum.
 """
 
 import wangtiler as wt
@@ -19,6 +20,12 @@ for (h, w) in ((6, 6), (5, 8), (8, 5), (10, 6)):
 res = wt.solve_decision(fin1, 4, 4, bcs=[wt.ForceTile(1, 1, 3),
                                          wt.ForbidEdgeColor(4, 4, "e", 0)])
 print(f"finite1 4x4 with pinned corner: {res.status}")
+
+# finite1 has no 8x8 tiling, so the oracle's slack-0 pass dies; the slack-1
+# pass ends with a cover, and so one VOID cell is the fewest possible.
+best, cover = wt.max_cover_oracle(fin1, 8, 8)
+print(f"finite1 8x8 maximum cover: {best} of 64 cells, witness valid? "
+      f"{wt.validate_tiling(fin1, cover).is_valid}")
 
 # Smallest periodic rectangle of the corner set derived from the Ammann
 # tiles: area 6, twelve labeled tilings, i.e. the set is periodic.

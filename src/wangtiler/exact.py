@@ -16,7 +16,14 @@ per cell: each key's first child is the minimum index of its group
 placed, for the oracle) the minimum of a packed (placed, index) rank, and
 one scatter by first child restores the order, so nothing depends on how
 the sort orders equal keys.  Keys of 62 bits or more run the same code on
-Python ints.  The torus (``count_torus``, ``smallest_torus``,
+Python ints.  One ``slack`` integer sets how many VOID cells a rectangle's
+partial covers may hold: 0 for the decision sweep, which places a tile in
+every cell, and s > 0 for a max-cover pass, which drops a child with more
+than s voids before the merge.  The oracle runs passes at s = 0, 1, 2, 4,
+..., and the first that ends with a cover answers: a cover with more
+tiles has fewer voids, so every prefix of an optimal cover survives any
+pass that the optimum's voids fit, and no pass can end with more tiles
+than the optimum.  The torus (``count_torus``, ``smallest_torus``,
 ``PeriodicFixed``) stays on tuple keys in a dict, which is faster on the
 one-to-six-cell shapes ``smallest_torus`` tries; a torus state also counts
 the ways to reach it.  Per-cell conditions reach both sweeps as one (cell,
@@ -32,6 +39,7 @@ a one-wide torus must match itself.
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 from itertools import compress, product
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -79,8 +87,38 @@ class TorusResult:
 _KEY_LIMIT = 1 << 62
 
 
+@lru_cache(maxsize=8)
+def _fit_table(num_colors: int, wests: tuple, norths: tuple, void: bool):
+    """The tiles that fit each request, for a set's colors and sides.
+
+    Request ``west * R + north`` (R = num_colors + 1, digit R - 1 asks for
+    nothing) is answered by ``cols[starts[r]:starts[r] + counts[r]]``: the
+    ids that fit, ascending, then with ``void`` column ``len(wests)``, which
+    is VOID and fits every request.  The VOID table is the tile table with
+    one column added per request, so the (R² x |T|) fit test runs once per
+    set while its tables stay among the last eight asked for, not once per
+    sweep.  The arrays are read-only.
+    """
+    if void:
+        cols, counts, starts = _fit_table(num_colors, wests, norths, False)
+        table = (np.insert(cols, starts + counts, len(wests)), counts + 1,
+                 starts + np.arange(len(counts)))
+    else:
+        radix = num_colors + 1
+        none = radix - 1
+        west, north = np.divmod(np.arange(radix * radix), radix)
+        fits = (((west[:, None] == none) | (west[:, None] == wests))
+                & ((north[:, None] == none) | (north[:, None] == norths)))
+        request, cols = np.nonzero(fits)
+        counts = np.bincount(request, minlength=len(fits))
+        table = cols, counts, np.cumsum(counts) - counts
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
 def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
-                cap: int, void: bool):
+                cap: int, slack: int):
     """Fill the rectangle cell by cell, row-major, merging equal frontiers.
 
     A state is one integer in mixed radix R = colors + 1, whose digit R - 1
@@ -91,41 +129,39 @@ def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
     placing a tile gives ``east * R**w + (state % R**(w-1)) * R + south``.
     The last layer holds at most one state.
 
-    Each cell expands every state at once through a table of the tiles that
-    fit each request (ascending ids, then VOID with ``void``), keeps tile k
-    only where ``mask[i, j, k]`` (every tile without a mask), and merges
-    equal keys.  A key keeps its first child, with ``void`` the first of
-    those with the most tiles placed, and the states stay in the order of
-    their first child, so the witness is the one a dict keyed by the states
-    would give.  The merge takes one default (unstable) argsort of the
-    keys; the groups of equal keys in sorted order give each key's first
-    child as ``np.minimum.reduceat`` of the sorted indices, and with
-    ``void`` the kept child as the group minimum of ``(most placed - placed)
-    * n + index``, the most placed and then the lowest index.  One scatter
-    of the kept children into an n-slot array at their first child's index
-    puts them back in first-child order, with no second sort.  Every step
-    reads a group as a set, so the result does not depend on the sort's
-    stability.  A layer stores one int32 parent and one int32 tile per
-    state, about 16 bytes with the state itself.  Keys of 62 bits or more
-    are Python ints in object arrays, through the same code.
+    ``slack`` is the number of VOID cells a partial cover may hold.  With
+    slack 0 every cell holds a tile, the decision sweep; with slack > 0 a
+    cell may also stay VOID, and a child whose voids so far exceed
+    ``slack`` is dropped before the merge.  Each cell expands every state
+    at once through ``_fit_table`` (ascending ids, then VOID with slack >
+    0), keeps tile k only where ``mask[i, j, k]`` (every tile without a
+    mask), and merges equal keys.  A key keeps its first child, with slack
+    > 0 the first of those with the most tiles placed, and the states stay
+    in the order of their first child, so the witness is the one a dict
+    keyed by the states would give.  The merge takes one default (unstable)
+    argsort of the keys; the groups of equal keys in sorted order give each
+    key's first child as ``np.minimum.reduceat`` of the sorted indices, and
+    with slack > 0 the kept child as the group minimum of ``(most placed -
+    placed) * n + index``, the most placed and then the lowest index.  One
+    scatter of the kept children into an n-slot array at their first
+    child's index puts them back in first-child order, with no second sort.
+    Every step reads a group as a set, so the result does not depend on the
+    sort's stability.  A layer stores one int32 parent and one int32 tile
+    per state, about 16 bytes with the state itself.  Keys of 62 bits or
+    more are Python ints in object arrays, through the same code.
 
     Returns (most placed or None if no state survives, the witness cells,
     stored states, index of the last cell swept); it stops at the first
     cell whose layer takes the stored count past ``cap``, or that no state
-    survives.
+    survives.  With slack > 0 the most placed is the maximum cover among
+    those with at most ``slack`` VOID cells.
     """
     radix = ts.num_colors + 1
     none = radix - 1
     head, tail = radix ** width, radix ** (width - 1)
     dtype = object if radix * head >= _KEY_LIMIT else np.int64
-    west, north = np.divmod(np.arange(radix * radix), radix)
-    fits = (((west[:, None] == none) | (west[:, None] == ts.wests))
-            & ((north[:, None] == none) | (north[:, None] == ts.norths)))
-    # column len(ts) of the table is VOID, which fits every request
-    fits = np.column_stack((fits, np.full(len(fits), void)))
-    request, fit_cols = np.nonzero(fits)
-    counts = np.bincount(request, minlength=len(fits))
-    starts = np.cumsum(counts) - counts
+    fit_cols, counts, starts = _fit_table(ts.num_colors, ts.wests, ts.norths,
+                                          slack > 0)
     tile_of = np.arange(len(ts) + 1, dtype=np.int32)
     tile_of[-1] = VOID
     gain = (tile_of != VOID).astype(np.int32)
@@ -144,20 +180,26 @@ def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
         parent = np.repeat(np.arange(len(states)), num)
         col = fit_cols[np.repeat(starts[req] - (np.cumsum(num) - num), num)
                        + np.arange(len(parent))]
-        if mask is not None:
-            keep = np.append(mask[i, j], True)[col]
+        keep = None if mask is None else np.append(mask[i, j], True)[col]
+        if slack:
+            got = placed[parent] + gain[col]
+            if slack <= p:  # drop the children with more than slack voids
+                fresh = got > p - slack
+                keep = fresh if keep is None else keep & fresh
+            if keep is not None:
+                got = got[keep]
+        if keep is not None:
             parent, col = parent[keep], col[keep]
         if not len(col):
             return None, None, stored, p
         keys = (states % tail * radix)[parent] + part[col]
-        got = placed[parent] + gain[col]
         n = len(keys)
         order = np.argsort(keys)
         ordered = keys[order]
         group = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
         del ordered
         first = np.minimum.reduceat(order, group)
-        if void:
+        if slack:
             # most placed first, then the lowest index: one packed rank
             rank = (got.max() - got[order]).astype(np.int64) * n + order
             kept = np.minimum.reduceat(rank, group) % n
@@ -172,9 +214,12 @@ def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
         stored += len(out)
         if stored > cap:
             return None, None, stored, p
-        states, placed = keys[out], got[out]
+        states = keys[out]
+        if slack:
+            placed = got[out]
         layers.append((parent[out].astype(np.int32), tile_of[col[out]]))
-    return int(placed[0]), _walk_back(layers, height, width), stored, height * width - 1
+    best = int(placed[0]) if slack else height * width
+    return best, _walk_back(layers, height, width), stored, height * width - 1
 
 
 def _walk_back(layers, height: int, width: int) -> np.ndarray:
@@ -277,12 +322,12 @@ def _torus_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
 
 
 def _frontier(ts: TileSet, height: int, width: int, cap: int,
-              exts: Iterable = (), void: bool = False):
+              exts: Iterable = (), slack: int = 0):
     """Sweep the instance in its narrower orientation.
 
     ``exts`` holds per-cell conditions, which mask the tiles a cell may
     hold, and ``PeriodicFixed``, which sweeps the torus, counting the ways;
-    otherwise the rectangle is swept (cells may stay VOID with ``void``).
+    otherwise the rectangle is swept, with at most ``slack`` VOID cells.
     Returns (most placed or None, ways on a torus, the witness or None,
     stats).
     ``stats["states"]`` is the stored count; past ``cap`` the sweep stops,
@@ -323,7 +368,7 @@ def _frontier(ts: TileSet, height: int, width: int, cap: int,
         best, ways, cells, stored, last = _torus_sweep(ts, height, width, mask, cap)
     else:
         ways = None
-        best, cells, stored, last = _grid_sweep(ts, height, width, mask, cap, void)
+        best, cells, stored, last = _grid_sweep(ts, height, width, mask, cap, slack)
     stats = {"states": stored}
     if stored > cap or (best is None and not torus):
         stats["column" if transpose else "row"] = last // width + 1
@@ -331,13 +376,14 @@ def _frontier(ts: TileSet, height: int, width: int, cap: int,
     return best, ways, witness, stats
 
 
-def _check_budget(cap: int, stats: dict) -> None:
-    """Raise BudgetExceededError, saying where, if a sweep went past ``cap``."""
+def _check_budget(cap: int, stats: dict, sweep: str = "") -> None:
+    """Raise BudgetExceededError, saying where, if a sweep went past ``cap``;
+    ``sweep`` names the sweep after the place (" of the slack-0 pass")."""
     if stats["states"] > cap:
         where = " ".join(f"{k} {v}" for k, v in stats.items() if k != "states")
         raise BudgetExceededError(
             f"frontier sweep stored {stats['states']} states, past its budget "
-            f"of {cap}, in {where}")
+            f"of {cap}, in {where}{sweep}")
 
 
 def solve_decision(ts: TileSet, height: int, width: int, bcs: Iterable = (),
@@ -507,16 +553,29 @@ def pack_tiles(ts: TileSet, height: int, width: int, periodic: bool = False,
 
 def max_cover_oracle(ts: TileSet, height: int, width: int,
                      budget_states: int = 2_000_000) -> tuple[int, Tiling]:
-    """Exact maximum cover by a frontier sweep over cells in {tiles, VOID}.
+    """Exact maximum cover by frontier sweeps over cells in {tiles, VOID}.
 
-    Equal frontiers (the exposed colors of the last ``width`` cells) are
-    merged, each keeping the most tiles placed so far, which keeps the search
-    exhaustive while storing each distinct frontier once.  Raises
-    BudgetExceededError, naming the stored count and the row where it
-    crossed the budget, if the sweep stores more than ``budget_states``
-    frontiers, rather than returning a guess.
+    A void-budget descent: the pass with slack s keeps only the partial
+    covers with at most s VOID cells, for s = 0, 1, 2, 4, 8, ..., and the
+    first pass that ends with a cover answers.  Its answer is the optimum:
+    a cover with more tiles has fewer voids, so every prefix of it survives
+    the same pass.  Slack 0 is the decision sweep, and a slack of h·w or
+    more keeps every partial cover, so there are at most ⌈log2(h·w)⌉ + 2
+    passes.  Within a pass, equal frontiers (the exposed colors of the last
+    ``width`` cells) are merged, each keeping the most tiles placed so far,
+    which keeps the pass exhaustive while storing each distinct frontier
+    once.
+
+    ``budget_states`` bounds the frontiers stored by each pass, not their
+    total.  A pass that stores more raises BudgetExceededError, naming the
+    stored count, the row (or column) where it crossed the budget, and the
+    pass, rather than returning a guess.
     """
-    best, _, witness, stats = _frontier(ts, height, width, budget_states,
-                                        void=True)
-    _check_budget(budget_states, stats)
-    return best, witness
+    slack = 0
+    while True:
+        best, _, witness, stats = _frontier(ts, height, width, budget_states,
+                                            slack=slack)
+        _check_budget(budget_states, stats, f" of the slack-{slack} pass")
+        if best is not None:
+            return best, witness
+        slack = max(1, 2 * slack)

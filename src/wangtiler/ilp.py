@@ -783,7 +783,7 @@ def parse_lp(text: str) -> IlpModel:
         while lines[end].startswith("   "):
             end += 1
         toks = " ".join(lines[n:end]).split()
-        if not toks or not toks[0].endswith(":"):
+        if not toks or toks[0] == ":" or not toks[0].endswith(":"):
             rows.fail(n, f"constraint without 'name:': {lines[n]!r}")
         if len(toks) < 3 or toks[-2] not in (LE, EQ, GE):
             rows.fail(n, f"constraint without sense: {lines[n]!r}")

@@ -194,17 +194,19 @@ def naive_torus_tilings(ts: TileSet, h: int, w: int) -> list[tuple[int, ...]]:
 
 
 def reference_grid_sweep(ts: TileSet, height: int, width: int, mask, cap: int,
-                         void: bool):
+                         slack: int):
     """The rectangle frontier sweep of ``exact._grid_sweep`` on tuple states
     in an insertion-ordered dict, returning what it returns: (most placed
     or None, the witness cells, stored states, index of the last cell).
 
     A state is (pending east, south of column 0, ..., south of column w-1),
     None for an edge nothing will read again.  Each state tries the tiles in
-    ascending id, then VOID with ``void``; ``mask[i][j][k]`` (when given)
-    allows tile k at (i, j), and VOID is always allowed.  A key keeps its
-    first (parent, tile), with ``void`` the first child with the most tiles
-    placed, and the states stay in the order their keys first appear."""
+    ascending id, then VOID when ``slack`` > 0; ``mask[i][j][k]`` (when
+    given) allows tile k at (i, j), and VOID is always allowed.  A child
+    with more than ``slack`` VOID cells so far is dropped.  A key keeps its
+    first (parent, tile), with slack > 0 the first child with the most
+    tiles placed, and the states stay in the order their keys first
+    appear."""
     frontier = {(None,) * (width + 1): 0}  # state -> tiles placed
     layers: list[list[tuple[int, int]]] = []
     stored = 0
@@ -213,7 +215,7 @@ def reference_grid_sweep(ts: TileSet, height: int, width: int, mask, cap: int,
         level: dict[tuple, tuple[int, int, int]] = {}  # state -> (placed, parent, tile)
         for idx, (state, placed) in enumerate(frontier.items()):
             west, north = state[0], state[1 + j]
-            for k in [*range(len(ts)), *([VOID] if void else [])]:
+            for k in [*range(len(ts)), *([VOID] if slack else [])]:
                 if k == VOID:
                     east = south = None
                 else:
@@ -224,6 +226,8 @@ def reference_grid_sweep(ts: TileSet, height: int, width: int, mask, cap: int,
                     east = ts.easts[k] if j < width - 1 else None
                     south = ts.souths[k] if i < height - 1 else None
                 got = placed + (k != VOID)
+                if p + 1 - got > slack:
+                    continue
                 key = (east, *state[1:1 + j], south, *state[2 + j:])
                 if key not in level or got > level[key][0]:
                     level[key] = (got, idx, k)

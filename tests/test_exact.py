@@ -202,8 +202,9 @@ def test_rectangle_sweep_agrees_with_enumeration(ts, h, w):
 
 @st.composite
 def sweeps(draw):
-    """A small set, a 1-4 x 1-4 rectangle, ``void`` on or off, maybe a random
-    (cell, tile) mask, and a cap that is either out of reach or small."""
+    """A small set, a 1-4 x 1-4 rectangle, a slack of 0, 1, 2 or h·w (no
+    VOID, a void budget, or no limit), maybe a random (cell, tile) mask, and
+    a cap that is either out of reach or small."""
     ts = draw(small_sets())
     h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     mask = draw(st.none() | st.lists(st.booleans(), min_size=h * w * len(ts),
@@ -211,23 +212,24 @@ def sweeps(draw):
     if mask is not None:
         mask = np.array(mask, dtype=bool).reshape(h, w, len(ts))
     cap = draw(st.sampled_from([1 << 30]) | st.integers(1, 60))
-    return ts, h, w, mask, cap, draw(st.booleans())
+    return ts, h, w, mask, cap, draw(st.sampled_from([0, 1, 2, h * w]))
 
 
 @pytest.mark.parametrize("key_limit", [exact._KEY_LIMIT, 0])
 @settings(max_examples=150, deadline=None)
 @given(sweeps())
 def test_grid_sweep_merges_like_an_ordered_dict(key_limit, sweep):
-    # The merge rule, pinned: a key keeps its first child, with void the
-    # first of those with the most tiles placed, and the states keep the
-    # order of their first child; the witness and the stored count follow.
-    # A key limit of 0 runs the same sweep on Python ints.
-    ts, h, w, mask, cap, void = sweep
+    # The merge rule, pinned: a child with more than slack voids is dropped,
+    # a key keeps its first surviving child, with slack > 0 the first of
+    # those with the most tiles placed, and the states keep the order of
+    # their first child; the witness and the stored count follow.  A key
+    # limit of 0 runs the same sweep on Python ints.
+    ts, h, w, mask, cap, slack = sweep
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact, "_KEY_LIMIT", key_limit)
-        best, cells, stored, last = exact._grid_sweep(ts, h, w, mask, cap, void)
+        best, cells, stored, last = exact._grid_sweep(ts, h, w, mask, cap, slack)
     want_best, want_cells, want_stored, want_last = reference_grid_sweep(
-        ts, h, w, mask, cap, void)
+        ts, h, w, mask, cap, slack)
     assert (best, stored, last) == (want_best, want_stored, want_last)
     assert (cells is None) == (want_cells is None)
     if cells is not None:
@@ -528,10 +530,15 @@ def test_oracle_matches_naive_enumeration():
 
 def test_oracle_budget_error():
     with pytest.raises(BudgetExceededError,
-                       match=r"stored \d+ states, past its budget of 50, in row 1$"):
+                       match=r"stored \d+ states, past its budget of 50, in row 1 "
+                             r"of the slack-0 pass$"):
         max_cover_oracle(complete_stochastic_set(3), 4, 4, budget_states=50)
-    with pytest.raises(BudgetExceededError, match=r"in column 2$"):
+    with pytest.raises(BudgetExceededError, match=r"in column 3 of the slack-0 pass$"):
         max_cover_oracle(builtin_set("finite1"), 3, 8, budget_states=200)
+    # the budget holds per pass: finite1 8x8's slack-0 pass dies at 15 850
+    # stored states, and the slack-1 pass crosses 20 000
+    with pytest.raises(BudgetExceededError, match=r"in row 2 of the slack-1 pass$"):
+        max_cover_oracle(builtin_set("finite1"), 8, 8, budget_states=20_000)
 
 
 def test_oracle_wide_grid_raises_budget_error():
@@ -542,3 +549,22 @@ def test_oracle_wide_grid_raises_budget_error():
     one = TileSet([Tile(0, 0, 1, 1)], num_colors=2)
     with pytest.raises(BudgetExceededError):
         max_cover_oracle(one, 40, 40, budget_states=100_000)
+
+
+@pytest.mark.parametrize("name, best", [("finite1", 63), ("finite2", 62),
+                                        ("ammann16", 64)])
+def test_oracle_answers_the_8x8_instances(name, best):
+    # One unlimited sweep passes the default budget on finite1 and finite2
+    # 8x8; the descent answers at slack 1, 2 and 0.
+    ts = builtin_set(name)
+    got, witness = max_cover_oracle(ts, 8, 8)
+    assert got == best == witness.placed
+    assert validate_tiling(ts, witness).is_valid
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_sets(), st.integers(1, 4), st.integers(1, 4))
+def test_descent_equals_one_unlimited_pass(ts, h, w):
+    best, witness = max_cover_oracle(ts, h, w)
+    assert best == exact._grid_sweep(ts, h, w, None, 1 << 30, h * w)[0]
+    assert witness.placed == best

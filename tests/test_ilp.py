@@ -556,6 +556,11 @@ MALFORMED = [
      "Binaries\n x_1_1_0 x_1_1_1\nEnd\n", "line 4: constraint without sense"),
     ("Minimize\n obj: 0\nSubject To\n x_1_1_0 = 1\nBinaries\n x_1_1_0\nEnd\n",
      "line 4: constraint without 'name:'"),
+    # an empty row name, which emit_lp would refuse
+    ("Minimize\n obj: 0\nSubject To\n : x <= 1\nBinaries\n x\nEnd\n",
+     "line 4: constraint without 'name:'"),
+    ("Minimize\n obj: 0\nSubject To\n c: x >= 0\n :\n   x <= 1\nBinaries\n x\nEnd\n",
+     "line 5: constraint without 'name:'"),
     ("Maximize\n obj: hv_1_1\nSubject To\nBounds\n 0 <= hv_1_1\nEnd\n",
      "line 5: unsupported bounds line"),
     ("Minimize\n obj: 0\nSubject To\n c1: x_1_1_0 + 5 + x_1_1_1 = 1\n"
