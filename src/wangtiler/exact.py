@@ -39,7 +39,6 @@ a one-wide torus must match itself.
 from __future__ import annotations
 
 import time
-from functools import lru_cache
 from itertools import compress, product
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -87,36 +86,6 @@ class TorusResult:
 _KEY_LIMIT = 1 << 62
 
 
-@lru_cache(maxsize=8)
-def _fit_table(num_colors: int, wests: tuple, norths: tuple, void: bool):
-    """The tiles that fit each request, for a set's colors and sides.
-
-    Request ``west * R + north`` (R = num_colors + 1, digit R - 1 asks for
-    nothing) is answered by ``cols[starts[r]:starts[r] + counts[r]]``: the
-    ids that fit, ascending, then with ``void`` column ``len(wests)``, which
-    is VOID and fits every request.  The VOID table is the tile table with
-    one column added per request, so the (R² x |T|) fit test runs once per
-    set while its tables stay among the last eight asked for, not once per
-    sweep.  The arrays are read-only.
-    """
-    if void:
-        cols, counts, starts = _fit_table(num_colors, wests, norths, False)
-        table = (np.insert(cols, starts + counts, len(wests)), counts + 1,
-                 starts + np.arange(len(counts)))
-    else:
-        radix = num_colors + 1
-        none = radix - 1
-        west, north = np.divmod(np.arange(radix * radix), radix)
-        fits = (((west[:, None] == none) | (west[:, None] == wests))
-                & ((north[:, None] == none) | (north[:, None] == norths)))
-        request, cols = np.nonzero(fits)
-        counts = np.bincount(request, minlength=len(fits))
-        table = cols, counts, np.cumsum(counts) - counts
-    for a in table:
-        a.flags.writeable = False
-    return table
-
-
 def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
                 cap: int, slack: int):
     """Fill the rectangle cell by cell, row-major, merging equal frontiers.
@@ -133,12 +102,13 @@ def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
     slack 0 every cell holds a tile, the decision sweep; with slack > 0 a
     cell may also stay VOID, and a child whose voids so far exceed
     ``slack`` is dropped before the merge.  Each cell expands every state
-    at once through ``_fit_table`` (ascending ids, then VOID with slack >
-    0), keeps tile k only where ``mask[i, j, k]`` (every tile without a
-    mask), and merges equal keys.  A key keeps its first child, with slack
-    > 0 the first of those with the most tiles placed, and the states stay
-    in the order of their first child, so the witness is the one a dict
-    keyed by the states would give.  The merge takes one default (unstable)
+    at once through a table of the tiles that fit each request (ascending
+    ids, then VOID with slack > 0), built once per sweep, keeps tile k only
+    where ``mask[i, j, k]`` (every tile without a mask), and merges equal
+    keys.  A key keeps its first child, with slack > 0 the first of those
+    with the most tiles placed, and the states stay in the order of their
+    first child, so the witness is the one a dict keyed by the states would
+    give.  The merge takes one default (unstable)
     argsort of the keys; the groups of equal keys in sorted order give each
     key's first child as ``np.minimum.reduceat`` of the sorted indices, and
     with slack > 0 the kept child as the group minimum of ``(most placed -
@@ -160,8 +130,14 @@ def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
     none = radix - 1
     head, tail = radix ** width, radix ** (width - 1)
     dtype = object if radix * head >= _KEY_LIMIT else np.int64
-    fit_cols, counts, starts = _fit_table(ts.num_colors, ts.wests, ts.norths,
-                                          slack > 0)
+    west, north = np.divmod(np.arange(radix * radix), radix)
+    fits = (((west[:, None] == none) | (west[:, None] == ts.wests))
+            & ((north[:, None] == none) | (north[:, None] == ts.norths)))
+    if slack:  # column len(ts) of the table is VOID, which fits every request
+        fits = np.column_stack((fits, np.ones(len(fits), dtype=bool)))
+    request, fit_cols = np.nonzero(fits)
+    counts = np.bincount(request, minlength=len(fits))
+    starts = np.cumsum(counts) - counts
     tile_of = np.arange(len(ts) + 1, dtype=np.int32)
     tile_of[-1] = VOID
     gain = (tile_of != VOID).astype(np.int32)
@@ -181,13 +157,11 @@ def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
         col = fit_cols[np.repeat(starts[req] - (np.cumsum(num) - num), num)
                        + np.arange(len(parent))]
         keep = None if mask is None else np.append(mask[i, j], True)[col]
-        if slack:
+        if slack:  # drop the children with more than slack voids
             got = placed[parent] + gain[col]
-            if slack <= p:  # drop the children with more than slack voids
-                fresh = got > p - slack
-                keep = fresh if keep is None else keep & fresh
-            if keep is not None:
-                got = got[keep]
+            fresh = got > p - slack
+            keep = fresh if keep is None else keep & fresh
+            got = got[keep]
         if keep is not None:
             parent, col = parent[keep], col[keep]
         if not len(col):
