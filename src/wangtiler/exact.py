@@ -19,11 +19,13 @@ the sort orders equal keys.  Keys of 62 bits or more run the same code on
 Python ints.  One ``slack`` integer sets how many VOID cells a rectangle's
 partial covers may hold: 0 for the decision sweep, which places a tile in
 every cell, and s > 0 for a max-cover pass, which drops a child with more
-than s voids before the merge.  The oracle runs passes at s = 0, 1, 2, 4,
-..., and the first that ends with a cover answers: a cover with more
-tiles has fewer voids, so every prefix of an optimal cover survives any
-pass that the optimum's voids fit, and no pass can end with more tiles
-than the optimum.  The torus (``count_torus``, ``smallest_torus``,
+than s voids before the merge.  The oracle runs passes from s = 0, and
+the first that ends with a cover answers: a cover with more tiles has
+fewer voids, so every prefix of an optimal cover survives any pass that
+the optimum's voids fit, and no pass can end with more tiles than the
+optimum.  A pass that dies in row r proves that any r whole rows need
+more than s voids, so the next pass starts at max(1, 2s, ⌊H/r⌋(s + 1)),
+H the swept height.  The torus (``count_torus``, ``smallest_torus``,
 ``PeriodicFixed``) stays on tuple keys in a dict, which is faster on the
 one-to-six-cell shapes ``smallest_torus`` tries; a torus state also counts
 the ways to reach it.  Per-cell conditions reach both sweeps as one (cell,
@@ -530,21 +532,26 @@ def max_cover_oracle(ts: TileSet, height: int, width: int,
     """Exact maximum cover by frontier sweeps over cells in {tiles, VOID}.
 
     A void-budget descent: the pass with slack s keeps only the partial
-    covers with at most s VOID cells, for s = 0, 1, 2, 4, 8, ..., and the
-    first pass that ends with a cover answers.  Its answer is the optimum:
-    a cover with more tiles has fewer voids, so every prefix of it survives
-    the same pass.  Slack 0 is the decision sweep, and a slack of h·w or
-    more keeps every partial cover, so there are at most ⌈log2(h·w)⌉ + 2
-    passes.  Within a pass, equal frontiers (the exposed colors of the last
-    ``width`` cells) are merged, each keeping the most tiles placed so far,
-    which keeps the pass exhaustive while storing each distinct frontier
-    once.
+    covers with at most s VOID cells, and the first pass that ends with a
+    cover answers.  Its answer is the optimum: a cover with more tiles has
+    fewer voids, so every prefix of it survives the same pass.  Slack 0 is
+    the decision sweep.  A pass with slack s that dies in row r (its
+    ``stats["row"]``, or ``"column"`` for a grid swept transposed) proves
+    that any r whole rows need more than s voids, so the ⌊H/r⌋ disjoint
+    bands of r rows need at least ⌊H/r⌋(s + 1), H being the swept height
+    (the larger dimension); the next pass runs at
+    max(1, 2s, ⌊H/r⌋(s + 1)).  A slack of h·w or more keeps every partial
+    cover, so there are at most ⌈log2(h·w)⌉ + 2 passes.  Within a pass,
+    equal frontiers (the exposed colors of the last ``width`` cells) are
+    merged, each keeping the most tiles placed so far, which keeps the pass
+    exhaustive while storing each distinct frontier once.
 
     ``budget_states`` bounds the frontiers stored by each pass, not their
     total.  A pass that stores more raises BudgetExceededError, naming the
     stored count, the row (or column) where it crossed the budget, and the
     pass, rather than returning a guess.
     """
+    swept = max(height, width)  # the height of the grid as _frontier sweeps it
     slack = 0
     while True:
         best, _, witness, stats = _frontier(ts, height, width, budget_states,
@@ -552,4 +559,5 @@ def max_cover_oracle(ts: TileSet, height: int, width: int,
         _check_budget(budget_states, stats, f" of the slack-{slack} pass")
         if best is not None:
             return best, witness
-        slack = max(1, 2 * slack)
+        dead = stats.get("row") or stats["column"]
+        slack = max(1, 2 * slack, swept // dead * (slack + 1))

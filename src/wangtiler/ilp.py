@@ -11,7 +11,10 @@ between rows i and i+1).  Constraint names follow the ``v_i_j_l`` /
 Placements come first, row-major by cell, then tile id: ``x_i_j_k`` of an
 h x w grid over the tile set T has index ``((i-1)*w + j-1)*|T| + k``; the
 ``hv`` slacks follow, then the ``hh`` slacks, each row-major.
-:func:`evaluate_assignment` reads the placements from this layout.
+:func:`evaluate_assignment` reads the placements from this layout: it
+rebuilds the layout's names per cell (one ``x_i_j_`` prefix per cell, each
+tile id appended) and compares them, in order, with the model's first
+variables.
 
 An :class:`IlpModel` stores each part once, in arrays: its
 :class:`Variables` as columns (names, a binary mask, lower and upper
@@ -159,10 +162,11 @@ def x_name(i: int, j: int, k: int) -> str:
 
 
 def _x_names(h: int, w: int, n: int) -> list[str]:
-    """The placement variables' names in layout order."""
+    """The placement variables' names in layout order: one ``x_i_j_``
+    prefix per cell, each followed by the tile ids' suffixes."""
     ks = [str(k) for k in range(n)]
-    return [f"x_{i}_{j}_" + k for i in range(1, h + 1) for j in range(1, w + 1)
-            for k in ks]
+    cells = [f"x_{i}_{j}_" for i in range(1, h + 1) for j in range(1, w + 1)]
+    return [cell + k for cell in cells for k in ks]
 
 
 def _merge(lengths: np.ndarray, indices: np.ndarray, data: np.ndarray):
@@ -541,10 +545,11 @@ def _declarations(var: Variables) -> str:
         lines += [f" {_fmt_num(var.lower[vi])} <= {names[vi]} <= {_fmt_num(var.upper[vi])}"
                   for vi in bounded]
     binaries = list(compress(names, var.binary.tolist()))
-    if binaries:
-        lines.append("Binaries")
-        lines += [" " + " ".join(binaries[start:start + 8])
-                  for start in range(0, len(binaries), 8)]
+    if binaries:  # eight names a line, then the rest
+        groups = list(map(" ".join, zip(*[iter(binaries)] * 8)))
+        if rest := len(binaries) % 8:
+            groups.append(" ".join(binaries[-rest:]))
+        lines += ["Binaries", " " + "\n ".join(groups)]
     lines.append("End")
     return "\n" + "\n".join(lines) + "\n"
 
@@ -830,15 +835,17 @@ def evaluate_assignment(m: IlpModel, t: Tiling, tol: float = 1e-9) -> Evaluation
     Placements are read from the layout, not from names: the first h*w*|T|
     variables must be the tiling grid's ``x_i_j_k`` in layout order, |T|
     being the number of binaries over h*w (else StructuralError, as for a
-    tile id the model lacks).  Placement variables follow the tiling; slack
-    variables take their smallest feasible values given the placements.
+    tile id the model lacks).  The layout's names are rebuilt per cell and
+    compared with the model's in one comparison, every name in its place.
+    Placement variables follow the tiling; slack variables take their
+    smallest feasible values given the placements.
     """
     h, w = t.height, t.width
     var, con = m.variables, m.constraints
     binaries = int(np.count_nonzero(var.binary))
     n = binaries // (h * w)
     layout = _x_names(h, w, n)
-    if not n or binaries != len(layout) or list(var.names[:len(layout)]) != layout:
+    if not n or binaries != len(layout) or var.names[:len(layout)] != tuple(layout):
         raise StructuralError(
             f"model placements do not fit the x_i_j_k layout of a "
             f"{h}x{w} tiling")

@@ -4,10 +4,14 @@
 
 The script imports ``wangtiler`` from ``<checkout root>/src`` and, for each
 spec, prints its label, the SHA-256 of ``emit_lp(build_model(spec))``, the
-SHA-256 of ``emit_lp(parse_lp(...))`` of that text, and the model's
-(variables, constraints, nonzeros).  The two hashes match when the text
-survives a parse; comparing the output of two checkouts with ``cmp`` shows
-whether a change keeps every emitted byte.  The matrix:
+SHA-256 of ``emit_lp(parse_lp(...))`` of that text, the model's
+(variables, constraints, nonzeros) and the evaluation of the parsed model
+on one tiling seeded by the label (random tile ids, about a quarter of the
+cells VOID): ``feasible``, the objective and the SHA-256 of the violated
+row names, or the exception's class where ``evaluate_assignment`` raises
+``StructuralError``.  The two hashes match when the text survives a parse;
+comparing the output of two checkouts with ``cmp`` shows whether a change
+keeps every emitted byte and every evaluation.  The matrix:
 
 - fig3, finite1, finite2, ammann16 and complete:2, at 1x1, 1x3, 3x1, 2x3
   and 3x2, under each formulation: with no extension, with each per-cell
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 import sys
 
 SETS = ("fig3", "finite1", "finite2", "ammann16", "complete:2")
@@ -74,18 +79,29 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, os.path.join(argv[1], "src"))
     import wangtiler as wt
     from wangtiler.bench import resolve_set
-    from wangtiler.ilp import build_model, emit_lp, parse_lp
+    from wangtiler.ilp import build_model, emit_lp, evaluate_assignment, parse_lp
 
     def sha(text: str) -> str:
         return hashlib.sha256(text.encode()).hexdigest()
+
+    def evaluation(label, spec, parsed) -> str:
+        rng, n = random.Random(label), len(spec.tileset)
+        tiling = wt.Tiling([[wt.VOID if rng.random() < 0.25 else rng.randrange(n)
+                             for _ in range(spec.width)] for _ in range(spec.height)])
+        try:
+            ev = evaluate_assignment(parsed, tiling)
+        except wt.StructuralError as exc:
+            return type(exc).__name__
+        return f"{ev.feasible} {ev.objective!r} {sha(chr(10).join(ev.violated))}"
 
     sets = {name: resolve_set(name) for name in SETS}
     for label, spec in cases(wt, sets):
         model = build_model(spec)
         text = emit_lp(model)
-        print(label, sha(text), sha(emit_lp(parse_lp(text))),
+        parsed = parse_lp(text)
+        print(label, sha(text), sha(emit_lp(parsed)),
               len(model.variables), len(model.constraints),
-              len(model.constraints.indices))
+              len(model.constraints.indices), evaluation(label, spec, parsed))
     return 0
 
 

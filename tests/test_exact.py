@@ -562,6 +562,30 @@ def test_oracle_answers_the_8x8_instances(name, best):
     assert validate_tiling(ts, witness).is_valid
 
 
+@pytest.mark.parametrize("name, h, w, best, slacks", [
+    ("finite2", 8, 8, 62, [0, 2]),  # slack 0 dies in row 4: 8 // 4 * 1
+    ("checkerboard", 6, 6, 18, [0, 6, 14, 28]),
+    ("checkerboard", 3, 40, 60, [0, 40, 80]),  # swept transposed, 40 high
+    ("finite1", 8, 8, 63, [0, 1])])
+def test_oracle_slacks_start_at_the_dead_pass_bound(monkeypatch, name, h, w, best,
+                                                    slacks):
+    # A pass with slack s that dies in row r proves that r whole rows need
+    # more than s voids; the next pass starts at max(1, 2s, H // r * (s + 1)).
+    ts = (TileSet([Tile(0, 0, 1, 1)], num_colors=2) if name == "checkerboard"
+          else builtin_set(name))
+    seen, frontier = [], exact._frontier
+
+    def spy(*args, slack=0, **kwargs):
+        seen.append(slack)
+        return frontier(*args, slack=slack, **kwargs)
+
+    monkeypatch.setattr(exact, "_frontier", spy)
+    got, witness = max_cover_oracle(ts, h, w)
+    assert seen == slacks
+    assert got == best == witness.placed
+    assert validate_tiling(ts, witness).is_valid
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_sets(), st.integers(1, 4), st.integers(1, 4))
 def test_descent_equals_one_unlimited_pass(ts, h, w):

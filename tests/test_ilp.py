@@ -779,6 +779,71 @@ def test_evaluate_dimension_mismatch():
             evaluate_assignment(parse_lp(lp), Tiling([[0]]))
 
 
+@pytest.mark.parametrize("h, w, n", [(1, 1, 1), (3, 12, 11), (12, 3, 16)])
+def test_x_names_are_the_layout(h, w, n):
+    # one- and two-digit rows, columns and tile ids
+    assert ilp._x_names(h, w, n) == [
+        x_name(i, j, k) for i, j, k in itertools.product(range(1, h + 1),
+                                                         range(1, w + 1), range(n))]
+
+
+def test_evaluate_refuses_swapped_placements():
+    # The right names in the wrong order: two placements of different cells
+    # and tiles swap places in the Binaries, the constraints unchanged.
+    ts = complete_stochastic_set(2)
+    text = emit_lp(build_model(spec(ts, 2, 11, "max_cover")))
+    head, binaries = text.split("\nBinaries\n")
+    other = {"x_1_10_3": "x_2_1_10", "x_2_1_10": "x_1_10_3"}
+    swapped = re.sub(r"(?<=\s)x_(1_10_3|2_1_10)(?=\s)",
+                     lambda m: other[m.group()], binaries)
+    assert swapped != binaries and sorted(swapped.split()) == sorted(binaries.split())
+    tiling = Tiling.filled(2, 11)
+    assert evaluate_assignment(parse_lp(text), tiling).feasible
+    with pytest.raises(StructuralError, match="x_i_j_k layout of a 2x11 tiling"):
+        evaluate_assignment(parse_lp(head + "\nBinaries\n" + swapped), tiling)
+
+
+@st.composite
+def tilings(draw):
+    """A random set (``helpers.random_tileset``), a grid up to 4x4 and a full
+    tiling of it, either random or a decision witness, plus the same tiling
+    with some cells VOID."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ts = random_tileset(rng, max_colors=3, max_tiles=6)
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    res = solve_decision(ts, h, w) if draw(st.booleans()) else None
+    if res is not None and res.status == wt.VALID:
+        cells = res.witness.cells
+    else:
+        cells = np.array([[rng.randrange(len(ts)) for _ in range(w)]
+                          for _ in range(h)], dtype=np.int32)
+    voids = np.array(draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w)))
+    return ts, Tiling(cells), Tiling(np.where(voids.reshape(h, w), VOID, cells))
+
+
+def round_trip(ts, h, w, formulation):
+    return parse_lp(emit_lp(build_model(spec(ts, h, w, formulation))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tilings())
+def test_evaluation_agrees_with_validation(case):
+    ts, full, partial = case
+    h, w = full.height, full.width
+    ev = evaluate_assignment(round_trip(ts, h, w, "max_cover"), partial)
+    assert ev.feasible == validate_tiling(ts, partial).is_valid
+    assert ev.objective == partial.placed
+    e, wst, s, n = (np.array(side)[full.cells] for side in
+                    (ts.easts, ts.wests, ts.souths, ts.norths))
+    matched = (np.count_nonzero(e[:, :-1] == wst[:, 1:])
+               + np.count_nonzero(s[:-1] == n[1:]))
+    valid = validate_tiling(ts, full).is_valid
+    ev = evaluate_assignment(round_trip(ts, h, w, "max_csp"), full)
+    assert ev.feasible and ev.objective == matched
+    assert (ev.objective == 2 * h * w - h - w) == valid
+    assert evaluate_assignment(round_trip(ts, h, w, "decision"), full).feasible == valid
+
+
 def test_evaluate_periodic_fixed():
     ts = complete_stochastic_set(2)
     m = build_model(spec(ts, 2, 2, "decision", PeriodicFixed()))
