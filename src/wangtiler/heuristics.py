@@ -384,13 +384,14 @@ def cover(ts: TileSet, height: int, width: int, init: str = "simple",
     for i, lookahead, odd in _schedule(init, height):
         cov.solve_row(i, cov.open, lookahead, odd)
     sweeps = 0
-    num_old = INF
-    while improve and cov.voids() < num_old:
-        num_old = cov.voids()
+    voids, num_old = cov.voids(), INF
+    while improve and 0 < voids < num_old:
+        num_old = voids
         cov.transpose()
         for i in range(cov.height):
             cov.solve_row(i, cov.hard)
         sweeps += 1
+        voids = cov.voids()
     if sweeps % 2:
         cov.transpose()
     tiling = Tiling(cov.cells)

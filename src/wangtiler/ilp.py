@@ -522,13 +522,15 @@ def _check_names(m: IlpModel) -> None:
 
 def _term_pieces(m: IlpModel) -> np.ndarray:
     """Every term's piece, the objective's first and then each row's:
-    ``" + name"``, ``" - name"`` or, for another coefficient, ``" + 2 name"``."""
+    ``" + name"``, ``" - name"`` or, for another coefficient, ``" + 2 name"``.
+    The table holds the ``" - name"`` half only when some term needs it."""
     obj, con, names = m.objective, m.constraints, m.variables.names
     indices = np.concatenate((obj.indices, con.indices))
     data = np.concatenate((obj.data, con.data))
-    table = (np.array([[" + "], [" - "]], dtype=object)
-             + np.array(names, dtype=object)).ravel()
-    pieces = table[indices + len(names) * (data == -1.0)]
+    minus = data == -1.0
+    signs = [[" + "], [" - "]] if minus.any() else [[" + "]]
+    table = (np.array(signs, dtype=object) + np.array(names, dtype=object)).ravel()
+    pieces = table[indices + len(names) * minus]
     odd = np.flatnonzero(np.abs(data) != 1.0)
     pieces[odd] = [f" {'-' if c < 0 else '+'} {_fmt_num(abs(c))} {names[vi]}"
                    for c, vi in zip(data[odd].tolist(), indices[odd].tolist())]
@@ -562,14 +564,15 @@ def emit_lp(m: IlpModel) -> str:
     name rule).
 
     The objective is row 0 and the constraints follow it.  One take from a
-    table of ``" + name"`` and ``" - name"`` pieces, two per variable,
-    gives every term its piece; the few non-unit coefficients are written
-    one by one, and each non-empty row's first piece becomes its head
-    (``"\\n name: "`` and the term without its ``"+ "``).  One stable
-    ``np.insert`` puts ``"\\n  "`` before every tenth term of a row, each
-    row's tail after its terms (its sense and right-hand side, or the
-    objective constant, or ``"0"`` for an empty row, wrapped like the
-    terms) and the declarations at the end.  One join makes the text.
+    table of ``" + name"`` pieces, and ``" - name"`` pieces when some
+    coefficient is -1, gives every term its piece; the few non-unit
+    coefficients are written one by one, and each non-empty row's first
+    piece becomes its head (``"\\n name: "`` and the term without its
+    ``"+ "``).  One stable ``np.insert`` puts ``"\\n  "`` before every
+    tenth term of a row, each row's tail after its terms (its sense and
+    right-hand side, or the objective constant, or ``"0"`` for an empty
+    row, wrapped like the terms) and the declarations at the end.  One
+    join makes the text.
     """
     _check_finite(m)
     _check_names(m)

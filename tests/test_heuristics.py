@@ -1,8 +1,10 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wangtiler as wt
 from wangtiler import (ConfigurationError, Tile, TileSet, VOID, builtin_set,
@@ -373,20 +375,44 @@ def test_heuristics_never_beat_oracle():
         assert cover(ts, h, w, "simple", seed=2).placed <= best
 
 
+def test_half_bound_is_a_share_of_the_optimum_not_of_the_grid():
+    # No 3x3 cover of these two tiles is full: the half schedule places 4,
+    # under half of the 9 cells but not under half of the optimum, 5.
+    ts = TileSet([Tile(1, 1, 0, 3), Tile(1, 2, 2, 1)], num_colors=4)
+    r = cover(ts, 3, 3, "half", seed=24, improve=False)
+    best, _ = max_cover_oracle(ts, 3, 3)
+    assert (r.placed, r.bound, best) == (4, "1/2", 5)
+    assert r.placed < Fraction(r.bound) * 9
+    assert r.placed >= Fraction(r.bound) * best
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 6),
+       st.sampled_from(INITS), st.integers(0, 99), st.booleans())
+def test_bound_holds_against_the_optimum(set_seed, h, w, init, seed, improve):
+    ts = random_tileset(random.Random(set_seed))
+    r = cover(ts, h, w, init, seed, improve)
+    if r.bound is not None:
+        best, _ = max_cover_oracle(ts, h, w)
+        assert r.placed >= Fraction(r.bound) * best
+
+
 # -- behaviour pinned by seed -----------------------------------------------------
 
 # The first 16 hex digits of the SHA-256 of the tiling's cells as
 # little-endian int32 bytes, then (placed, iterations, sweeps, bound), as the
 # separate entry points alg1_simple, alg2_half, alg3_twothirds and
 # alg4_improve gave them before ``cover`` replaced them.  A change that moves
-# any entry says why in CHANGES.md.
+# any entry says why in CHANGES.md.  The full runs with improvement were
+# re-pinned when the loop stopped sweeping a full grid: each is now its
+# improve=False run (see test_full_runs_keep_their_init_tiling).
 PINNED = {
     ("fig3", 7, 9, "simple", False, 0): ("871f414abb78245b", 63, 7, 0, None),
     ("fig3", 7, 9, "simple", False, 1): ("48edee360f2fa003", 63, 7, 0, None),
     ("fig3", 7, 9, "simple", False, 2): ("48edee360f2fa003", 63, 7, 0, None),
-    ("fig3", 7, 9, "simple", True, 0): ("63827de1f85fbbd2", 63, 16, 1, None),
-    ("fig3", 7, 9, "simple", True, 1): ("0fcb6e1e2d021022", 63, 16, 1, None),
-    ("fig3", 7, 9, "simple", True, 2): ("0fcb6e1e2d021022", 63, 16, 1, None),
+    ("fig3", 7, 9, "simple", True, 0): ("871f414abb78245b", 63, 7, 0, None),
+    ("fig3", 7, 9, "simple", True, 1): ("48edee360f2fa003", 63, 7, 0, None),
+    ("fig3", 7, 9, "simple", True, 2): ("48edee360f2fa003", 63, 7, 0, None),
     ("fig3", 7, 9, "half", False, 0): ("cb5d4ea868413c95", 59, 7, 0, "1/2"),
     ("fig3", 7, 9, "half", False, 1): ("d039a72d4f1ee284", 60, 7, 0, "1/2"),
     ("fig3", 7, 9, "half", False, 2): ("b5f4e0fcb5e86d9a", 56, 7, 0, "1/2"),
@@ -402,9 +428,9 @@ PINNED = {
     ("fig3", 12, 12, "simple", False, 0): ("9947b8593a1a7286", 144, 12, 0, None),
     ("fig3", 12, 12, "simple", False, 1): ("292309784b7b5771", 144, 12, 0, None),
     ("fig3", 12, 12, "simple", False, 2): ("292309784b7b5771", 144, 12, 0, None),
-    ("fig3", 12, 12, "simple", True, 0): ("fa5b61c096f0343d", 144, 24, 1, None),
-    ("fig3", 12, 12, "simple", True, 1): ("292309784b7b5771", 144, 24, 1, None),
-    ("fig3", 12, 12, "simple", True, 2): ("f392eefc99922496", 144, 24, 1, None),
+    ("fig3", 12, 12, "simple", True, 0): ("9947b8593a1a7286", 144, 12, 0, None),
+    ("fig3", 12, 12, "simple", True, 1): ("292309784b7b5771", 144, 12, 0, None),
+    ("fig3", 12, 12, "simple", True, 2): ("292309784b7b5771", 144, 12, 0, None),
     ("fig3", 12, 12, "half", False, 0): ("e6bd8a59835346ef", 127, 12, 0, "1/2"),
     ("fig3", 12, 12, "half", False, 1): ("4cc896e6b2686f13", 128, 12, 0, "1/2"),
     ("fig3", 12, 12, "half", False, 2): ("2233cab7e3c96cb1", 131, 12, 0, "1/2"),
@@ -492,54 +518,69 @@ PINNED = {
     ("complete:3", 7, 9, "simple", False, 0): ("df9c5243e412c9e7", 63, 7, 0, None),
     ("complete:3", 7, 9, "simple", False, 1): ("50aff0c5677b3875", 63, 7, 0, None),
     ("complete:3", 7, 9, "simple", False, 2): ("438eddf17f7aa437", 63, 7, 0, None),
-    ("complete:3", 7, 9, "simple", True, 0): ("afe52eef08d64638", 63, 16, 1, None),
-    ("complete:3", 7, 9, "simple", True, 1): ("70eb1a747a63a2b8", 63, 16, 1, None),
-    ("complete:3", 7, 9, "simple", True, 2): ("152b791ebdc32d2e", 63, 16, 1, None),
+    ("complete:3", 7, 9, "simple", True, 0): ("df9c5243e412c9e7", 63, 7, 0, None),
+    ("complete:3", 7, 9, "simple", True, 1): ("50aff0c5677b3875", 63, 7, 0, None),
+    ("complete:3", 7, 9, "simple", True, 2): ("438eddf17f7aa437", 63, 7, 0, None),
     ("complete:3", 7, 9, "half", False, 0): ("7115001cabddd0c0", 63, 7, 0, "1/2"),
     ("complete:3", 7, 9, "half", False, 1): ("7351ba67ae468586", 63, 7, 0, "1/2"),
     ("complete:3", 7, 9, "half", False, 2): ("ffa44ffcb79e4353", 63, 7, 0, "1/2"),
-    ("complete:3", 7, 9, "half", True, 0): ("d30938f24be5c067", 63, 16, 1, "1/2"),
-    ("complete:3", 7, 9, "half", True, 1): ("3518e6433ed1d998", 63, 16, 1, "1/2"),
-    ("complete:3", 7, 9, "half", True, 2): ("61c7959c03f7a0f2", 63, 16, 1, "1/2"),
+    ("complete:3", 7, 9, "half", True, 0): ("7115001cabddd0c0", 63, 7, 0, "1/2"),
+    ("complete:3", 7, 9, "half", True, 1): ("7351ba67ae468586", 63, 7, 0, "1/2"),
+    ("complete:3", 7, 9, "half", True, 2): ("ffa44ffcb79e4353", 63, 7, 0, "1/2"),
     ("complete:3", 7, 9, "twothirds", False, 0): ("16a7ac4a6f31db36", 63, 9, 0, "2/3"),
     ("complete:3", 7, 9, "twothirds", False, 1): ("d155c6d8d0d90ca4", 63, 9, 0, "2/3"),
     ("complete:3", 7, 9, "twothirds", False, 2): ("6efdb8833bb0e4c7", 63, 9, 0, "2/3"),
-    ("complete:3", 7, 9, "twothirds", True, 0): ("5bff14fa30f2c9ce", 63, 18, 1, "2/3"),
-    ("complete:3", 7, 9, "twothirds", True, 1): ("fc950baac3e26089", 63, 18, 1, "2/3"),
-    ("complete:3", 7, 9, "twothirds", True, 2): ("79afc7284784b0a7", 63, 18, 1, "2/3"),
+    ("complete:3", 7, 9, "twothirds", True, 0): ("16a7ac4a6f31db36", 63, 9, 0, "2/3"),
+    ("complete:3", 7, 9, "twothirds", True, 1): ("d155c6d8d0d90ca4", 63, 9, 0, "2/3"),
+    ("complete:3", 7, 9, "twothirds", True, 2): ("6efdb8833bb0e4c7", 63, 9, 0, "2/3"),
     ("complete:3", 12, 12, "simple", False, 0): ("da316281be4b8dbb", 144, 12, 0, None),
     ("complete:3", 12, 12, "simple", False, 1): ("73479c7920a5221b", 144, 12, 0, None),
     ("complete:3", 12, 12, "simple", False, 2): ("ddb5c194cfc971ab", 144, 12, 0, None),
-    ("complete:3", 12, 12, "simple", True, 0): ("5b78241422c1e3b6", 144, 24, 1, None),
-    ("complete:3", 12, 12, "simple", True, 1): ("7a7ef7e5f480ec11", 144, 24, 1, None),
-    ("complete:3", 12, 12, "simple", True, 2): ("868e115876f71ace", 144, 24, 1, None),
+    ("complete:3", 12, 12, "simple", True, 0): ("da316281be4b8dbb", 144, 12, 0, None),
+    ("complete:3", 12, 12, "simple", True, 1): ("73479c7920a5221b", 144, 12, 0, None),
+    ("complete:3", 12, 12, "simple", True, 2): ("ddb5c194cfc971ab", 144, 12, 0, None),
     ("complete:3", 12, 12, "half", False, 0): ("079cbab6841814a8", 144, 12, 0, "1/2"),
     ("complete:3", 12, 12, "half", False, 1): ("790d85d7a4666c32", 144, 12, 0, "1/2"),
     ("complete:3", 12, 12, "half", False, 2): ("949f287d5bdd41af", 144, 12, 0, "1/2"),
-    ("complete:3", 12, 12, "half", True, 0): ("f6da6056ca5ee9c4", 144, 24, 1, "1/2"),
-    ("complete:3", 12, 12, "half", True, 1): ("dc267c459a511b45", 144, 24, 1, "1/2"),
-    ("complete:3", 12, 12, "half", True, 2): ("ee704db9262105f5", 144, 24, 1, "1/2"),
+    ("complete:3", 12, 12, "half", True, 0): ("079cbab6841814a8", 144, 12, 0, "1/2"),
+    ("complete:3", 12, 12, "half", True, 1): ("790d85d7a4666c32", 144, 12, 0, "1/2"),
+    ("complete:3", 12, 12, "half", True, 2): ("949f287d5bdd41af", 144, 12, 0, "1/2"),
     ("complete:3", 12, 12, "twothirds", False, 0): ("48793776495dc9b1", 144, 16, 0, "2/3"),
     ("complete:3", 12, 12, "twothirds", False, 1): ("48c26bc55bf3590b", 144, 16, 0, "2/3"),
     ("complete:3", 12, 12, "twothirds", False, 2): ("5507321ba0ab97d3", 144, 16, 0, "2/3"),
-    ("complete:3", 12, 12, "twothirds", True, 0): ("4bd7f753a48cb50f", 144, 28, 1, "2/3"),
-    ("complete:3", 12, 12, "twothirds", True, 1): ("a554ba41d86eadbb", 144, 28, 1, "2/3"),
-    ("complete:3", 12, 12, "twothirds", True, 2): ("359c5c585546b98b", 144, 28, 1, "2/3"),
+    ("complete:3", 12, 12, "twothirds", True, 0): ("48793776495dc9b1", 144, 16, 0, "2/3"),
+    ("complete:3", 12, 12, "twothirds", True, 1): ("48c26bc55bf3590b", 144, 16, 0, "2/3"),
+    ("complete:3", 12, 12, "twothirds", True, 2): ("5507321ba0ab97d3", 144, 16, 0, "2/3"),
     # Recorded with the float-weight row kernel, before integer units: many
-    # colors (finite2), many tiles (complete:4) and the long rows of 100x100.
+    # colors (finite2), many tiles (complete:4, re-pinned since) and the long
+    # rows of 100x100.
     ("finite2", 20, 20, "half", True, 0): ("5ecf0fa622679222", 342, 220, 10, "1/2"),
-    ("complete:4", 20, 20, "simple", True, 0): ("a4e9323440dc02ba", 400, 40, 1, None),
-    ("complete:4", 20, 20, "twothirds", True, 0): ("1965343d019a050c", 400, 46, 1, "2/3"),
+    ("complete:4", 20, 20, "simple", True, 0): ("1a7b467c5d65517d", 400, 20, 0, None),
+    ("complete:4", 20, 20, "twothirds", True, 0): ("cdda5f59f049349f", 400, 26, 0, "2/3"),
     ("ammann16", 100, 100, "simple", True, 0): ("ea185cf6f289bbdc", 9001, 600, 5, None),
     ("finite1", 100, 100, "simple", True, 0): ("7f12e14e3020cea4", 8799, 1400, 13, None),
 }
 
 
+def _pin(r):
+    """A run as its PINNED entry."""
+    digest = hashlib.sha256(r.tiling.cells.astype("<i4").tobytes()).hexdigest()[:16]
+    return digest, r.placed, r.iterations, r.sweeps, r.bound
+
+
 def test_cover_tilings_pinned_by_seed():
     for (name, h, w, init, improve, seed), pinned in PINNED.items():
-        ts = resolve_set(name)
-        r = cover(ts, h, w, init, seed, improve)
-        cells = r.tiling.cells.astype("<i4").tobytes()
-        digest = hashlib.sha256(cells).hexdigest()[:16]
-        got = (digest, r.placed, r.iterations, r.sweeps, r.bound)
-        assert got == pinned, (name, h, w, init, improve, seed)
+        r = cover(resolve_set(name), h, w, init, seed, improve)
+        assert _pin(r) == pinned, (name, h, w, init, improve, seed)
+
+
+def test_full_runs_keep_their_init_tiling():
+    # A sweep cannot add a tile to a full grid, so the loop runs none: a
+    # full run with improvement is the same seed's run without it.
+    full = [key for key, pinned in PINNED.items() if key[4]
+            and pinned[1] == key[1] * key[2]]
+    assert len(full) == 26
+    for name, h, w, init, _, seed in full:
+        twin = cover(resolve_set(name), h, w, init, seed, improve=False)
+        assert twin.sweeps == 0
+        assert PINNED[name, h, w, init, True, seed] == _pin(twin)
