@@ -6,9 +6,11 @@ one of three schedules, which trade quality for guarantees, and then, unless
 ``improve=False``, an alternating column/row improvement loop:
 
   simple     rows top to bottom       no guarantee, best in practice
-  half       odd rows first           >= 1/2 of the grid (two-tile rows exist)
-  twothirds  rows 1, 4, 3, 2, 3, ...  >= 2/3 of the grid (cyclic transducers)
+  half       odd rows first           >= 1/2 of the optimum (two-tile rows exist)
+  twothirds  rows 1, 4, 3, 2, 3, ...  >= 2/3 of the optimum (cyclic transducers)
   improve    any of the above         never worse than its start
+
+A guarantee is a share of the grid's maximum cover, not of its cells.
 """
 
 import wangtiler as wt
@@ -18,7 +20,7 @@ H = W = 15
 
 for init in ("simple", "half", "twothirds"):
     run = wt.cover(amm, H, W, init, seed=0, improve=False)
-    guarantee = f">= {run.bound} of {H * W}" if run.bound else "none"
+    guarantee = f">= {run.bound} of the optimum" if run.bound else "none"
     print(f"{init:18s}: {run.placed:3d}/{H * W} placed "
           f"(guarantee {guarantee})")
 

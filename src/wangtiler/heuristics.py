@@ -18,6 +18,12 @@ per distance, closed), so rows pass them as ids into a table of a
 south) pair once.  Ties go to the tile that comes first in the line's
 shuffled order: each candidate is ranked by one integer key (see
 ``shortest_row``), so the order in which edges are visited does not matter.
+
+``cover`` runs an init schedule of row solves, then improvement sweeps: a
+sweep re-solves every line of the other orientation against its placed
+neighbors, columns first.  A re-solve admits the incumbent line, so a sweep
+never loses a tile; on a full grid it could only redraw ties.  So the
+sweeps run while voids remain and each one removes some.
 """
 
 from __future__ import annotations
@@ -206,7 +212,11 @@ class CoverRun:
 
     ``bound`` is the proven coverage guarantee that applies to the algorithm
     on this tile set ("1/2", "2/3" or None), decided by transducer analysis
-    rather than assumed.
+    rather than assumed.  It is a share of the maximum cover of the grid
+    (``max_cover_oracle``), not of its cells: where no full tiling of the
+    grid exists, a run may place fewer than ``bound`` times height * width.
+    ``iterations`` counts the line solves and ``sweeps`` the improvement
+    sweeps, 0 when the init schedule leaves no void or ``improve`` is off.
     """
 
     tiling: Tiling
@@ -321,7 +331,8 @@ _INITS = ("simple", "half", "twothirds")
 
 
 def _bound(ts: TileSet, init: str) -> str | None:
-    """The coverage guarantee the init schedule proves on ts, if any."""
+    """The coverage guarantee the init schedule proves on ts, if any, as a
+    share of the maximum cover of the grid (not of its cells)."""
     if init == "half":
         g = build_transducer(ts, HORIZONTAL)
         return "1/2" if longest_path_at_least(g, 2) else None
@@ -340,15 +351,15 @@ def _schedule(init: str, height: int) -> list[tuple[int, int, bool]]:
     simple:    rows top to bottom, each against its placed neighbors.
     half:      in the order 0, 2, 1, 4, 3, ..., even rows become maximum row
                covers judged two rows back through the dual transducer and
-               odd rows fill the gaps.  Places at least half the grid
-               whenever the transducer admits a two-tile row.
+               odd rows fill the gaps.  Places at least half the maximum
+               cover whenever the transducer admits a two-tile row.
     twothirds: in the order 0, 3, 2, 1, 2, ..., rows 0, 3, 6, ... are
                covered with two-arc lookahead to the anchor row three above;
                rows 2, 5, ... are first covered with one-arc lookahead and
                tiles only at even columns, then revisited plainly; rows 1,
                4, ... are covered plainly.  Places at least two thirds of
-               the grid when every used color of both transducer graphs lies
-               on a cycle.
+               the maximum cover when every used color of both transducer
+               graphs lies on a cycle.
     """
     if init == "simple":
         return [(i, 0, False) for i in range(height)]
@@ -372,10 +383,12 @@ def cover(ts: TileSet, height: int, width: int, init: str = "simple",
     or "twothirds", see ``_schedule``), then, with ``improve``, the
     improvement loop.
 
-    The loop alternates hard-constrained column and row re-solves while the
-    void count keeps dropping.  Each re-solve admits the incumbent line, so
-    the placed count never decreases.  ``bound`` is the guarantee of the
-    init schedule on ``ts``; improvement keeps it.
+    The loop alternates hard-constrained column and row re-solves while
+    voids remain and the void count keeps dropping.  Each re-solve admits
+    the incumbent line, so the placed count never decreases, and a full
+    grid is never swept: a run whose init schedule leaves no void returns
+    that tiling, with ``sweeps`` 0.  ``bound`` is the guarantee of the init
+    schedule on ``ts``, a share of the maximum cover; improvement keeps it.
     """
     if init not in _INITS:
         raise ConfigurationError(f"init must be one of {', '.join(_INITS)}, "

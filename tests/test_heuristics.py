@@ -403,9 +403,8 @@ def test_bound_holds_against_the_optimum(set_seed, h, w, init, seed, improve):
 # little-endian int32 bytes, then (placed, iterations, sweeps, bound), as the
 # separate entry points alg1_simple, alg2_half, alg3_twothirds and
 # alg4_improve gave them before ``cover`` replaced them.  A change that moves
-# any entry says why in CHANGES.md.  The full runs with improvement were
-# re-pinned when the loop stopped sweeping a full grid: each is now its
-# improve=False run (see test_full_runs_keep_their_init_tiling).
+# any entry says why in CHANGES.md.  A full run with improvement equals
+# its improve=False run (test_full_runs_keep_their_init_tiling).
 PINNED = {
     ("fig3", 7, 9, "simple", False, 0): ("871f414abb78245b", 63, 7, 0, None),
     ("fig3", 7, 9, "simple", False, 1): ("48edee360f2fa003", 63, 7, 0, None),
@@ -582,5 +581,4 @@ def test_full_runs_keep_their_init_tiling():
     assert len(full) == 26
     for name, h, w, init, _, seed in full:
         twin = cover(resolve_set(name), h, w, init, seed, improve=False)
-        assert twin.sweeps == 0
         assert PINNED[name, h, w, init, True, seed] == _pin(twin)
