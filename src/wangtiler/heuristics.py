@@ -15,9 +15,12 @@ row always wins.
 A run uses a handful of distinct vectors (free, hard per color, open, reach
 per distance, closed), so rows pass them as ids into a table of a
 ``_RowKernel``, which builds the surviving tile edges of each (north,
-south) pair once.  Ties go to the tile that comes first in the line's
-shuffled order: each candidate is ranked by one integer key (see
-``shortest_row``), so the order in which edges are visited does not matter.
+south) pair once.  The kernel lives with the tile set, one per width, so
+later runs on the same set reuse its vectors and edges.  Ties go to the
+tile that comes first in the line's shuffled order, drawn as
+``random.shuffle`` draws it (see ``_tie_order``): each candidate is ranked
+by one integer key (see ``shortest_row``), so the order in which edges are
+visited does not matter.
 
 ``cover`` runs an init schedule of row solves, then improvement sweeps: a
 sweep re-solves every line of the other orientation against its placed
@@ -29,6 +32,7 @@ sweeps run while voids remain and each one removes some.
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -41,13 +45,23 @@ INF = float("inf")
 
 
 class _RowKernel(dict):
-    """The row solves of one tile set at one width.
+    """The row solves of one tile set at one width, shared by every run.
 
-    ``intern`` gives each distinct side vector an id into ``vectors`` and
-    checks it once.  As a mapping, the kernel takes a (north id, south id)
-    pair to the tile edges that survive it, as ``(west, east, units *
-    radix, tile_id)`` in tile-id order; they are built on the pair's first
-    lookup and then shared by every line of the run.
+    ``_kernel`` keeps one per (tile set, width) on the tile set, so the
+    kernel lives as long as the set.  ``intern`` gives each distinct side
+    vector an id into ``vectors`` and checks it once.  As a mapping, the
+    kernel takes a (north id, south id) pair to the tile edges that survive
+    it, as ``(west, east, units * radix, tile_id)`` in tile-id order; they
+    are built on the pair's first lookup and then shared by every line of
+    every run.  Edges depend only on the vectors, never on which run
+    interned them first, so sharing cannot change a tiling.
+
+    The constraint tables of a run in this orientation are built with the
+    kernel: ``free`` and ``closed`` vector ids, and ``hard`` and ``open``,
+    the (north, south) tables of ``_Cover``.  ``draws`` holds the steps of
+    the tie-break shuffle (see ``_tie_order``), and ``turned`` the kernel
+    of the transposed grid.  Threads may share a kernel: a new vector is
+    interned under a lock, and a pair's edges are stored only once built.
     """
 
     def __init__(self, ts: TileSet, width: int):
@@ -59,6 +73,20 @@ class _RowKernel(dict):
         self.radix = len(ts) + 1
         self.vectors: list[tuple] = []
         self._ids: dict[tuple, int] = {}
+        self._lock = threading.Lock()
+        self._turned: dict[int, _RowKernel] = {}
+        colors = range(ts.num_colors)
+        intern = self.intern
+        self.free = intern((0,) * ts.num_colors)
+        self.closed = intern((INF,) * ts.num_colors)
+        fits = [intern(tuple(0 if c == x else INF for c in colors)) for x in colors]
+        under = [fits[c] for c in ts.souths]
+        over = [fits[c] for c in ts.norths]
+        self.hard = (under + [self.free], over + [self.free])
+        self.open = (
+            under + [intern(tuple(0 if c in ts.souths else 1 for c in colors))],
+            over + [intern(tuple(0 if c in ts.norths else 1 for c in colors))])
+        self.draws = _draws(len(ts))
 
     def intern(self, vector) -> int:
         vector = tuple(vector)
@@ -71,19 +99,60 @@ class _RowKernel(dict):
             if not set(vector) <= {0, 1, INF}:
                 raise ConfigurationError(
                     f"side vector entries must be 0, 1 or INF, got {vector}")
-            vid = self._ids[vector] = len(self.vectors)
-            self.vectors.append(vector)
+            with self._lock:
+                vid = self._ids.get(vector)
+                if vid is None:
+                    vid = len(self.vectors)
+                    self.vectors.append(vector)
+                    self._ids[vector] = vid
         return vid
 
     def __missing__(self, pair: tuple[int, int]) -> list:
         ts = self.ts
         nv, sv = (self.vectors[v] for v in pair)
-        edges = self[pair] = []
+        edges = []
         for k in range(len(ts)):
             units = nv[ts.norths[k]] + sv[ts.souths[k]]
             if units != INF:
                 edges.append((ts.wests[k], ts.easts[k], int(units) * self.radix, k))
-        return edges
+        return self.setdefault(pair, edges)
+
+    def turned(self, height: int) -> "_RowKernel":
+        """The kernel whose rows are this orientation's columns on a grid of
+        ``height`` rows: the reflected set's at width ``height``."""
+        kernel = self._turned.get(height)
+        if kernel is None:
+            kernel = self._turned.setdefault(height, _kernel(self.ts.reflected(), height))
+        return kernel
+
+
+def _kernel(ts: TileSet, width: int) -> _RowKernel:
+    """The shared kernel of ``ts`` at ``width``, built on first use."""
+    kernel = ts._kernels.get(width)
+    if kernel is None:
+        kernel = ts._kernels.setdefault(width, _RowKernel(ts, width))
+    return kernel
+
+
+def _draws(n: int) -> tuple[tuple[int, int], ...]:
+    """The steps of a Fisher-Yates shuffle of n items, as CPython's
+    ``random.shuffle`` takes them: swap slot i, from n - 1 down to 1, with a
+    slot drawn below i + 1 from ``(i + 1).bit_length()`` random bits."""
+    return tuple((i, (i + 1).bit_length()) for i in range(n - 1, 0, -1))
+
+
+def _tie_order(rng: random.Random, draws) -> list[int]:
+    """The tile ids ``0 .. len(draws)`` shuffled by ``draws``: the list that
+    ``rng.shuffle`` makes of them, with the same ``getrandbits`` calls, so
+    the generator ends in the same state."""
+    getrandbits = rng.getrandbits
+    order = list(range(len(draws) + 1))
+    for i, bits in draws:
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        order[i], order[j] = order[j], order[i]
+    return order
 
 
 @dataclass
@@ -124,8 +193,9 @@ def build_layered_dag(ts: TileSet, width: int, north, south,
     """Assemble the row DAG: tile k in column j costs
     ``north[j][norths[k]] + south[j][souths[k]]`` units and is dropped when
     that is INF.  ``order``, a permutation of the tile ids, ranks the tiles
-    for ties.  With ``kernel`` (of ``ts`` at ``width``), north and south
-    hold its vector ids; without, the vectors go into a new kernel."""
+    for ties; any other order raises ``ConfigurationError``.  With
+    ``kernel`` (of ``ts`` at ``width``), north and south hold its vector
+    ids; without, the vectors go into a new kernel."""
     if kernel is None:
         kernel = _RowKernel(ts, width)
         north = [kernel.intern(v) for v in north]
@@ -133,10 +203,19 @@ def build_layered_dag(ts: TileSet, width: int, north, south,
     if len(north) != width or len(south) != width:
         raise ConfigurationError("constraint vectors must have one entry per column")
     if order is None:
-        order = list(range(len(ts)))
-    rank = [0] * len(order)
-    for r, k in enumerate(order):
-        rank[k] = r
+        order = rank = list(range(len(ts)))
+    else:
+        # a slot of rank left unset, or a negative id, means that order is
+        # not a permutation of the tile ids
+        rank = [-1] * len(ts)
+        try:
+            for r, k in enumerate(order):
+                rank[k] = r
+        except (IndexError, TypeError):
+            rank = None
+        if rank is None or len(order) != len(ts) or -1 in rank or min(order) < 0:
+            raise ConfigurationError(
+                f"order must be a permutation of the {len(ts)} tile ids")
     columns = list(map(kernel.__getitem__, zip(north, south)))
     return LayeredDag(width, ts.num_colors, columns, order, rank, ts.wests)
 
@@ -151,7 +230,9 @@ def shortest_row(dag: LayeredDag) -> tuple[list[int], float]:
     wins, so among equal costs the tile first in ``order`` wins, and the
     void only when it is strictly cheaper.  ``key - key % radix`` is the
     distance and ``key % radix`` names the parent; a void's parent, and the
-    row's last color, is the lowest color of least distance.
+    row's last color, is the lowest color of least distance.  ``low``, the
+    least key of the layer, is kept as the layer is built: it starts at the
+    void key and drops with each key that beats it.
     """
     C = dag.num_colors
     R = dag.radix
@@ -159,14 +240,17 @@ def shortest_row(dag: LayeredDag) -> tuple[list[int], float]:
     rank = dag.rank
     keys = [0] * C
     layers = [keys]
+    low = 0
     for edges in dag.columns:
-        low = min(keys)
-        best = [low - low % R + void] * C
+        low += void - low % R
+        best = [low] * C
         for w, e, units, k in edges:
             key = keys[w]
             key += units + rank[k] - key % R
             if key < best[e]:
                 best[e] = key
+                if key < low:
+                    low = key
         keys = best
         layers.append(keys)
     c = _lowest(keys, R)
@@ -181,14 +265,17 @@ def shortest_row(dag: LayeredDag) -> tuple[list[int], float]:
             row.append(k)
             c = dag.wests[k]
     row.reverse()
-    low = min(keys)
     return row, low // R / (2 * (dag.width + 1))
 
 
 def _lowest(keys: list[int], radix: int) -> int:
-    """The lowest color of least distance in a layer of keys."""
-    dist = [key - key % radix for key in keys]
-    return dist.index(min(dist))
+    """The lowest color of least distance in a layer of keys: the first
+    key below the least key's distance plus ``radix``."""
+    bound = min(keys)
+    bound += radix - bound % radix
+    for c, key in enumerate(keys):
+        if key < bound:
+            return c
 
 
 def max_row_cover(ts: TileSet, width: int, north, south,
@@ -230,17 +317,17 @@ class CoverRun:
 class _Cover:
     """A mutable grid plus the neighbor tables its line solves read.
 
-    Row constraints are vector ids of the orientation's ``_RowKernel``, one
-    per (tile set, width), so each distinct vector is checked once and each
-    (north, south) pair's edges are built once per run.  ``hard`` and
-    ``open`` are (north, south) tables indexed by the neighbor's tile id,
-    VOID (-1) last: a placed neighbor imposes its hard vector in both; a
-    void is free in ``hard`` and, in ``open``, a soft miss for each color
-    that admits no vertical neighbor.  Columns are solved as rows of the
-    transposed grid (see ``transpose``).  The dual transducer belongs to the
-    untransposed set, so lookahead runs only before the first transpose; it
-    is built on the first ``reach`` call, because only the half and
-    twothirds schedules read it.
+    Row constraints are vector ids of the orientation's ``_RowKernel``, the
+    one its tile set keeps for the width, so each distinct vector is checked
+    once and each (north, south) pair's edges are built once for all runs.
+    The kernel's ``hard`` and ``open`` are (north, south) tables indexed by
+    the neighbor's tile id, VOID (-1) last: a placed neighbor imposes its
+    hard vector in both; a void is free in ``hard`` and, in ``open``, a soft
+    miss for each color that admits no vertical neighbor.  Columns are
+    solved as rows of the transposed grid (see ``transpose``).  The dual
+    transducer belongs to the untransposed set, so lookahead runs only
+    before the first transpose; it is built on the first ``reach`` call,
+    because only the half and twothirds schedules read it.
     """
 
     def __init__(self, ts: TileSet, height: int, width: int, seed: int):
@@ -248,38 +335,22 @@ class _Cover:
             raise ConfigurationError("grid dimensions must be positive")
         self.rng = random.Random(seed)
         self.cells = [[VOID] * width for _ in range(height)]
-        self._other = None  # the other orientation's kernel, once transposed
-        self._orient(_RowKernel(ts, width), height)
+        self._orient(_kernel(ts, width), height)
         self._dual = None
         self._reach: dict[int, list[int]] = {}
         self.line_solves = 0
 
     def _orient(self, kernel: _RowKernel, height: int) -> None:
         self.kernel = kernel
-        ts = self.ts = kernel.ts
+        self.ts = kernel.ts
         self.height = height
         self.width = kernel.width
-        self.souths = ts.souths
-        colors = range(ts.num_colors)
-        intern = kernel.intern
-        self.free = intern((0,) * ts.num_colors)
-        self.closed = intern((INF,) * ts.num_colors)
-        fits = [intern(tuple(0 if c == x else INF for c in colors)) for x in colors]
-        under = [fits[c] for c in ts.souths]
-        over = [fits[c] for c in ts.norths]
-        self.hard = (under + [self.free], over + [self.free])
-        self.open = (
-            under + [intern(tuple(0 if c in ts.souths else 1 for c in colors))],
-            over + [intern(tuple(0 if c in ts.norths else 1 for c in colors))])
 
     def transpose(self) -> None:
         """Swap to the transposed grid over the diagonally reflected set, so
         that its rows are the current columns; a second call swaps back."""
         self.cells = [list(col) for col in zip(*self.cells)]
-        kernel, self._other = self._other, self.kernel
-        if kernel is None:
-            kernel = _RowKernel(self.ts.reflected(), self.height)
-        self._orient(kernel, self.width)
+        self._orient(self.kernel.turned(self.height), self.width)
 
     def reach(self, distance: int) -> list[int]:
         """Per tile id (VOID last, free), the soft vector of the north colors
@@ -290,7 +361,8 @@ class _Cover:
             colors = range(self.ts.num_colors)
             by_color = [self.kernel.intern(tuple(0 if c in r else 1 for c in colors))
                         for r in reachable_sets(self._dual, distance)]
-            self._reach[distance] = [by_color[c] for c in self.souths] + [self.free]
+            self._reach[distance] = ([by_color[c] for c in self.ts.souths]
+                                     + [self.kernel.free])
         return self._reach[distance]
 
     def solve_row(self, i: int, tables, lookahead: int = 0,
@@ -300,8 +372,9 @@ class _Cover:
         ``lookahead``, a void north neighbor is judged instead against the
         row ``lookahead + 1`` above through dual-transducer reachability;
         ``odd`` closes the odd 0-based columns.  The tie-break order is one
-        shuffle of all tile ids."""
-        cells, free = self.cells, self.free
+        shuffle of all tile ids (see ``_tie_order``)."""
+        cells, kernel = self.cells, self.kernel
+        free = kernel.free
         north_of, south_of = tables
         if i == 0:
             north = [free] * self.width
@@ -312,15 +385,13 @@ class _Cover:
         else:
             north = [north_of[k] for k in cells[i - 1]]
         if odd:
-            north[1::2] = [self.closed] * (self.width // 2)
+            north[1::2] = [kernel.closed] * (self.width // 2)
         if i + 1 == self.height:
             south = [free] * self.width
         else:
             south = [south_of[k] for k in cells[i + 1]]
-        order = list(range(len(self.ts)))
-        self.rng.shuffle(order)
-        self.cells[i], _ = max_row_cover(self.ts, self.width, north, south,
-                                         order, self.kernel)
+        order = _tie_order(self.rng, kernel.draws)
+        cells[i], _ = max_row_cover(self.ts, self.width, north, south, order, kernel)
         self.line_solves += 1
 
     def voids(self) -> int:
@@ -395,14 +466,14 @@ def cover(ts: TileSet, height: int, width: int, init: str = "simple",
                                  f"got {init!r}")
     cov = _Cover(ts, height, width, seed)
     for i, lookahead, odd in _schedule(init, height):
-        cov.solve_row(i, cov.open, lookahead, odd)
+        cov.solve_row(i, cov.kernel.open, lookahead, odd)
     sweeps = 0
     voids, num_old = cov.voids(), INF
     while improve and 0 < voids < num_old:
         num_old = voids
         cov.transpose()
         for i in range(cov.height):
-            cov.solve_row(i, cov.hard)
+            cov.solve_row(i, cov.kernel.hard)
         sweeps += 1
         voids = cov.voids()
     if sweeps % 2:

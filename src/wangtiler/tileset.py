@@ -98,6 +98,8 @@ class TileSet:
         self.souths = tuple(t.south for t in self.tiles)
         self.easts = tuple(t.east for t in self.tiles)
         self._reflected: TileSet | None = None
+        # row kernels by width, built and shared by the cover heuristics
+        self._kernels: dict = {}
 
     def side(self, s: str) -> tuple[int, ...]:
         """The id->color tuple of side ``s``, one of "n", "w", "s", "e"."""

@@ -162,6 +162,16 @@ def insertion_order_row(ts: TileSet, width: int, north, south,
     return row[::-1]
 
 
+def naive_max_csp(ts: TileSet, h: int, w: int) -> int:
+    """Plain enumeration over all full assignments: the most shared edges
+    whose two sides match."""
+    n, we, s, e = ts.norths, ts.wests, ts.souths, ts.easts
+    pairs = ([(idx, idx + 1, e, we) for idx in range(h * w) if (idx + 1) % w]
+             + [(idx, idx + w, s, n) for idx in range(h * w - w)])
+    return max(sum(a[assign[x]] == b[assign[y]] for x, y, a, b in pairs)
+               for assign in itertools.product(range(len(ts)), repeat=h * w))
+
+
 def naive_full_tiling_exists(ts: TileSet, h: int, w: int) -> bool:
     """Plain enumeration over all full assignments."""
     n, we, s, e = ts.norths, ts.wests, ts.souths, ts.easts

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -11,8 +13,8 @@ from wangtiler import (ConfigurationError, Tile, TileSet, VOID, builtin_set,
                        complete_stochastic_set, cover, max_cover_oracle,
                        max_row_cover, validate_tiling)
 from wangtiler.bench import resolve_set
-from wangtiler.heuristics import (INF, _schedule, build_layered_dag,
-                                  shortest_row)
+from wangtiler.heuristics import (INF, _draws, _lowest, _schedule, _tie_order,
+                                  build_layered_dag, shortest_row)
 
 from helpers import (insertion_order_row, naive_row_min_cost, naive_row_min_voids,
                      random_tileset)
@@ -195,6 +197,37 @@ def test_rank_keys_break_ties_like_insertion_order():
         order = rng.sample(range(len(ts)), len(ts))
         row, _ = max_row_cover(ts, width, north, south, order)
         assert row == insertion_order_row(ts, width, north, south, order)
+
+
+@pytest.mark.parametrize("order", [[0, 0, 1], [2, 1], [0, 1, 2, 0], [0, 1, 3],
+                                   [-1, 0, 1], [-3, 1, 2], [0, 1.0, 2], [0, None, 2]])
+def test_build_layered_dag_refuses_an_order_that_is_not_a_permutation(order):
+    # A repeated id used to place it in every column, a short order raised a
+    # bare IndexError and a long one changed the radix of the keys.
+    ts = builtin_set("fig3")
+    with pytest.raises(ConfigurationError, match="permutation of the 3 tile ids"):
+        max_row_cover(ts, 3, free(ts, 3), free(ts, 3), order=order)
+
+
+def test_tie_order_draws_what_random_shuffle_draws():
+    # The cover's tie-break order is CPython's shuffle of the tile ids, bit
+    # for bit, and leaves the generator where shuffle leaves it; if shuffle
+    # ever draws differently, this fails instead of every pin moving.
+    for n in (1, 2, 3, 7, 16, 256):
+        draws = _draws(n)
+        for seed in range(50):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(20):
+                expected = list(range(n))
+                theirs.shuffle(expected)
+                assert _tie_order(ours, draws) == expected
+            assert ours.random() == theirs.random()
+
+
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=12), st.integers(1, 300))
+def test_lowest_is_the_first_color_of_least_distance(keys, radix):
+    dist = [key - key % radix for key in keys]
+    assert _lowest(keys, radix) == dist.index(min(dist))
 
 
 def test_shortest_row_deterministic_for_fixed_order():
@@ -571,6 +604,50 @@ def test_cover_tilings_pinned_by_seed():
     for (name, h, w, init, improve, seed), pinned in PINNED.items():
         r = cover(resolve_set(name), h, w, init, seed, improve)
         assert _pin(r) == pinned, (name, h, w, init, improve, seed)
+
+
+#: runs of both orientations (9x14 and 14x9 share the reflected set's kernels
+#: at widths 9 and 14 with covers of that set), all three inits (the half and
+#: twothirds reach vectors), with and without sweeps
+SHARED_CASES = [(h, w, init, seed, improve) for h, w in ((9, 14), (14, 9), (20, 20))
+                for init in INITS for seed in range(2) for improve in (True, False)]
+
+
+def test_a_shared_kernel_leaks_nothing_between_runs():
+    # A tile set keeps its row kernels across runs; a run on a set already
+    # used by other inits, sizes, seeds and orientations, and by covers of
+    # its reflected set, gives the same tiling as on a fresh set.
+    for name in ("finite1", "finite2", "ammann16", "complete:3"):
+        used = resolve_set(name)
+        for h, w, init, seed, improve in reversed(SHARED_CASES):
+            cover(used, h, w, init, seed + 7, improve)
+            cover(used.reflected(), h, w, init, seed + 7, improve)
+        for case in SHARED_CASES:
+            assert _pin(cover(used, *case)) == _pin(cover(resolve_set(name), *case)), \
+                (name, case)
+
+
+def test_covers_from_threads_sharing_a_set_equal_serial_covers():
+    # Four threads (more than the cores) build and share the kernels of one
+    # fresh set at once, with frequent thread switches; every run must equal
+    # the serial run on its own fresh set.
+    cases = [(name, *case) for name in ("finite2", "complete:3") for case in SHARED_CASES]
+    serial = {case: _pin(cover(resolve_set(case[0]), *case[1:])) for case in cases}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(2):
+            shared = {name: resolve_set(name) for name in ("finite2", "complete:3")}
+
+            def work(shift):
+                mine = cases[shift:] + cases[:shift]
+                return {case: _pin(cover(shared[case[0]], *case[1:])) for case in mine}
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(work, 11 * t) for t in range(4)]
+                results = [f.result(timeout=120) for f in futures]
+            assert all(result == serial for result in results)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_full_runs_keep_their_init_tiling():

@@ -13,6 +13,8 @@ sparse = pytest.importorskip("scipy.sparse")
 import wangtiler as wt  # noqa: E402
 from wangtiler.ilp import ModelSpec, build_model  # noqa: E402
 
+from helpers import naive_max_csp  # noqa: E402
+
 
 def highs(model) -> float | None:
     """The model's optimum found by HiGHS, None when it is infeasible."""
@@ -77,6 +79,33 @@ def test_max_cover_optimum_is_the_oracle(inst):
     best, _ = wt.max_cover_oracle(ts, h, w)
     assert optimum == pytest.approx(best, abs=1e-6)
     assert best >= wt.cover(ts, h, w, "simple", seed=0).placed
+
+
+@st.composite
+def enumerable(draw):
+    """A set and a grid with at most 4 096 full assignments."""
+    ts = draw(small_sets())
+    h = draw(st.integers(1, 3))
+    w = draw(st.integers(1, max(c for c in range(1, 9 // h + 1)
+                                if len(ts) ** (h * c) <= 4096)))
+    return ts, h, w
+
+
+@settings(max_examples=40, deadline=None)
+@given(enumerable())
+def test_max_csp_optimum_is_the_brute_force_one(inst):
+    ts, h, w = inst
+    assert highs(build_model(ModelSpec(ts, h, w, "max_csp"))) == pytest.approx(
+        naive_max_csp(ts, h, w), abs=1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances())
+def test_max_csp_matches_every_edge_exactly_when_a_full_tiling_exists(inst):
+    ts, h, w, _ = inst
+    optimum = highs(build_model(ModelSpec(ts, h, w, "max_csp")))
+    full = wt.solve_decision(ts, h, w).status == wt.VALID
+    assert (optimum == pytest.approx(2 * h * w - h - w, abs=1e-6)) == full
 
 
 @pytest.mark.parametrize("name, h, w, dead, smaller", [
