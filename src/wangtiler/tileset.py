@@ -101,6 +101,11 @@ class TileSet:
         # row kernels by width, built and shared by the cover heuristics
         self._kernels: dict = {}
 
+    def __getstate__(self) -> dict:
+        # The kernels are a cache that holds a lock: a copy or a pickle
+        # starts without them and builds its own on use.
+        return {**self.__dict__, "_kernels": {}}
+
     def side(self, s: str) -> tuple[int, ...]:
         """The id->color tuple of side ``s``, one of "n", "w", "s", "e"."""
         return {"n": self.norths, "w": self.wests,

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -625,6 +627,14 @@ def test_a_shared_kernel_leaks_nothing_between_runs():
         for case in SHARED_CASES:
             assert _pin(cover(used, *case)) == _pin(cover(resolve_set(name), *case)), \
                 (name, case)
+
+
+def test_a_set_with_kernels_still_pickles_and_copies():
+    ts = resolve_set("finite2")
+    before = _pin(cover(ts, 9, 14, "half", 3))
+    for twin in (pickle.loads(pickle.dumps(ts)), copy.deepcopy(ts)):
+        assert twin == ts and twin.reflected() == ts.reflected()
+        assert _pin(cover(twin, 9, 14, "half", 3)) == before
 
 
 def test_covers_from_threads_sharing_a_set_equal_serial_covers():
