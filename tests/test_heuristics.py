@@ -638,7 +638,7 @@ def test_a_set_with_kernels_still_pickles_and_copies():
 
 
 def test_covers_from_threads_sharing_a_set_equal_serial_covers():
-    # Four threads (more than the cores) build and share the kernels of one
+    # Four threads build and share the kernels of one
     # fresh set at once, with frequent thread switches; every run must equal
     # the serial run on its own fresh set.
     cases = [(name, *case) for name in ("finite2", "complete:3") for case in SHARED_CASES]
