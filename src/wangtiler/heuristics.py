@@ -16,11 +16,20 @@ A run uses a handful of distinct vectors (free, hard per color, open, reach
 per distance, closed), so rows pass them as ids into a table of a
 ``_RowKernel``, which builds the surviving tile edges of each (north,
 south) pair once.  The kernel lives with the tile set, one per width, so
-later runs on the same set reuse its vectors and edges.  Ties go to the
-tile that comes first in the line's shuffled order, drawn as
+later runs on the same set reuse its vectors and edges, and the transducer
+analyses of a run (its ``bound`` and lookahead reach tables) too.  Ties go
+to the tile that comes first in the line's shuffled order, drawn as
 ``random.shuffle`` draws it (see ``_tie_order``): each candidate is ranked
 by one integer key (see ``shortest_row``), so the order in which edges are
 visited does not matter.
+
+Edges of one column with the same (west, east, units) differ only in
+rank, so only the first of them in the line's order can set a key.  Where
+grouping them at least halves a pair's edges (the complete sets: on
+complete:4 the free pair's 256 edges fall into 16 groups; none of the
+paper's sets), each line folds every group to that one edge, and
+``shortest_row`` walks the folded lists.  The DAG's ``columns`` stay the
+paper's graph.
 
 ``cover`` runs an init schedule of row solves, then improvement sweeps: a
 sweep re-solves every line of the other orientation against its placed
@@ -54,14 +63,21 @@ class _RowKernel(dict):
     it, as ``(west, east, units * radix, tile_id)`` in tile-id order; they
     are built on the pair's first lookup and then shared by every line of
     every run.  Edges depend only on the vectors, never on which run
-    interned them first, so sharing cannot change a tiling.
+    interned them first, so sharing cannot change a tiling.  ``groups``
+    maps a pair to its edges grouped by ``(west, east, units * radix)``, as
+    ``(west, east, units * radix, tile_ids)``, for the pairs where that at
+    least halves the edges; ``build_layered_dag`` folds each group to the
+    member that comes first in the line's order.
 
     The constraint tables of a run in this orientation are built with the
     kernel: ``free`` and ``closed`` vector ids, and ``hard`` and ``open``,
     the (north, south) tables of ``_Cover``.  ``draws`` holds the steps of
     the tie-break shuffle (see ``_tie_order``), and ``turned`` the kernel
-    of the transposed grid.  Threads may share a kernel: a new vector is
-    interned under a lock, and a pair's edges are stored only once built.
+    of the transposed grid; ``bound`` and ``reach`` give the transducer
+    analyses of the kernel's set, each computed once.  Threads may share a
+    kernel: a new vector is interned under a lock, and a pair's grouping
+    and then its edges are stored only once built, so a line that finds a
+    pair's edges finds its grouping too.
     """
 
     def __init__(self, ts: TileSet, width: int):
@@ -87,6 +103,10 @@ class _RowKernel(dict):
             under + [intern(tuple(0 if c in ts.souths else 1 for c in colors))],
             over + [intern(tuple(0 if c in ts.norths else 1 for c in colors))])
         self.draws = _draws(len(ts))
+        self.groups: dict[tuple[int, int], list] = {}
+        self._bounds: dict[str, str | None] = {}
+        self._dual = None
+        self._reach: dict[int, list[int]] = {}
 
     def intern(self, vector) -> int:
         vector = tuple(vector)
@@ -111,11 +131,38 @@ class _RowKernel(dict):
         ts = self.ts
         nv, sv = (self.vectors[v] for v in pair)
         edges = []
+        groups: dict[tuple, list[int]] = {}
         for k in range(len(ts)):
             units = nv[ts.norths[k]] + sv[ts.souths[k]]
             if units != INF:
-                edges.append((ts.wests[k], ts.easts[k], int(units) * self.radix, k))
+                edge = (ts.wests[k], ts.easts[k], int(units) * self.radix)
+                edges.append((*edge, k))
+                groups.setdefault(edge, []).append(k)
+        if edges and 2 * len(groups) <= len(edges):
+            self.groups.setdefault(pair, [(*edge, ks) for edge, ks in groups.items()])
         return self.setdefault(pair, edges)
+
+    def bound(self, init: str) -> str | None:
+        """``_bound`` of this kernel's set for ``init``, computed once."""
+        if init not in self._bounds:
+            self._bounds.setdefault(init, _bound(self.ts, init))
+        return self._bounds[init]
+
+    def reach(self, distance: int) -> list[int]:
+        """Per tile id (VOID last, free), the id of the soft vector of the
+        north colors the dual transducer of this kernel's set reaches in
+        ``distance`` arcs from the tile's south; built on first use, when
+        the transducer is built too."""
+        reach = self._reach.get(distance)
+        if reach is None:
+            if self._dual is None:
+                self._dual = build_transducer(self.ts, DUAL)
+            colors = range(self.ts.num_colors)
+            by_color = [self.intern(tuple(0 if c in r else 1 for c in colors))
+                        for r in reachable_sets(self._dual, distance)]
+            reach = self._reach.setdefault(
+                distance, [by_color[c] for c in self.ts.souths] + [self.free])
+        return reach
 
     def turned(self, height: int) -> "_RowKernel":
         """The kernel whose rows are this orientation's columns on a grid of
@@ -162,8 +209,13 @@ class LayeredDag:
     ``columns[j]`` holds the surviving tile edges of tile column j as
     ``(west, east, units * radix, tile_id)`` in tile-id order; void vertices
     and their edges are implicit (full fan-in at 2(width+1) units, full
-    fan-out at 0).  ``order`` lists the tile ids by rank, the line's tie-break
-    order, and ``rank`` is its inverse.
+    fan-out at 0).  ``columns``, ``vertex_count`` and ``edge_count`` describe
+    the paper's graph.  ``order`` lists the tile ids by rank, the line's
+    tie-break order, and ``rank`` is its inverse.  ``folded[j]`` is the list
+    the search walks: ``columns[j]`` with each of the kernel's
+    (west, east, units) groups replaced by its least-rank member, which is
+    the only one that can set a key, or ``columns[j]`` itself where the
+    kernel keeps no grouping for the column's pair.
     """
 
     width: int
@@ -172,6 +224,7 @@ class LayeredDag:
     order: list[int]
     rank: list[int]
     wests: tuple[int, ...]
+    folded: list
 
     @property
     def radix(self) -> int:
@@ -195,7 +248,9 @@ def build_layered_dag(ts: TileSet, width: int, north, south,
     that is INF.  ``order``, a permutation of the tile ids, ranks the tiles
     for ties; any other order raises ``ConfigurationError``.  With
     ``kernel`` (of ``ts`` at ``width``), north and south hold its vector
-    ids; without, the vectors go into a new kernel."""
+    ids; without, the vectors go into a new kernel.  Pairs the kernel
+    keeps a grouping for are folded once per line into ``folded``; a
+    kernel with none costs one truth test."""
     if kernel is None:
         kernel = _RowKernel(ts, width)
         north = [kernel.intern(v) for v in north]
@@ -217,18 +272,26 @@ def build_layered_dag(ts: TileSet, width: int, north, south,
             raise ConfigurationError(
                 f"order must be a permutation of the {len(ts)} tile ids")
     columns = list(map(kernel.__getitem__, zip(north, south)))
-    return LayeredDag(width, ts.num_colors, columns, order, rank, ts.wests)
+    folded = columns
+    if kernel.groups:
+        pairs, groups, first = list(zip(north, south)), kernel.groups, rank.__getitem__
+        least = {pair: [(w, e, units, min(ks, key=first)) for w, e, units, ks in groups[pair]]
+                 for pair in set(pairs) if pair in groups}
+        folded = [least.get(pair, edges) for pair, edges in zip(pairs, columns)]
+    return LayeredDag(width, ts.num_colors, columns, order, rank, ts.wests, folded)
 
 
 def shortest_row(dag: LayeredDag) -> tuple[list[int], float]:
     """Single-source shortest path through the layered DAG, decoded to a row.
 
-    Each color layer keeps one integer key per color: its distance times
-    ``radix`` plus the rank of the edge that reached it.  A tile edge into
-    color e offers ``dist[west] + units * radix + rank[k]`` and the void
-    route ``min(dist) + void units * radix + len(order)``; the smallest key
-    wins, so among equal costs the tile first in ``order`` wins, and the
-    void only when it is strictly cheaper.  ``key - key % radix`` is the
+    It walks ``dag.folded``, which gives the same keys as every edge of
+    ``dag.columns``: a dropped edge only loses to a kept one of its group,
+    whose rank is lower.  Each color layer keeps one integer key per color:
+    its distance times ``radix`` plus the rank of the edge that reached it.
+    A tile edge into color e offers ``dist[west] + units * radix + rank[k]``
+    and the void route ``min(dist) + void units * radix + len(order)``; the
+    smallest key wins, so among equal costs the tile first in ``order``
+    wins, and the void only when it is strictly cheaper.  ``key - key % radix`` is the
     distance and ``key % radix`` names the parent; a void's parent, and the
     row's last color, is the lowest color of least distance.  ``low``, the
     least key of the layer, is kept as the layer is built: it starts at the
@@ -241,7 +304,7 @@ def shortest_row(dag: LayeredDag) -> tuple[list[int], float]:
     keys = [0] * C
     layers = [keys]
     low = 0
-    for edges in dag.columns:
+    for edges in dag.folded:
         low += void - low % R
         best = [low] * C
         for w, e, units, k in edges:
@@ -326,8 +389,8 @@ class _Cover:
     miss for each color that admits no vertical neighbor.  Columns are
     solved as rows of the transposed grid (see ``transpose``).  The dual
     transducer belongs to the untransposed set, so lookahead runs only
-    before the first transpose; it is built on the first ``reach`` call,
-    because only the half and twothirds schedules read it.
+    before the first transpose; the kernel builds it on its first ``reach``
+    call, because only the half and twothirds schedules read it.
     """
 
     def __init__(self, ts: TileSet, height: int, width: int, seed: int):
@@ -336,8 +399,6 @@ class _Cover:
         self.rng = random.Random(seed)
         self.cells = [[VOID] * width for _ in range(height)]
         self._orient(_kernel(ts, width), height)
-        self._dual = None
-        self._reach: dict[int, list[int]] = {}
         self.line_solves = 0
 
     def _orient(self, kernel: _RowKernel, height: int) -> None:
@@ -351,19 +412,6 @@ class _Cover:
         that its rows are the current columns; a second call swaps back."""
         self.cells = [list(col) for col in zip(*self.cells)]
         self._orient(self.kernel.turned(self.height), self.width)
-
-    def reach(self, distance: int) -> list[int]:
-        """Per tile id (VOID last, free), the soft vector of the north colors
-        the dual transducer reaches in ``distance`` arcs from its south."""
-        if distance not in self._reach:
-            if self._dual is None:
-                self._dual = build_transducer(self.ts, DUAL)
-            colors = range(self.ts.num_colors)
-            by_color = [self.kernel.intern(tuple(0 if c in r else 1 for c in colors))
-                        for r in reachable_sets(self._dual, distance)]
-            self._reach[distance] = ([by_color[c] for c in self.ts.souths]
-                                     + [self.kernel.free])
-        return self._reach[distance]
 
     def solve_row(self, i: int, tables, lookahead: int = 0,
                   odd: bool = False) -> None:
@@ -379,7 +427,7 @@ class _Cover:
         if i == 0:
             north = [free] * self.width
         elif lookahead and i > lookahead:
-            reach = self.reach(lookahead)
+            reach = kernel.reach(lookahead)
             north = [north_of[k] if k != VOID else reach[src]
                      for k, src in zip(cells[i - 1], cells[i - lookahead - 1])]
         else:
@@ -465,6 +513,7 @@ def cover(ts: TileSet, height: int, width: int, init: str = "simple",
         raise ConfigurationError(f"init must be one of {', '.join(_INITS)}, "
                                  f"got {init!r}")
     cov = _Cover(ts, height, width, seed)
+    bound = cov.kernel.bound(init)
     for i, lookahead, odd in _schedule(init, height):
         cov.solve_row(i, cov.kernel.open, lookahead, odd)
     sweeps = 0
@@ -479,8 +528,7 @@ def cover(ts: TileSet, height: int, width: int, init: str = "simple",
     if sweeps % 2:
         cov.transpose()
     tiling = Tiling(cov.cells)
-    return CoverRun(tiling, tiling.placed, cov.line_solves, seed,
-                    _bound(ts, init), sweeps)
+    return CoverRun(tiling, tiling.placed, cov.line_solves, seed, bound, sweeps)
 
 
 #: The former name of ``cover``, which ``perfbench/`` calls and traces.

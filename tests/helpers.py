@@ -162,6 +162,43 @@ def insertion_order_row(ts: TileSet, width: int, north, south,
     return row[::-1]
 
 
+def reference_shortest_row(dag) -> tuple[list[int], float]:
+    """The row DP of ``heuristics.shortest_row`` over every tile edge of
+    ``dag.columns``, the paper's graph, with no edge folded: per column,
+    each edge into color e offers its west's distance plus its units, plus
+    the tile's rank; the void offers the least distance plus the void's
+    units, plus ``len(order)``; the least key wins.  It returns what
+    ``shortest_row`` returns."""
+    R = dag.radix
+    void = 2 * (dag.width + 1) * R + R - 1
+    keys = [0] * dag.num_colors
+    layers = [keys]
+    for edges in dag.columns:
+        low = min(keys)
+        best = [low - low % R + void] * dag.num_colors
+        for w, e, units, k in edges:
+            key = keys[w] - keys[w] % R + units + dag.rank[k]
+            best[e] = min(best[e], key)
+        keys = best
+        layers.append(keys)
+
+    def lowest(keys):
+        dist = [key - key % R for key in keys]
+        return dist.index(min(dist))
+    c = lowest(keys)
+    row = []
+    for j in range(dag.width, 0, -1):
+        r = layers[j][c] % R
+        if r == R - 1:
+            row.append(VOID)
+            c = lowest(layers[j - 1])
+        else:
+            k = dag.order[r]
+            row.append(k)
+            c = dag.wests[k]
+    return row[::-1], min(keys) // R / (2 * (dag.width + 1))
+
+
 def naive_max_csp(ts: TileSet, h: int, w: int) -> int:
     """Plain enumeration over all full assignments: the most shared edges
     whose two sides match."""

@@ -15,11 +15,11 @@ from wangtiler import (ConfigurationError, Tile, TileSet, VOID, builtin_set,
                        complete_stochastic_set, cover, max_cover_oracle,
                        max_row_cover, validate_tiling)
 from wangtiler.bench import resolve_set
-from wangtiler.heuristics import (INF, _draws, _lowest, _schedule, _tie_order,
-                                  build_layered_dag, shortest_row)
+from wangtiler.heuristics import (INF, _draws, _kernel, _lowest, _schedule,
+                                  _tie_order, build_layered_dag, shortest_row)
 
 from helpers import (insertion_order_row, naive_row_min_cost, naive_row_min_voids,
-                     random_tileset)
+                     random_tileset, reference_shortest_row)
 
 BUILTINS = ["fig3", "finite1", "finite2", "ammann16"]
 INITS = ("simple", "half", "twothirds")
@@ -199,6 +199,62 @@ def test_rank_keys_break_ties_like_insertion_order():
         order = rng.sample(range(len(ts)), len(ts))
         row, _ = max_row_cover(ts, width, north, south, order)
         assert row == insertion_order_row(ts, width, north, south, order)
+
+
+@st.composite
+def row_sets(draw):
+    """complete:2 to complete:4, or up to 40 random tiles over 2 or 3 colors."""
+    n = draw(st.integers(0, 3))
+    if n:
+        return complete_stochastic_set(n + 1)
+    nc = draw(st.integers(2, 3))
+    color = st.integers(0, nc - 1)
+    quads = draw(st.sets(st.tuples(color, color, color, color), min_size=1, max_size=40))
+    return TileSet([Tile(*q) for q in sorted(quads)], num_colors=nc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_folded_row_kernel_equals_the_plain_dp(data):
+    # The search walks one edge per (west, east, units) group where the
+    # kernel keeps a grouping; every row and cost must be those of the DP
+    # over every edge of the paper's graph.  Several lines share the kernel.
+    ts = data.draw(row_sets())
+    width = data.draw(st.integers(1, 8))
+    kernel = _kernel(ts, width)
+    side = st.tuples(*[st.sampled_from((0, 1, INF))] * ts.num_colors).map(kernel.intern)
+    for _ in range(3):
+        north = data.draw(st.lists(side, min_size=width, max_size=width))
+        south = data.draw(st.lists(side, min_size=width, max_size=width))
+        order = data.draw(st.permutations(range(len(ts))))
+        dag = build_layered_dag(ts, width, north, south, order, kernel)
+        assert max_row_cover(ts, width, north, south, order, kernel) \
+            == reference_shortest_row(dag)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_complete_kernels_fold_their_free_pair(n):
+    # n**4 tiles fall into n*n (west, east) groups on the free pair, and a
+    # pair that fixes one north color keeps n**3 edges in n*n groups too.
+    kernel = _kernel(complete_stochastic_set(n), 20)
+    free_pair = (kernel.free, kernel.free)
+    assert len(kernel[free_pair]) == n ** 4
+    assert len(kernel.groups[free_pair]) == n * n
+    fixed = (kernel.hard[0][0], kernel.free)
+    assert len(kernel[fixed]) == n ** 3 and len(kernel.groups[fixed]) == n * n
+
+
+def test_paper_sets_keep_no_grouping():
+    # Folding pays only where it at least halves a pair's edges; on the
+    # paper's sets no pair a cover meets does, so their kernels keep none.
+    for name in BUILTINS:
+        ts = builtin_set(name)
+        for size in (20, 100):
+            for init in INITS:
+                cover(ts, size, size, init, 0)
+        kernels = [*ts._kernels.values(), *ts.reflected()._kernels.values()]
+        assert {k.width for k in kernels} == {20, 100}
+        assert all(len(k) and not k.groups for k in kernels), name
 
 
 @pytest.mark.parametrize("order", [[0, 0, 1], [2, 1], [0, 1, 2, 0], [0, 1, 3],
@@ -630,24 +686,26 @@ def test_a_shared_kernel_leaks_nothing_between_runs():
 
 
 def test_a_set_with_kernels_still_pickles_and_copies():
-    ts = resolve_set("finite2")
-    before = _pin(cover(ts, 9, 14, "half", 3))
-    for twin in (pickle.loads(pickle.dumps(ts)), copy.deepcopy(ts)):
-        assert twin == ts and twin.reflected() == ts.reflected()
-        assert _pin(cover(twin, 9, 14, "half", 3)) == before
+    for name in ("finite2", "complete:4"):
+        ts = resolve_set(name)
+        before = _pin(cover(ts, 9, 14, "half", 3))
+        for twin in (pickle.loads(pickle.dumps(ts)), copy.deepcopy(ts)):
+            assert twin == ts and twin.reflected() == ts.reflected()
+            assert _pin(cover(twin, 9, 14, "half", 3)) == before
 
 
 def test_covers_from_threads_sharing_a_set_equal_serial_covers():
     # Four threads build and share the kernels of one
     # fresh set at once, with frequent thread switches; every run must equal
     # the serial run on its own fresh set.
-    cases = [(name, *case) for name in ("finite2", "complete:3") for case in SHARED_CASES]
+    names = ("finite2", "complete:3", "complete:4")
+    cases = [(name, *case) for name in names for case in SHARED_CASES]
     serial = {case: _pin(cover(resolve_set(case[0]), *case[1:])) for case in cases}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(2):
-            shared = {name: resolve_set(name) for name in ("finite2", "complete:3")}
+            shared = {name: resolve_set(name) for name in names}
 
             def work(shift):
                 mine = cases[shift:] + cases[:shift]
