@@ -547,10 +547,12 @@ def max_cover_oracle(ts: TileSet, height: int, width: int,
     exhaustive while storing each distinct frontier once.
 
     ``budget_states`` bounds the frontiers stored by each pass, not their
-    total.  A pass that stores more raises BudgetExceededError, naming the
-    stored count, the row (or column) where it crossed the budget, and the
-    pass, rather than returning a guess.
+    total, and must be positive.  A pass that stores more raises
+    BudgetExceededError, naming the stored count, the row (or column) where
+    it crossed the budget, and the pass, rather than returning a guess.
     """
+    if budget_states <= 0:
+        raise ConfigurationError("state budget must be positive")
     swept = max(height, width)  # the height of the grid as _frontier sweeps it
     slack = 0
     while True:

@@ -15,13 +15,14 @@ row always wins.
 A run uses a handful of distinct vectors (free, hard per color, open, reach
 per distance, closed), so rows pass them as ids into a table of a
 ``_RowKernel``, which builds the surviving tile edges of each (north,
-south) pair once.  The kernel lives with the tile set, one per width, so
-later runs on the same set reuse its vectors and edges, and the transducer
-analyses of a run (its ``bound`` and lookahead reach tables) too.  Ties go
-to the tile that comes first in the line's shuffled order, drawn as
-``random.shuffle`` draws it (see ``_tie_order``): each candidate is ranked
-by one integer key (see ``shortest_row``), so the order in which edges are
-visited does not matter.
+south) pair once.  An edge depends only on its tile and its column's
+vectors, never on the width, so the tile set keeps one kernel for every
+width: later runs on the same set reuse its vectors and edges, and the
+transducer analyses of a run (its ``bound`` and lookahead reach tables)
+too.  Ties go to the tile that comes first in the line's shuffled order,
+drawn as ``random.shuffle`` draws it (see ``_tie_order``): each candidate
+is ranked by one integer key (see ``shortest_row``), so the order in which
+edges are visited does not matter.
 
 Edges of one column with the same (west, east, units) differ only in
 rank, so only the first of them in the line's order can set a key.  Where
@@ -54,15 +55,15 @@ INF = float("inf")
 
 
 class _RowKernel(dict):
-    """The row solves of one tile set at one width, shared by every run.
+    """The row solves of one tile set, shared by every run at every width.
 
-    ``_kernel`` keeps one per (tile set, width) on the tile set, so the
-    kernel lives as long as the set.  ``intern`` gives each distinct side
-    vector an id into ``vectors`` and checks it once.  As a mapping, the
-    kernel takes a (north id, south id) pair to the tile edges that survive
-    it, as ``(west, east, units * radix, tile_id)`` in tile-id order; they
-    are built on the pair's first lookup and then shared by every line of
-    every run.  Edges depend only on the vectors, never on which run
+    ``_kernel`` keeps one on the tile set, so the kernel lives as long as
+    the set.  ``intern`` gives each distinct side vector an id into
+    ``vectors`` and checks it once.  As a mapping, the kernel takes a
+    (north id, south id) pair to the tile edges that survive it, as
+    ``(west, east, units * radix, tile_id)`` in tile-id order; they are
+    built on the pair's first lookup and then shared by every line of every
+    run.  Edges depend only on the vectors, never on which run
     interned them first, so sharing cannot change a tiling.  ``groups``
     maps a pair to its edges grouped by ``(west, east, units * radix)``, as
     ``(west, east, units * radix, tile_ids)``, for the pairs where that at
@@ -72,25 +73,20 @@ class _RowKernel(dict):
     The constraint tables of a run in this orientation are built with the
     kernel: ``free`` and ``closed`` vector ids, and ``hard`` and ``open``,
     the (north, south) tables of ``_Cover``.  ``draws`` holds the steps of
-    the tie-break shuffle (see ``_tie_order``), and ``turned`` the kernel
-    of the transposed grid; ``bound`` and ``reach`` give the transducer
-    analyses of the kernel's set, each computed once.  Threads may share a
-    kernel: a new vector is interned under a lock, and a pair's grouping
-    and then its edges are stored only once built, so a line that finds a
-    pair's edges finds its grouping too.
+    the tie-break shuffle (see ``_tie_order``); ``bound`` and ``reach`` give
+    the transducer analyses of the kernel's set, each computed once.
+    Threads may share a kernel: a new vector is interned under a lock, and
+    a pair's grouping and then its edges are stored only once built, so a
+    line that finds a pair's edges finds its grouping too.
     """
 
-    def __init__(self, ts: TileSet, width: int):
+    def __init__(self, ts: TileSet):
         super().__init__()
-        if width < 1:
-            raise ConfigurationError("width must be positive")
         self.ts = ts
-        self.width = width
         self.radix = len(ts) + 1
         self.vectors: list[tuple] = []
         self._ids: dict[tuple, int] = {}
         self._lock = threading.Lock()
-        self._turned: dict[int, _RowKernel] = {}
         colors = range(ts.num_colors)
         intern = self.intern
         self.free = intern((0,) * ts.num_colors)
@@ -164,21 +160,17 @@ class _RowKernel(dict):
                 distance, [by_color[c] for c in self.ts.souths] + [self.free])
         return reach
 
-    def turned(self, height: int) -> "_RowKernel":
-        """The kernel whose rows are this orientation's columns on a grid of
-        ``height`` rows: the reflected set's at width ``height``."""
-        kernel = self._turned.get(height)
-        if kernel is None:
-            kernel = self._turned.setdefault(height, _kernel(self.ts.reflected(), height))
-        return kernel
+
+_KERNEL_LOCK = threading.Lock()
 
 
-def _kernel(ts: TileSet, width: int) -> _RowKernel:
-    """The shared kernel of ``ts`` at ``width``, built on first use."""
-    kernel = ts._kernels.get(width)
-    if kernel is None:
-        kernel = ts._kernels.setdefault(width, _RowKernel(ts, width))
-    return kernel
+def _kernel(ts: TileSet) -> _RowKernel:
+    """The shared kernel of ``ts``, built on first use and stored once."""
+    if ts._kernel is None:
+        with _KERNEL_LOCK:
+            if ts._kernel is None:
+                ts._kernel = _RowKernel(ts)
+    return ts._kernel
 
 
 def _draws(n: int) -> tuple[tuple[int, int], ...]:
@@ -246,13 +238,16 @@ def build_layered_dag(ts: TileSet, width: int, north, south,
     """Assemble the row DAG: tile k in column j costs
     ``north[j][norths[k]] + south[j][souths[k]]`` units and is dropped when
     that is INF.  ``order``, a permutation of the tile ids, ranks the tiles
-    for ties; any other order raises ``ConfigurationError``.  With
-    ``kernel`` (of ``ts`` at ``width``), north and south hold its vector
-    ids; without, the vectors go into a new kernel.  Pairs the kernel
-    keeps a grouping for are folded once per line into ``folded``; a
-    kernel with none costs one truth test."""
+    for ties; any other order raises ``ConfigurationError``, as does a
+    width below 1.  With ``kernel`` (``ts``'s), north and south hold its
+    vector ids; without, the vectors go into a new kernel that only this
+    call sees, so ``ts`` keeps no state.  Pairs the kernel keeps a grouping
+    for are folded once per line into ``folded``; a kernel with none costs
+    one truth test."""
+    if width < 1:
+        raise ConfigurationError("width must be positive")
     if kernel is None:
-        kernel = _RowKernel(ts, width)
+        kernel = _RowKernel(ts)
         north = [kernel.intern(v) for v in north]
         south = [kernel.intern(v) for v in south]
     if len(north) != width or len(south) != width:
@@ -349,9 +344,10 @@ def max_row_cover(ts: TileSet, width: int, north, south,
     ``north[j]`` and ``south[j]`` are the penalty units, indexed by edge
     color, that a tile in column j pays on that side: 0 fits, 1 is a soft
     miss, INF removes the tile (or, with ``kernel``, ids of such vectors,
-    see ``build_layered_dag``).  The returned cost is the row's units over
-    the 2(width+1) units of a void, so its integer part is the number of
-    voids in the result.
+    see ``build_layered_dag``); a width below 1 raises
+    ``ConfigurationError``.  The returned cost is the row's units over the
+    2(width+1) units of a void, so its integer part is the number of voids
+    in the result.
     """
     return shortest_row(build_layered_dag(ts, width, north, south, order, kernel))
 
@@ -381,8 +377,8 @@ class _Cover:
     """A mutable grid plus the neighbor tables its line solves read.
 
     Row constraints are vector ids of the orientation's ``_RowKernel``, the
-    one its tile set keeps for the width, so each distinct vector is checked
-    once and each (north, south) pair's edges are built once for all runs.
+    one its tile set keeps, so each distinct vector is checked once and each
+    (north, south) pair's edges are built once for all runs at all widths.
     The kernel's ``hard`` and ``open`` are (north, south) tables indexed by
     the neighbor's tile id, VOID (-1) last: a placed neighbor imposes its
     hard vector in both; a void is free in ``hard`` and, in ``open``, a soft
@@ -398,20 +394,20 @@ class _Cover:
             raise ConfigurationError("grid dimensions must be positive")
         self.rng = random.Random(seed)
         self.cells = [[VOID] * width for _ in range(height)]
-        self._orient(_kernel(ts, width), height)
+        self._orient(_kernel(ts), height, width)
         self.line_solves = 0
 
-    def _orient(self, kernel: _RowKernel, height: int) -> None:
+    def _orient(self, kernel: _RowKernel, height: int, width: int) -> None:
         self.kernel = kernel
         self.ts = kernel.ts
         self.height = height
-        self.width = kernel.width
+        self.width = width
 
     def transpose(self) -> None:
         """Swap to the transposed grid over the diagonally reflected set, so
         that its rows are the current columns; a second call swaps back."""
         self.cells = [list(col) for col in zip(*self.cells)]
-        self._orient(self.kernel.turned(self.height), self.width)
+        self._orient(_kernel(self.ts.reflected()), self.width, self.height)
 
     def solve_row(self, i: int, tables, lookahead: int = 0,
                   odd: bool = False) -> None:

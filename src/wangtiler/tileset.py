@@ -98,13 +98,13 @@ class TileSet:
         self.souths = tuple(t.south for t in self.tiles)
         self.easts = tuple(t.east for t in self.tiles)
         self._reflected: TileSet | None = None
-        # row kernels by width, built and shared by the cover heuristics
-        self._kernels: dict = {}
+        # the row kernel, built and shared by the cover heuristics
+        self._kernel = None
 
     def __getstate__(self) -> dict:
-        # The kernels are a cache that holds a lock: a copy or a pickle
-        # starts without them and builds its own on use.
-        return {**self.__dict__, "_kernels": {}}
+        # The kernel is a cache that holds a lock: a copy or a pickle
+        # starts without it and builds its own on use.
+        return {**self.__dict__, "_kernel": None}
 
     def side(self, s: str) -> tuple[int, ...]:
         """The id->color tuple of side ``s``, one of "n", "w", "s", "e"."""

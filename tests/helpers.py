@@ -10,7 +10,7 @@ from itertools import compress
 
 import numpy as np
 
-from wangtiler import Tile, TileSet, VOID
+from wangtiler import CAPPED, VALID, Tile, TileSet, VOID, solve_decision
 
 
 def random_tileset(rng: random.Random, max_colors: int = 3,
@@ -207,6 +207,23 @@ def naive_max_csp(ts: TileSet, h: int, w: int) -> int:
              + [(idx, idx + w, s, n) for idx in range(h * w - w)])
     return max(sum(a[assign[x]] == b[assign[y]] for x, y, a, b in pairs)
                for assign in itertools.product(range(len(ts)), repeat=h * w))
+
+
+def rect_staircase(ts: TileSet, h: int, w: int) -> list[int]:
+    """For a = 1..h, the widest b <= w for which ``solve_decision(ts, a, b)``
+    is VALID, 0 for none.  A sub-rectangle of a tiling is a tiling, so b
+    never grows as a grows, and one walk down the staircase takes at most
+    h + w decisions.  A CAPPED decision raises AssertionError."""
+    widths, b = [], w
+    for a in range(1, h + 1):
+        while b:
+            status = solve_decision(ts, a, b).status
+            assert status != CAPPED, (a, b)
+            if status == VALID:
+                break
+            b -= 1
+        widths.append(b)
+    return widths
 
 
 def naive_full_tiling_exists(ts: TileSet, h: int, w: int) -> bool:

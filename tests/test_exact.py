@@ -541,6 +541,13 @@ def test_oracle_budget_error():
         max_cover_oracle(builtin_set("finite1"), 8, 8, budget_states=20_000)
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_oracle_refuses_a_budget_below_one(budget):
+    # It used to run the slack-0 pass and report it as past its budget.
+    with pytest.raises(ConfigurationError, match="state budget must be positive"):
+        max_cover_oracle(builtin_set("fig3"), 2, 2, budget_states=budget)
+
+
 def test_oracle_wide_grid_raises_budget_error():
     # Isolated tiles on a 40-wide grid have a frontier exponential in the
     # width; the sweep must stop at its budget, not overflow the stack.  A

@@ -99,8 +99,14 @@ def test_max_row_cover_width_one():
 
 
 def test_max_row_cover_rejects_zero_width():
-    with pytest.raises(ConfigurationError):
-        max_row_cover(builtin_set("fig3"), 0, [], [])
+    # and a negative one, in build_layered_dag too, with the set's shared
+    # kernel or without one
+    ts = builtin_set("fig3")
+    for width in (0, -1):
+        for kernel in (None, _kernel(ts)):
+            for solve in (max_row_cover, build_layered_dag):
+                with pytest.raises(ConfigurationError, match="width must be positive"):
+                    solve(ts, width, [], [], kernel=kernel)
 
 
 def test_max_row_cover_rejects_vectors_of_the_wrong_length():
@@ -221,7 +227,7 @@ def test_folded_row_kernel_equals_the_plain_dp(data):
     # over every edge of the paper's graph.  Several lines share the kernel.
     ts = data.draw(row_sets())
     width = data.draw(st.integers(1, 8))
-    kernel = _kernel(ts, width)
+    kernel = _kernel(ts)
     side = st.tuples(*[st.sampled_from((0, 1, INF))] * ts.num_colors).map(kernel.intern)
     for _ in range(3):
         north = data.draw(st.lists(side, min_size=width, max_size=width))
@@ -236,7 +242,7 @@ def test_folded_row_kernel_equals_the_plain_dp(data):
 def test_complete_kernels_fold_their_free_pair(n):
     # n**4 tiles fall into n*n (west, east) groups on the free pair, and a
     # pair that fixes one north color keeps n**3 edges in n*n groups too.
-    kernel = _kernel(complete_stochastic_set(n), 20)
+    kernel = _kernel(complete_stochastic_set(n))
     free_pair = (kernel.free, kernel.free)
     assert len(kernel[free_pair]) == n ** 4
     assert len(kernel.groups[free_pair]) == n * n
@@ -247,13 +253,14 @@ def test_complete_kernels_fold_their_free_pair(n):
 def test_paper_sets_keep_no_grouping():
     # Folding pays only where it at least halves a pair's edges; on the
     # paper's sets no pair a cover meets does, so their kernels keep none.
+    # Both sizes share one kernel on the set and one on its reflection.
     for name in BUILTINS:
         ts = builtin_set(name)
         for size in (20, 100):
             for init in INITS:
                 cover(ts, size, size, init, 0)
-        kernels = [*ts._kernels.values(), *ts.reflected()._kernels.values()]
-        assert {k.width for k in kernels} == {20, 100}
+        kernels = [ts._kernel, ts.reflected()._kernel]
+        assert [k.ts for k in kernels] == [ts, ts.reflected()]
         assert all(len(k) and not k.groups for k in kernels), name
 
 
@@ -664,25 +671,28 @@ def test_cover_tilings_pinned_by_seed():
         assert _pin(r) == pinned, (name, h, w, init, improve, seed)
 
 
-#: runs of both orientations (9x14 and 14x9 share the reflected set's kernels
-#: at widths 9 and 14 with covers of that set), all three inits (the half and
-#: twothirds reach vectors), with and without sweeps
+#: runs of both orientations (9x14 and 14x9 share the reflected set's kernel
+#: with covers of that set), three widths on one kernel per set, all three
+#: inits (the half and twothirds reach vectors), with and without sweeps
 SHARED_CASES = [(h, w, init, seed, improve) for h, w in ((9, 14), (14, 9), (20, 20))
                 for init in INITS for seed in range(2) for improve in (True, False)]
 
 
 def test_a_shared_kernel_leaks_nothing_between_runs():
-    # A tile set keeps its row kernels across runs; a run on a set already
+    # A tile set keeps one row kernel across runs; a run on a set already
     # used by other inits, sizes, seeds and orientations, and by covers of
-    # its reflected set, gives the same tiling as on a fresh set.
+    # its reflected set, gives the same tiling as on a fresh set.  All of
+    # them leave one kernel per orientation: the first that was built.
     for name in ("finite1", "finite2", "ammann16", "complete:3"):
         used = resolve_set(name)
+        kernels = [_kernel(used), _kernel(used.reflected())]
         for h, w, init, seed, improve in reversed(SHARED_CASES):
             cover(used, h, w, init, seed + 7, improve)
             cover(used.reflected(), h, w, init, seed + 7, improve)
         for case in SHARED_CASES:
             assert _pin(cover(used, *case)) == _pin(cover(resolve_set(name), *case)), \
                 (name, case)
+        assert used._kernel is kernels[0] and used.reflected()._kernel is kernels[1]
 
 
 def test_a_set_with_kernels_still_pickles_and_copies():

@@ -13,7 +13,7 @@ sparse = pytest.importorskip("scipy.sparse")
 import wangtiler as wt  # noqa: E402
 from wangtiler.ilp import ModelSpec, build_model  # noqa: E402
 
-from helpers import naive_max_csp  # noqa: E402
+from helpers import naive_max_csp, rect_staircase  # noqa: E402
 
 
 def highs(model) -> float | None:
@@ -79,6 +79,25 @@ def test_max_cover_optimum_is_the_oracle(inst):
     best, _ = wt.max_cover_oracle(ts, h, w)
     assert optimum == pytest.approx(best, abs=1e-6)
     assert best >= wt.cover(ts, h, w, "simple", seed=0).placed
+
+
+@st.composite
+def grids(draw):
+    """A set and a grid of at most 9 cells, as tall as 9 rows."""
+    ts = draw(small_sets())
+    h = draw(st.integers(1, 9))
+    return ts, h, draw(st.integers(1, 9 // h))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grids())
+def test_max_rect_optimum_is_the_staircase_maximum(inst):
+    # The anchored rectangles that have a tiling form a staircase, and its
+    # largest step is the max_rect optimum.
+    ts, h, w = inst
+    best = max(a * b for a, b in enumerate(rect_staircase(ts, h, w), 1))
+    assert highs(build_model(ModelSpec(ts, h, w, "max_rect"))) == pytest.approx(
+        best, abs=1e-6)
 
 
 @st.composite
