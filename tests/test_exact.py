@@ -543,7 +543,7 @@ def test_oracle_budget_error():
 
 @pytest.mark.parametrize("budget", [0, -1])
 def test_oracle_refuses_a_budget_below_one(budget):
-    # It used to run the slack-0 pass and report it as past its budget.
+    # A budget below one stores nothing: a bad argument, not a pass that ran out.
     with pytest.raises(ConfigurationError, match="state budget must be positive"):
         max_cover_oracle(builtin_set("fig3"), 2, 2, budget_states=budget)
 
