@@ -10,13 +10,15 @@ into one state.  Each sweep gives one witness: a state keeps its first
 from the last state reads the tiling.  A rectangle (decision, max-cover
 oracle) is swept in numpy, each state one int64 in mixed radix colors + 1:
 about 16 bytes per stored state with its parent link, against about 230 for
-a tuple key with a list value.  Equal keys merge after one unstable argsort
-per cell: each key's first child is the minimum index of its group
-(``np.minimum.reduceat``), the kept child (the first with the most tiles
-placed, for the oracle) the minimum of a packed (placed, index) rank, and
-one scatter by first child restores the order, so nothing depends on how
-the sort orders equal keys.  Keys of 62 bits or more run the same code on
-Python ints.  One ``slack`` integer sets how many VOID cells a rectangle's
+a tuple key with a list value.  Equal keys merge by one in-place sort per
+cell of one int64 word per child, the key above the child's deficit (for
+the oracle, how many fewer tiles it placed than the most) above its index:
+each group of equal keys then starts with its kept child (the first with
+the most tiles placed), and one more sort of the kept indices, by first
+child with a deficit, restores the states' order.  Keys of 62 bits or
+more run on Python ints, and they, or int64 keys too wide to share a word
+with the index, merge by an argsort of the keys and a scatter by first
+child instead.  One ``slack`` integer sets how many VOID cells a rectangle's
 partial covers may hold: 0 for the decision sweep, which places a tile in
 every cell, and s > 0 for a max-cover pass, which drops a child with more
 than s voids before the merge.  The oracle runs passes from s = 0, and
@@ -40,6 +42,7 @@ a one-wide torus must match itself.
 
 from __future__ import annotations
 
+import numbers
 import time
 from itertools import compress, product
 from dataclasses import dataclass, field
@@ -47,7 +50,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigurationError
+from .errors import BudgetExceededError, ConfigurationError, grid_dims
 from .extensions import Packing, PeriodicFixed, cell_rule, check_extension
 from .tileset import TileSet, Tiling, VOID
 
@@ -86,6 +89,10 @@ class TorusResult:
 #: Rectangle keys below this bound are int64; R**(width+1) at or past it
 #: runs the same sweep on Python ints (``dtype=object``).
 _KEY_LIMIT = 1 << 62
+#: A cell merges int64 keys by sorting one word per child, the key above
+#: the child's void deficit and index, when that word fits in this many
+#: bits; a wider word takes the argsort merge that Python-int keys take.
+_WORD_BITS = 63
 
 
 def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
@@ -110,17 +117,16 @@ def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
     keys.  A key keeps its first child, with slack > 0 the first of those
     with the most tiles placed, and the states stay in the order of their
     first child, so the witness is the one a dict keyed by the states would
-    give.  The merge takes one default (unstable)
-    argsort of the keys; the groups of equal keys in sorted order give each
-    key's first child as ``np.minimum.reduceat`` of the sorted indices, and
-    with slack > 0 the kept child as the group minimum of ``(most placed -
-    placed) * n + index``, the most placed and then the lowest index.  One
-    scatter of the kept children into an n-slot array at their first
-    child's index puts them back in first-child order, with no second sort.
-    Every step reads a group as a set, so the result does not depend on the
-    sort's stability.  A layer stores one int32 parent and one int32 tile
-    per state, about 16 bytes with the state itself.  Keys of 62 bits or
-    more are Python ints in object arrays, through the same code.
+    give.  Where it fits in 63 bits, the merge packs each child into one
+    int64 word, the key above the deficit (most placed - placed, with
+    slack > 0) above the child's index, and sorts the words in place: each
+    group of equal keys then starts with its kept child (``_packed_merge``).
+    Keys of 62 bits or more are Python ints in object arrays; they, and
+    int64 keys too wide to share a word with the index, merge by an argsort
+    of the keys and a scatter by first child (``_sorted_merge``).  The
+    survivors' keys are recomputed from their parent and tile.  A layer
+    stores one int32 parent and one int32 tile per state, about 16 bytes
+    with the state itself.
 
     Returns (most placed or None if no state survives, the witness cells,
     stored states, index of the last cell swept); it stops at the first
@@ -132,6 +138,9 @@ def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
     none = radix - 1
     head, tail = radix ** width, radix ** (width - 1)
     dtype = object if radix * head >= _KEY_LIMIT else np.int64
+    # bits of a packed word above the child index: the key, then the deficit
+    dbits = slack.bit_length()
+    high_bits = (radix * head - 1).bit_length() + dbits
     west, north = np.divmod(np.arange(radix * radix), radix)
     fits = (((west[:, None] == none) | (west[:, None] == ts.wests))
             & ((north[:, None] == none) | (north[:, None] == ts.norths)))
@@ -168,34 +177,89 @@ def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
             parent, col = parent[keep], col[keep]
         if not len(col):
             return None, None, stored, p
-        keys = (states % tail * radix)[parent] + part[col]
-        n = len(keys)
-        order = np.argsort(keys)
-        ordered = keys[order]
-        group = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-        del ordered
-        first = np.minimum.reduceat(order, group)
-        if slack:
-            # most placed first, then the lowest index: one packed rank
-            rank = (got.max() - got[order]).astype(np.int64) * n + order
-            kept = np.minimum.reduceat(rank, group) % n
-            del rank
+        base = states % tail * radix
+        keys = base[parent] + part[col]
+        deficit = got.max() - got if slack else None
+        if dtype is np.int64 and high_bits + (len(keys) - 1).bit_length() <= _WORD_BITS:
+            out = _packed_merge(keys, deficit, dbits)
         else:
-            kept = first
-        del order
-        slot = np.full(n, -1, dtype=np.int32)
-        slot[first] = kept
-        out = slot[slot >= 0]
-        del slot
+            out = _sorted_merge(keys, deficit)
+        del keys
         stored += len(out)
         if stored > cap:
             return None, None, stored, p
-        states = keys[out]
+        parent, col = parent[out], col[out]
+        states = base[parent] + part[col]
         if slack:
             placed = got[out]
-        layers.append((parent[out].astype(np.int32), tile_of[col[out]]))
+        layers.append((parent.astype(np.int32), tile_of[col]))
     best = int(placed[0]) if slack else height * width
     return best, _walk_back(layers, height, width), stored, height * width - 1
+
+
+def _packed_merge(words: np.ndarray, deficit: np.ndarray | None,
+                  dbits: int) -> np.ndarray:
+    """The kept child of each key, in the order of each key's first child.
+
+    ``words`` (int64 keys, overwritten) becomes one word per child,
+    ``key << (dbits + shift) | deficit << shift | index`` with ``shift``
+    the bit length of n - 1, and is sorted in place.  Each group of equal
+    keys then starts with its kept child: the first child, or with a
+    ``deficit`` (most placed - placed) the first of the most placed.
+    Without one the kept child is also the first, so the kept indices
+    sorted are the answer; with one, the group minimum of the index bits
+    is the first child, and one sort of ``first << shift | kept`` puts the
+    kept children in that order.
+    """
+    n = len(words)
+    shift = (n - 1).bit_length()
+    low = (1 << shift) - 1
+    words <<= dbits + shift
+    if deficit is not None:
+        words |= deficit.astype(np.int64) << shift
+    words |= np.arange(n)
+    words.sort()
+    top = words >> (dbits + shift)
+    group = np.flatnonzero(np.concatenate(([True], top[1:] != top[:-1])))
+    del top
+    kept = words[group] & low
+    if deficit is None:
+        return np.sort(kept)
+    first = np.minimum.reduceat(words & low, group)
+    kept |= first << shift  # 2 * shift bits: fits below 2**31 children
+    kept.sort()
+    return kept & low
+
+
+def _sorted_merge(keys: np.ndarray, deficit: np.ndarray | None) -> np.ndarray:
+    """``_packed_merge`` for keys whose word does not fit in int64: Python
+    ints, or int64 keys too wide to share a word with the child index.
+
+    One default (unstable) argsort of the keys; the groups of equal keys in
+    sorted order give each key's first child as ``np.minimum.reduceat`` of
+    the sorted indices, and with a ``deficit`` the kept child as the group
+    minimum of ``deficit * n + index``.  One scatter of the kept children
+    into an n-slot array at their first child's index puts them in
+    first-child order.  Every step reads a group as a set, so the result
+    does not depend on the sort's stability.
+    """
+    n = len(keys)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    group = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    del ordered
+    first = np.minimum.reduceat(order, group)
+    if deficit is not None:
+        # most placed first, then the lowest index: one packed rank
+        rank = deficit[order].astype(np.int64) * n + order
+        kept = np.minimum.reduceat(rank, group) % n
+        del rank
+    else:
+        kept = first
+    del order
+    slot = np.full(n, -1, dtype=np.int32)
+    slot[first] = kept
+    return slot[slot >= 0]
 
 
 def _walk_back(layers, height: int, width: int) -> np.ndarray:
@@ -313,8 +377,7 @@ def _frontier(ts: TileSet, height: int, width: int, cap: int,
     column) of the cell that killed the last state: the rows up to it have
     no tiling on their own.  A torus that dies names nothing.
     """
-    if height < 1 or width < 1:
-        raise ConfigurationError("grid dimensions must be positive")
+    height, width = grid_dims(height, width)
     mask = None  # None allows every tile; built at the first per-cell rule
     torus = False
     for ext in exts:
@@ -352,6 +415,14 @@ def _frontier(ts: TileSet, height: int, width: int, cap: int,
     return best, ways, witness, stats
 
 
+def _check_bound(bound, name: str) -> None:
+    """Refuse a state cap or budget that is not a number >= 1: a NaN would
+    never be crossed, and None cannot be compared."""
+    if not isinstance(bound, numbers.Real) or not bound >= 1:
+        raise ConfigurationError(f"{name} must be positive: a number >= 1, "
+                                 f"got {bound!r}")
+
+
 def _check_budget(cap: int, stats: dict, sweep: str = "") -> None:
     """Raise BudgetExceededError, saying where, if a sweep went past ``cap``;
     ``sweep`` names the sweep after the place (" of the slack-0 pass")."""
@@ -381,10 +452,11 @@ def solve_decision(ts: TileSet, height: int, width: int, bcs: Iterable = (),
     ``bcs`` may hold the per-cell conditions (``ForceTile``, ``ForbidTile``,
     ``ForceEdgeColor``, ``ForbidEdgeColor``) and ``PeriodicFixed``, which
     asks for a tiling of the height x width torus: opposite boundaries carry
-    equal colors.  Any other extension raises ConfigurationError.
+    equal colors.  Any other extension raises ConfigurationError, as do a
+    ``cap`` that is not a number of at least 1 and grid dimensions that are
+    not integers.
     """
-    if cap <= 0:
-        raise ConfigurationError("state cap must be positive")
+    _check_bound(cap, "state cap")
     best, _, witness, stats = _frontier(ts, height, width, cap, bcs)
     if best is None:
         return SolveResult(CAPPED if stats["states"] > cap else INFEASIBLE,
@@ -439,8 +511,7 @@ def pack_tiles(ts: TileSet, height: int, width: int, periodic: bool = False,
     costs about the same whatever the grid size.  ``deadline`` is a
     wall-clock budget in seconds, at least 0; hitting it returns CAPPED.
     """
-    if height < 1 or width < 1:
-        raise ConfigurationError("grid dimensions must be positive")
+    height, width = grid_dims(height, width)
     if deadline is not None and not deadline >= 0:  # NaN would never trip
         raise ConfigurationError(f"deadline must be >= 0 seconds, got {deadline}")
     check_extension(Packing(), ts, height, width)
@@ -547,12 +618,12 @@ def max_cover_oracle(ts: TileSet, height: int, width: int,
     exhaustive while storing each distinct frontier once.
 
     ``budget_states`` bounds the frontiers stored by each pass, not their
-    total, and must be positive.  A pass that stores more raises
+    total, and must be a number of at least 1.  A pass that stores more raises
     BudgetExceededError, naming the stored count, the row (or column) where
     it crossed the budget, and the pass, rather than returning a guess.
     """
-    if budget_states <= 0:
-        raise ConfigurationError("state budget must be positive")
+    _check_bound(budget_states, "state budget")
+    height, width = grid_dims(height, width)
     swept = max(height, width)  # the height of the grid as _frontier sweeps it
     slack = 0
     while True:

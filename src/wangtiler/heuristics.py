@@ -45,7 +45,7 @@ import random
 import threading
 from dataclasses import dataclass
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, grid_dims
 from .tileset import TileSet, Tiling, VOID
 from .transducer import (DUAL, HORIZONTAL, all_states_on_cycles,
                          build_transducer, longest_path_at_least,
@@ -390,8 +390,7 @@ class _Cover:
     """
 
     def __init__(self, ts: TileSet, height: int, width: int, seed: int):
-        if height < 1 or width < 1:
-            raise ConfigurationError("grid dimensions must be positive")
+        height, width = grid_dims(height, width)
         self.rng = random.Random(seed)
         self.cells = [[VOID] * width for _ in range(height)]
         self._orient(_kernel(ts), height, width)

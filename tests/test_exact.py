@@ -55,6 +55,37 @@ def test_decision_rejects_bad_config():
         solve_decision(ts, 2, 2, bcs=[ForceTile(3, 1, 0)])
 
 
+@pytest.mark.parametrize("bound", [float("nan"), None, "9", 0.5, 0, -1])
+def test_state_cap_and_budget_must_be_a_number_of_at_least_one(bound):
+    # A NaN bound is never crossed, so it would switch the bound off.
+    ts = builtin_set("fig3")
+    with pytest.raises(ConfigurationError, match="state cap must be positive"):
+        solve_decision(ts, 3, 3, cap=bound)
+    with pytest.raises(ConfigurationError, match="state budget must be positive"):
+        max_cover_oracle(ts, 3, 3, budget_states=bound)
+
+
+def test_float_state_cap_and_budget_still_bound():
+    ts = builtin_set("finite1")
+    assert solve_decision(ts, 6, 6, cap=10.0).status == CAPPED
+    with pytest.raises(BudgetExceededError, match="past its budget of 10.0"):
+        max_cover_oracle(ts, 6, 6, budget_states=10.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda h, w: solve_decision(builtin_set("fig3"), h, w),
+    lambda h, w: max_cover_oracle(builtin_set("fig3"), h, w),
+    lambda h, w: count_torus(builtin_set("fig3"), h, w),
+    lambda h, w: pack_tiles(complete_stochastic_set(2), h * 2, w + 1),
+    lambda h, w: wt.cover(builtin_set("fig3"), h, w),
+], ids=["solve_decision", "max_cover_oracle", "count_torus", "pack_tiles", "cover"])
+def test_grid_dimensions_must_be_integers(call):
+    for h, w in [(2.0, 3), (2, 3.0), (np.float64(2), 3)]:
+        with pytest.raises(ConfigurationError, match="grid dimensions must be integers"):
+            call(h, w)
+    call(np.int64(2), np.int32(3))  # numpy integers are integers
+
+
 @pytest.mark.parametrize("h, w", [(2, 3), (3, 2)])
 @pytest.mark.parametrize("bc, fragment", [
     (wt.ForceEdgeColor(1, 1, "q", 1), "side"),
@@ -215,18 +246,22 @@ def sweeps(draw):
     return ts, h, w, mask, cap, draw(st.sampled_from([0, 1, 2, h * w]))
 
 
-@pytest.mark.parametrize("key_limit", [exact._KEY_LIMIT, 0])
+@pytest.mark.parametrize("key_limit, word_bits", [
+    (exact._KEY_LIMIT, exact._WORD_BITS), (exact._KEY_LIMIT, 0), (0, exact._WORD_BITS),
+], ids=["packed", "wide", "object"])
 @settings(max_examples=150, deadline=None)
 @given(sweeps())
-def test_grid_sweep_merges_like_an_ordered_dict(key_limit, sweep):
+def test_grid_sweep_merges_like_an_ordered_dict(key_limit, word_bits, sweep):
     # The merge rule, pinned: a child with more than slack voids is dropped,
     # a key keeps its first surviving child, with slack > 0 the first of
     # those with the most tiles placed, and the states keep the order of
-    # their first child; the witness and the stored count follow.  A key
-    # limit of 0 runs the same sweep on Python ints.
+    # their first child; the witness and the stored count follow.  Each
+    # merge runs: packed (key, deficit, index) words, int64 keys whose word
+    # is too wide (a word limit of 0), and Python ints (a key limit of 0).
     ts, h, w, mask, cap, slack = sweep
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact, "_KEY_LIMIT", key_limit)
+        mp.setattr(exact, "_WORD_BITS", word_bits)
         best, cells, stored, last = exact._grid_sweep(ts, h, w, mask, cap, slack)
     want_best, want_cells, want_stored, want_last = reference_grid_sweep(
         ts, h, w, mask, cap, slack)
