@@ -76,7 +76,7 @@ def test_float_state_cap_and_budget_still_bound():
     lambda h, w: solve_decision(builtin_set("fig3"), h, w),
     lambda h, w: max_cover_oracle(builtin_set("fig3"), h, w),
     lambda h, w: count_torus(builtin_set("fig3"), h, w),
-    lambda h, w: pack_tiles(complete_stochastic_set(2), h * 2, w + 1),
+    lambda h, w: pack_tiles(complete_stochastic_set(2), h * 2, w + 1),  # 16 tiles, 4x4
     lambda h, w: wt.cover(builtin_set("fig3"), h, w),
 ], ids=["solve_decision", "max_cover_oracle", "count_torus", "pack_tiles", "cover"])
 def test_grid_dimensions_must_be_integers(call):
