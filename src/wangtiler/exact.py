@@ -16,9 +16,9 @@ the oracle, how many fewer tiles it placed than the most) above its index:
 each group of equal keys then starts with its kept child (the first with
 the most tiles placed), and one more sort of the kept indices, by first
 child with a deficit, restores the states' order.  Keys of 62 bits or
-more run on Python ints, and they, or int64 keys too wide to share a word
-with the index, merge by an argsort of the keys and a scatter by first
-child instead.  One ``slack`` integer sets how many VOID cells a rectangle's
+more run on Python ints; they, and int64 keys too wide to share a word
+with the index, merge as their dense rank among the cell's keys, which keeps
+their order.  One ``slack`` integer sets how many VOID cells a rectangle's
 partial covers may hold: 0 for the decision sweep, which places a tile in
 every cell, and s > 0 for a max-cover pass, which drops a child with more
 than s voids before the merge.  The oracle runs passes from s = 0, and
@@ -50,7 +50,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigurationError, grid_dims
+from .errors import BudgetExceededError, ConfigurationError, grid_dims, integer
 from .extensions import Packing, PeriodicFixed, cell_rule, check_extension
 from .tileset import TileSet, Tiling, VOID
 
@@ -89,9 +89,9 @@ class TorusResult:
 #: Rectangle keys below this bound are int64; R**(width+1) at or past it
 #: runs the same sweep on Python ints (``dtype=object``).
 _KEY_LIMIT = 1 << 62
-#: A cell merges int64 keys by sorting one word per child, the key above
-#: the child's void deficit and index, when that word fits in this many
-#: bits; a wider word takes the argsort merge that Python-int keys take.
+#: A cell merges by sorting one int64 word per child, the key above the
+#: child's void deficit and index; where the key's word would not fit in
+#: this many bits, the key's dense rank takes its place, as Python ints do.
 _WORD_BITS = 63
 
 
@@ -122,11 +122,10 @@ def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
     slack > 0) above the child's index, and sorts the words in place: each
     group of equal keys then starts with its kept child (``_packed_merge``).
     Keys of 62 bits or more are Python ints in object arrays; they, and
-    int64 keys too wide to share a word with the index, merge by an argsort
-    of the keys and a scatter by first child (``_sorted_merge``).  The
-    survivors' keys are recomputed from their parent and tile.  A layer
-    stores one int32 parent and one int32 tile per state, about 16 bytes
-    with the state itself.
+    int64 keys too wide to share a word with the index, are replaced by
+    their dense rank among the cell's keys and merge the same way.  The survivors' keys are recomputed from their parent and
+    tile.  A layer stores one int32 parent and one int32 tile per state,
+    about 16 bytes with the state itself.
 
     Returns (most placed or None if no state survives, the witness cells,
     stored states, index of the last cell swept); it stops at the first
@@ -180,10 +179,20 @@ def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
         base = states % tail * radix
         keys = base[parent] + part[col]
         deficit = got.max() - got if slack else None
-        if dtype is np.int64 and high_bits + (len(keys) - 1).bit_length() <= _WORD_BITS:
-            out = _packed_merge(keys, deficit, dbits)
-        else:
-            out = _sorted_merge(keys, deficit)
+        if dtype is object or high_bits + (len(keys) - 1).bit_length() > _WORD_BITS:
+            # merge the keys' dense rank instead: equal keys get equal
+            # ranks, in the keys' order, and a rank is below n, so the word
+            # takes 2 * shift + dbits bits, the limit ``first << shift`` in
+            # the merge already has.  The keys go before the ranks come.
+            order = np.argsort(keys)
+            keys = keys[order]
+            step = np.zeros(len(keys), dtype=np.int64)
+            np.not_equal(keys[1:], keys[:-1], out=step[1:])
+            del keys
+            keys = np.empty_like(step)
+            keys[order] = np.cumsum(step, out=step)
+            del order, step
+        out = _packed_merge(keys, deficit, dbits)
         del keys
         stored += len(out)
         if stored > cap:
@@ -229,37 +238,6 @@ def _packed_merge(words: np.ndarray, deficit: np.ndarray | None,
     kept |= first << shift  # 2 * shift bits: fits below 2**31 children
     kept.sort()
     return kept & low
-
-
-def _sorted_merge(keys: np.ndarray, deficit: np.ndarray | None) -> np.ndarray:
-    """``_packed_merge`` for keys whose word does not fit in int64: Python
-    ints, or int64 keys too wide to share a word with the child index.
-
-    One default (unstable) argsort of the keys; the groups of equal keys in
-    sorted order give each key's first child as ``np.minimum.reduceat`` of
-    the sorted indices, and with a ``deficit`` the kept child as the group
-    minimum of ``deficit * n + index``.  One scatter of the kept children
-    into an n-slot array at their first child's index puts them in
-    first-child order.  Every step reads a group as a set, so the result
-    does not depend on the sort's stability.
-    """
-    n = len(keys)
-    order = np.argsort(keys)
-    ordered = keys[order]
-    group = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    del ordered
-    first = np.minimum.reduceat(order, group)
-    if deficit is not None:
-        # most placed first, then the lowest index: one packed rank
-        rank = deficit[order].astype(np.int64) * n + order
-        kept = np.minimum.reduceat(rank, group) % n
-        del rank
-    else:
-        kept = first
-    del order
-    slot = np.full(n, -1, dtype=np.int32)
-    slot[first] = kept
-    return slot[slot >= 0]
 
 
 def _walk_back(layers, height: int, width: int) -> np.ndarray:
@@ -481,6 +459,7 @@ def smallest_torus(ts: TileSet, max_area: int) -> TorusResult | None:
     smallest periodic rectangle; counts every labeled solution of that area
     and keeps one witness per shape that has one.
     """
+    max_area = integer(max_area, "max_area must be an integer")
     if max_area < 1:
         raise ConfigurationError("max_area must be >= 1")
     for area in range(1, max_area + 1):

@@ -45,7 +45,7 @@ import random
 import threading
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, grid_dims
+from .errors import ConfigurationError, grid_dims, integer
 from .tileset import TileSet, Tiling, VOID
 from .transducer import (DUAL, HORIZONTAL, all_states_on_cycles,
                          build_transducer, longest_path_at_least,
@@ -244,6 +244,7 @@ def build_layered_dag(ts: TileSet, width: int, north, south,
     call sees, so ``ts`` keeps no state.  Pairs the kernel keeps a grouping
     for are folded once per line into ``folded``; a kernel with none costs
     one truth test."""
+    width = integer(width, "width must be an integer")
     if width < 1:
         raise ConfigurationError("width must be positive")
     if kernel is None:

@@ -52,7 +52,7 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import ConfigurationError, StructuralError
+from .errors import ConfigurationError, StructuralError, grid_dims
 from .extensions import (EXT_KINDS, SIDES, DifferentEdgeColors, DifferentTile,
                          EqualEdgeColors, Packing, PeriodicFixed,
                          PeriodicVariable, SameTile, SmallestObjective,
@@ -204,8 +204,7 @@ class _Builder:
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.ts = spec.tileset
-        self.h = spec.height
-        self.w = spec.width
+        self.h, self.w = grid_dims(spec.height, spec.width)
         self.n = len(self.ts)
         self.x_names = _x_names(self.h, self.w, self.n)
         self.slack_names: list[str] = []
@@ -269,8 +268,6 @@ class _Builder:
         if spec.formulation not in FORMULATIONS:
             raise ConfigurationError(
                 f"formulation must be one of {FORMULATIONS}, got {spec.formulation!r}")
-        if self.h < 1 or self.w < 1:
-            raise ConfigurationError("grid dimensions must be positive")
         self._check_extensions()
         getattr(self, f"_base_{spec.formulation}")()
         for ext in spec.extensions:

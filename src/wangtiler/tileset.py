@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import ConfigurationError, StructuralError, integer
 
 #: Cell marker for an intentionally empty position.
 VOID = -1
@@ -159,8 +159,10 @@ class Tiling:
 
     @classmethod
     def filled(cls, height: int, width: int, value: int = VOID) -> "Tiling":
+        message = "tiling dimensions must be integers"
+        height, width = integer(height, message), integer(width, message)
         if height < 1 or width < 1:
-            raise ValueError("tiling dimensions must be positive")
+            raise ConfigurationError("tiling dimensions must be positive")
         return cls(np.full((height, width), value, dtype=np.int32))
 
     @property

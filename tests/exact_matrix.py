@@ -29,8 +29,10 @@ a deadline, so every line is deterministic.  The matrix:
   oracle on finite1 and ammann16 at up to 6x6, complete:2 torus counts and
   the smallest torus of the ammann16 corner set, each also with its tile
   ids and colours renamed by a seeded permutation;
-- finite2 15x15 (keys wider than 64 bits) and the one-tile 40x40 oracle
-  under a small budget;
+- finite2 15x15 (keys wider than 64 bits); the finite2 12x12 decision,
+  and its oracle under a budget that runs out in row 1 of the slack-3
+  pass, both on int64 keys too wide to share a word with a child index;
+  and the one-tile 40x40 oracle under a small budget;
 - packings, open and periodic: 300 random sets (seeded) cycling through
   every grid of area at most 6, complete:2 at 4x4, 2x8, 8x2, 1x16 and
   16x1, fig3 at 1x3 and 3x1, complete:3 at 9x9, as the benchmark runs
@@ -180,6 +182,8 @@ def named_instances(wt) -> None:
             torus(wt, *named("complete:2", wt.complete_stochastic_set(2)), h, w)
         smallest(wt, *named("ammann16-corners", corner_set), 6)
     decide(wt, "finite2", wt.builtin_set("finite2"), 15, 15)
+    decide(wt, "finite2", wt.builtin_set("finite2"), 12, 12)
+    oracle(wt, "finite2", wt.builtin_set("finite2"), 12, 12, budget_states=200_000)
     decide(wt, "finite1+cap", wt.builtin_set("finite1"), 6, 6, cap=10)
     decide(wt, "ammann16+cap", wt.builtin_set("ammann16"), 9, 9, cap=20_000)
     one = wt.TileSet([wt.Tile(0, 0, 1, 1)], num_colors=2)

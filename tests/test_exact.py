@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import wangtiler as wt
 import wangtiler.exact as exact
+import wangtiler.ilp as ilp
 from wangtiler import (CAPPED, INFEASIBLE, VALID, BudgetExceededError,
                        ConfigurationError, ForceTile, PeriodicFixed, Tile,
                        TileSet, Tiling, VOID, builtin_set,
@@ -78,7 +79,9 @@ def test_float_state_cap_and_budget_still_bound():
     lambda h, w: count_torus(builtin_set("fig3"), h, w),
     lambda h, w: pack_tiles(complete_stochastic_set(2), h * 2, w + 1),  # 16 tiles, 4x4
     lambda h, w: wt.cover(builtin_set("fig3"), h, w),
-], ids=["solve_decision", "max_cover_oracle", "count_torus", "pack_tiles", "cover"])
+    lambda h, w: ilp.build_model(ilp.ModelSpec(builtin_set("fig3"), h, w, "decision")),
+], ids=["solve_decision", "max_cover_oracle", "count_torus", "pack_tiles", "cover",
+        "build_model"])
 def test_grid_dimensions_must_be_integers(call):
     for h, w in [(2.0, 3), (2, 3.0), (np.float64(2), 3)]:
         with pytest.raises(ConfigurationError, match="grid dimensions must be integers"):
@@ -186,8 +189,9 @@ def test_decision_monotonicity_spot():
 @pytest.mark.parametrize("name, h, w", [("fig3", 5, 7), ("finite1", 8, 5),
                                         ("finite1", 6, 6), ("ammann16", 6, 6)])
 def test_object_keys_match_int64_keys(monkeypatch, name, h, w):
-    # Keys of 62 bits or more run the rectangle sweep on Python ints; a key
-    # limit of 0 sends every instance down that path.
+    # Keys of 62 bits or more run the rectangle sweep on Python ints, which
+    # reach the packed merge as their ranks; a key limit of 0 sends every
+    # instance down that path.
     ts = builtin_set(name)
     conds = [wt.ForbidTile(2, 2, 0), wt.ForceEdgeColor(1, 1, "w", ts.wests[1])]
 
@@ -209,6 +213,26 @@ def test_decision_finite2_wide_keys():
     assert (ts.num_colors + 1) ** 16 >= 1 << 65
     res = solve_decision(ts, 15, 15)
     assert res.status == INFEASIBLE and res.stats == {"states": 922_769, "row": 4}
+
+
+def test_decision_finite2_wide_int64_keys(monkeypatch):
+    # 16 colors on a 12-wide frontier: the 54-bit keys are int64 but leave
+    # under 10 bits for a child index, so past 512 children a cell merges
+    # the keys' dense ranks, each below the child count.
+    ts = builtin_set("finite2")
+    keys = (ts.num_colors + 1) ** 13
+    assert keys < exact._KEY_LIMIT and keys.bit_length() + 10 > exact._WORD_BITS
+    ranked = []
+    merge = exact._packed_merge
+
+    def spy(words, deficit, dbits):
+        ranked.append(len(words) > 512 and words.max() < len(words))
+        return merge(words, deficit, dbits)
+
+    monkeypatch.setattr(exact, "_packed_merge", spy)
+    res = solve_decision(ts, 12, 12)
+    assert res.status == INFEASIBLE and res.stats == {"states": 128_303, "row": 4}
+    assert sum(ranked) == 21
 
 
 @st.composite
@@ -256,8 +280,9 @@ def test_grid_sweep_merges_like_an_ordered_dict(key_limit, word_bits, sweep):
     # a key keeps its first surviving child, with slack > 0 the first of
     # those with the most tiles placed, and the states keep the order of
     # their first child; the witness and the stored count follow.  Each
-    # merge runs: packed (key, deficit, index) words, int64 keys whose word
-    # is too wide (a word limit of 0), and Python ints (a key limit of 0).
+    # way into the packed (key, deficit, index) merge runs: int64 keys,
+    # and the ranks of int64 keys whose word is too wide (a word limit of
+    # 0) and of Python ints (a key limit of 0).
     ts, h, w, mask, cap, slack = sweep
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact, "_KEY_LIMIT", key_limit)
@@ -389,8 +414,11 @@ def test_periodic_decision_agrees_with_enumeration():
 
 
 def test_torus_bad_area():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="max_area must be >= 1"):
         smallest_torus(builtin_set("fig3"), 0)
+    for area in (2.0, None):
+        with pytest.raises(ConfigurationError, match="max_area must be an integer"):
+            smallest_torus(builtin_set("fig3"), area)
 
 
 # -- packing -------------------------------------------------------------------

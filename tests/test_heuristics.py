@@ -99,13 +99,13 @@ def test_max_row_cover_width_one():
 
 
 def test_max_row_cover_rejects_zero_width():
-    # and a negative one, in build_layered_dag too, with the set's shared
-    # kernel or without one
+    # and a negative or float one, in build_layered_dag too, with the set's
+    # shared kernel or without one
     ts = builtin_set("fig3")
-    for width in (0, -1):
+    for width, message in ((0, "positive"), (-1, "positive"), (2.0, "an integer")):
         for kernel in (None, _kernel(ts)):
             for solve in (max_row_cover, build_layered_dag):
-                with pytest.raises(ConfigurationError, match="width must be positive"):
+                with pytest.raises(ConfigurationError, match=f"width must be {message}"):
                     solve(ts, width, [], [], kernel=kernel)
 
 

@@ -122,6 +122,7 @@ def test_extension_compatibility_matrix():
 @pytest.mark.parametrize("h, w, formulation, exts, message", [
     (2, 2, "bogus", (), "formulation must be one of"),
     (0, 2, "decision", (), "grid dimensions must be positive"),
+    (2.0, 3, "decision", (), "grid dimensions must be integers"),
     (2, 2, "decision", ("not an extension",), "unknown extension 'not an extension'"),
 ])
 def test_build_rejects_a_spec_it_cannot_model(h, w, formulation, exts, message):

@@ -54,6 +54,7 @@ def test_tiling_accessors_and_immutability():
     (lambda: Tiling([0, 1]), "non-empty 2D array"),
     (lambda: Tiling(np.empty((0, 3))), "non-empty 2D array"),
     (lambda: Tiling.filled(0, 3), "tiling dimensions must be positive"),
+    (lambda: Tiling.filled(2.0, 3), "tiling dimensions must be integers"),
 ])
 def test_constructors_reject_what_they_cannot_hold(make, message):
     with pytest.raises(ValueError, match=message):
