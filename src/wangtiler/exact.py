@@ -117,15 +117,15 @@ def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
     keys.  A key keeps its first child, with slack > 0 the first of those
     with the most tiles placed, and the states stay in the order of their
     first child, so the witness is the one a dict keyed by the states would
-    give.  Where it fits in 63 bits, the merge packs each child into one
-    int64 word, the key above the deficit (most placed - placed, with
-    slack > 0) above the child's index, and sorts the words in place: each
-    group of equal keys then starts with its kept child (``_packed_merge``).
-    Keys of 62 bits or more are Python ints in object arrays; they, and
-    int64 keys too wide to share a word with the index, are replaced by
-    their dense rank among the cell's keys and merge the same way.  The survivors' keys are recomputed from their parent and
-    tile.  A layer stores one int32 parent and one int32 tile per state,
-    about 16 bytes with the state itself.
+    give.  The merge packs each child into one int64 word, the key above
+    the deficit (most placed - placed, with slack > 0) above the child's
+    index, and sorts the words in place: each group of equal keys then
+    starts with its kept child (``_packed_merge``).  Keys of 62 bits or
+    more are Python ints in object arrays; they, and int64 keys too wide
+    to share a word with the index, are first replaced by their dense rank
+    among the cell's keys.  The survivors' keys are recomputed from their
+    parent and tile.  A layer stores one int32 parent and one int32 tile
+    per state, about 16 bytes with the state itself.
 
     Returns (most placed or None if no state survives, the witness cells,
     stored states, index of the last cell swept); it stops at the first
@@ -183,7 +183,9 @@ def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
             # merge the keys' dense rank instead: equal keys get equal
             # ranks, in the keys' order, and a rank is below n, so the word
             # takes 2 * shift + dbits bits, the limit ``first << shift`` in
-            # the merge already has.  The keys go before the ranks come.
+            # the merge already has plus the deficit's bits.  The keys are
+            # freed before the ranks are allocated: as Python ints they
+            # take about 48 bytes a child.
             order = np.argsort(keys)
             keys = keys[order]
             step = np.zeros(len(keys), dtype=np.int64)

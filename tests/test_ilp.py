@@ -122,8 +122,8 @@ def test_extension_compatibility_matrix():
 @pytest.mark.parametrize("h, w, formulation, exts, message", [
     (2, 2, "bogus", (), "formulation must be one of"),
     (0, 2, "decision", (), "grid dimensions must be positive"),
-    (2.0, 3, "decision", (), "grid dimensions must be integers"),
     (2, 2, "decision", ("not an extension",), "unknown extension 'not an extension'"),
+    (2.0, 3, "decision", (), "grid dimensions must be integers"),
 ])
 def test_build_rejects_a_spec_it_cannot_model(h, w, formulation, exts, message):
     with pytest.raises(ConfigurationError, match=message):
