@@ -14,30 +14,29 @@ a tuple key with a list value.  Equal keys merge by one in-place sort per
 cell of one int64 word per child, the key above the child's deficit (for
 the oracle, how many fewer tiles it placed than the most) above its index:
 each group of equal keys then starts with its kept child (the first with
-the most tiles placed), and one more sort of the kept indices, by first
-child with a deficit, restores the states' order.  Keys of 62 bits or
-more run on Python ints; they, and int64 keys too wide to share a word
-with the index, merge as their dense rank among the cell's keys, which keeps
-their order.  One ``slack`` integer sets how many VOID cells a rectangle's
-partial covers may hold: 0 for the decision sweep, which places a tile in
-every cell, and s > 0 for a max-cover pass, which drops a child with more
-than s voids before the merge.  The oracle runs passes from s = 0, and
-the first that ends with a cover answers: a cover with more tiles has
-fewer voids, so every prefix of an optimal cover survives any pass that
-the optimum's voids fit, and no pass can end with more tiles than the
-optimum.  A pass that dies in row r proves that any r whole rows need
-more than s voids, so the next pass starts at max(1, 2s, ⌊H/r⌋(s + 1)),
-H the swept height.  The torus (``count_torus``, ``smallest_torus``,
-``PeriodicFixed``) stays on tuple keys in a dict, which is faster on the
-one-to-six-cell shapes ``smallest_torus`` tries; a torus state also counts
-the ways to reach it.  Per-cell conditions reach both sweeps as one (cell,
-tile) mask built from ``extensions.cell_rule``.  Packing is a backtracking
-search, because its use-every-tile-once rule has no small frontier.  Each
-empty cell keeps the key of its pool, the tiles that fit what its
-neighbours ask for, updated when a neighbour is filled or emptied, so a
-node costs one pool lookup per cell that changed; the next cell is the
-first argmin of the pools' free counts read through those keys.  A cell of
-a one-wide torus must match itself.
+the most tiles placed), so the states come out in key order.  Keys of 62
+bits or more run on Python ints; they, and int64 keys too wide to share a
+word with the index, merge as their dense rank among the cell's keys, which
+keeps their order.  One ``slack`` integer sets how many VOID cells a
+rectangle's partial covers may hold: 0 for the decision sweep, which places
+a tile in every cell, and s > 0 for a max-cover pass, which drops a child
+with more than s voids before the merge.  The oracle runs passes from
+s = 0, and the first that ends with a cover answers: a cover with more
+tiles has fewer voids, so every prefix of an optimal cover survives any
+pass that the optimum's voids fit, and no pass can end with more tiles
+than the optimum.  A pass that dies in row r proves that any r whole rows
+need more than s voids, so the next pass starts at max(1, 2s,
+⌊H/r⌋(s + 1)), H the swept height.  The torus (``count_torus``,
+``smallest_torus``, ``PeriodicFixed``) stays on tuple keys in a dict, which
+is faster on the one-to-six-cell shapes ``smallest_torus`` tries; a torus
+state also counts the ways to reach it.  Per-cell conditions reach both
+sweeps as one (cell, tile) mask built from ``extensions.cell_rule``.
+Packing is a backtracking search, because its use-every-tile-once rule has
+no small frontier.  Each empty cell keeps the key of its pool, the tiles
+that fit what its neighbours ask for, updated when a neighbour is filled or
+emptied, so a node costs one pool lookup per cell that changed; the next
+cell is the first argmin of the pools' free counts read through those keys.
+A cell of a one-wide torus must match itself.
 """
 
 from __future__ import annotations
@@ -90,8 +89,9 @@ class TorusResult:
 #: runs the same sweep on Python ints (``dtype=object``).
 _KEY_LIMIT = 1 << 62
 #: A cell merges by sorting one int64 word per child, the key above the
-#: child's void deficit and index; where the key's word would not fit in
-#: this many bits, the key's dense rank takes its place, as Python ints do.
+#: child's void deficit and index, which leaves the states in key order;
+#: where the key's word would not fit in this many bits, the key's dense
+#: rank takes its place, as Python ints do.
 _WORD_BITS = 63
 
 
@@ -115,17 +115,17 @@ def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
     ids, then VOID with slack > 0), built once per sweep, keeps tile k only
     where ``mask[i, j, k]`` (every tile without a mask), and merges equal
     keys.  A key keeps its first child, with slack > 0 the first of those
-    with the most tiles placed, and the states stay in the order of their
-    first child, so the witness is the one a dict keyed by the states would
-    give.  The merge packs each child into one int64 word, the key above
-    the deficit (most placed - placed, with slack > 0) above the child's
-    index, and sorts the words in place: each group of equal keys then
-    starts with its kept child (``_packed_merge``).  Keys of 62 bits or
-    more are Python ints in object arrays; they, and int64 keys too wide
-    to share a word with the index, are first replaced by their dense rank
-    among the cell's keys.  The survivors' keys are recomputed from their
-    parent and tile.  A layer stores one int32 parent and one int32 tile
-    per state, about 16 bytes with the state itself.
+    with the most tiles placed, and each layer holds its states in key
+    order; a child's index follows its parent's state, then its tile.  The
+    merge packs each child into one int64 word, the key above the deficit
+    (most placed - placed, with slack > 0) above the child's index, and
+    sorts the words in place: each group of equal keys then starts with its
+    kept child (``_packed_merge``).  Keys of 62 bits or more are Python
+    ints in object arrays; they, and int64 keys too wide to share a word
+    with the index, are first replaced by their dense rank among the cell's
+    keys.  The survivors' keys are recomputed from their parent and tile.
+    A layer stores one int32 parent and one int32 tile per state, about 16
+    bytes with the state itself.
 
     Returns (most placed or None if no state survives, the witness cells,
     stored states, index of the last cell swept); it stops at the first
@@ -182,10 +182,10 @@ def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
         if dtype is object or high_bits + (len(keys) - 1).bit_length() > _WORD_BITS:
             # merge the keys' dense rank instead: equal keys get equal
             # ranks, in the keys' order, and a rank is below n, so the word
-            # takes 2 * shift + dbits bits, the limit ``first << shift`` in
-            # the merge already has plus the deficit's bits.  The keys are
-            # freed before the ranks are allocated: as Python ints they
-            # take about 48 bytes a child.
+            # takes 2 * shift + dbits bits, within 63 for up to
+            # 2**((63 - dbits) // 2) children.  The keys are freed before the
+            # ranks are allocated: as Python ints they take about 48 bytes a
+            # child.
             order = np.argsort(keys)
             keys = keys[order]
             step = np.zeros(len(keys), dtype=np.int64)
@@ -210,36 +210,24 @@ def _grid_sweep(ts: TileSet, height: int, width: int, mask: np.ndarray | None,
 
 def _packed_merge(words: np.ndarray, deficit: np.ndarray | None,
                   dbits: int) -> np.ndarray:
-    """The kept child of each key, in the order of each key's first child.
+    """The kept child of each key, in key order.
 
     ``words`` (int64 keys, overwritten) becomes one word per child,
     ``key << (dbits + shift) | deficit << shift | index`` with ``shift``
     the bit length of n - 1, and is sorted in place.  Each group of equal
     keys then starts with its kept child: the first child, or with a
     ``deficit`` (most placed - placed) the first of the most placed.
-    Without one the kept child is also the first, so the kept indices
-    sorted are the answer; with one, the group minimum of the index bits
-    is the first child, and one sort of ``first << shift | kept`` puts the
-    kept children in that order.
     """
     n = len(words)
     shift = (n - 1).bit_length()
-    low = (1 << shift) - 1
     words <<= dbits + shift
     if deficit is not None:
         words |= deficit.astype(np.int64) << shift
     words |= np.arange(n)
     words.sort()
-    top = words >> (dbits + shift)
-    group = np.flatnonzero(np.concatenate(([True], top[1:] != top[:-1])))
-    del top
-    kept = words[group] & low
-    if deficit is None:
-        return np.sort(kept)
-    first = np.minimum.reduceat(words & low, group)
-    kept |= first << shift  # 2 * shift bits: fits below 2**31 children
-    kept.sort()
-    return kept & low
+    head = words >> (dbits + shift)
+    head = np.concatenate(([True], head[1:] != head[:-1]))  # each key's first
+    return words[head] & ((1 << shift) - 1)
 
 
 def _walk_back(layers, height: int, width: int) -> np.ndarray:

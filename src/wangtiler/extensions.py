@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, integer
 
 SIDES = ("n", "w", "s", "e")
 
@@ -127,9 +127,9 @@ def cell_rule(ext, ts) -> tuple[tuple[int, ...], bool] | None:
 
 def check_extension(ext, ts, height: int, width: int) -> None:
     """Reject a packing whose set does not fill the height x width grid, and
-    a per-cell or per-pair extension whose coordinates fall off the grid, or
-    whose tile id, side or color the set ``ts`` does not have.  Coordinates
-    are reported as given; other extensions pass."""
+    a per-cell or per-pair extension with a field that is not an integer,
+    coordinates off the grid, or a tile id, side or color the set ``ts``
+    does not have.  Coordinates are reported as given; other kinds pass."""
     if isinstance(ext, Packing) and len(ts) != height * width:
         raise ConfigurationError(
             f"packing needs exactly height*width tiles "
@@ -137,6 +137,9 @@ def check_extension(ext, ts, height: int, width: int) -> None:
     if not hasattr(ext, "i"):
         return
     name = type(ext).__name__
+    for f in ("i", "j", "p", "q", "k", "color"):
+        value = getattr(ext, f, 0)
+        integer(value, f"{name} {f} must be an integer, got {value!r}")
     coords = [(ext.i, ext.j)]
     if hasattr(ext, "p"):
         coords.append((ext.p, ext.q))

@@ -504,10 +504,12 @@ def cover(ts: TileSet, height: int, width: int, init: str = "simple",
     grid is never swept: a run whose init schedule leaves no void returns
     that tiling, with ``sweeps`` 0.  ``bound`` is the guarantee of the init
     schedule on ``ts``, a share of the maximum cover; improvement keeps it.
+    ``seed`` is an integer (numpy integers too), so every run repeats.
     """
     if init not in _INITS:
         raise ConfigurationError(f"init must be one of {', '.join(_INITS)}, "
                                  f"got {init!r}")
+    seed = integer(seed, "seed must be an integer")
     cov = _Cover(ts, height, width, seed)
     bound = cov.kernel.bound(init)
     for i, lookahead, odd in _schedule(init, height):

@@ -33,9 +33,9 @@ class Tile:
     east: int
 
     def __post_init__(self) -> None:
-        for c in (self.north, self.west, self.south, self.east):
-            if c < 0:
-                raise ValueError(f"edge colors must be non-negative, got {self}")
+        message = f"edge colors must be non-negative integers, got {self}"
+        if min(integer(c, message) for c in self.as_tuple()) < 0:
+            raise ConfigurationError(message)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.north, self.west, self.south, self.east)
@@ -55,9 +55,9 @@ class CornerTile:
     ne: int
 
     def __post_init__(self) -> None:
-        for c in (self.nw, self.sw, self.se, self.ne):
-            if c < 0:
-                raise ValueError(f"corner colors must be non-negative, got {self}")
+        message = f"corner colors must be non-negative integers, got {self}"
+        if min(integer(c, message) for c in self.as_tuple()) < 0:
+            raise ConfigurationError(message)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.nw, self.sw, self.se, self.ne)
@@ -86,11 +86,10 @@ class TileSet:
                 raise ValueError(f"duplicate tile {q} at ids {seen[q]} and {k}")
             seen[q] = k
         used = max(max(t.as_tuple()) for t in self.tiles) + 1
-        if num_colors is None:
-            num_colors = used
-        if num_colors < used:
-            raise ValueError(f"num_colors={num_colors} < {used} colors used")
-        self.num_colors = int(num_colors)
+        self.num_colors = integer(used if num_colors is None else num_colors,
+                                  "num_colors must be an integer")
+        if self.num_colors < used:
+            raise ValueError(f"num_colors={self.num_colors} < {used} colors used")
         self.name = name
         # Per-edge id->color tuples; hot loops index these instead of Tile.
         self.norths = tuple(t.north for t in self.tiles)
@@ -242,6 +241,7 @@ def corner_to_wang(cts: Iterable[CornerTile], n_vc: int) -> TileSet:
     (``north = nw + ne*n_vc`` and so on), so corner agreement of adjacent
     tiles is exactly edge agreement of the converted tiles.
     """
+    n_vc = integer(n_vc, f"corner alphabet size must be an integer, got {n_vc!r}")
     if n_vc < 1:
         raise ValueError("corner alphabet size must be positive")
     tiles = []
@@ -259,6 +259,7 @@ def corner_to_wang(cts: Iterable[CornerTile], n_vc: int) -> TileSet:
 
 def decode_corners(t: Tile, n_vc: int) -> CornerTile:
     """The corner tile that :func:`corner_to_wang` encodes as ``t``."""
+    n_vc = integer(n_vc, f"corner alphabet size must be an integer, got {n_vc!r}")
     if n_vc < 1:
         raise ValueError("corner alphabet size must be positive")
     nw, ne = t.north % n_vc, t.north // n_vc
@@ -275,8 +276,9 @@ def wang_to_corner(ts: TileSet, n_vc: int) -> list[CornerTile]:
 
 def complete_stochastic_set(n_c: int) -> TileSet:
     """All n_c**4 edge-color combinations, in lexicographic (n, w, s, e) order."""
+    n_c = integer(n_c, f"number of colors must be an integer, got {n_c!r}")
     if n_c < 1:
-        raise ValueError("number of colors must be positive")
+        raise ConfigurationError("number of colors must be positive")
     rng = range(n_c)
     tiles = [Tile(n, w, s, e) for n, w, s, e in itertools.product(rng, rng, rng, rng)]
     return TileSet(tiles, num_colors=n_c, name=f"complete{n_c}")

@@ -260,8 +260,8 @@ def naive_torus_tilings(ts: TileSet, h: int, w: int) -> list[tuple[int, ...]]:
 def reference_grid_sweep(ts: TileSet, height: int, width: int, mask, cap: int,
                          slack: int):
     """The rectangle frontier sweep of ``exact._grid_sweep`` on tuple states
-    in an insertion-ordered dict, returning what it returns: (most placed
-    or None, the witness cells, stored states, index of the last cell).
+    in a dict, returning what it returns: (most placed or None, the witness
+    cells, stored states, index of the last cell).
 
     A state is (pending east, south of column 0, ..., south of column w-1),
     None for an edge nothing will read again.  Each state tries the tiles in
@@ -269,8 +269,8 @@ def reference_grid_sweep(ts: TileSet, height: int, width: int, mask, cap: int,
     given) allows tile k at (i, j), and VOID is always allowed.  A child
     with more than ``slack`` VOID cells so far is dropped.  A key keeps its
     first (parent, tile), with slack > 0 the first child with the most
-    tiles placed, and the states stay in the order their keys first
-    appear."""
+    tiles placed, and each layer's states are in key order, the order of
+    ``exact``'s mixed-radix states."""
     frontier = {(None,) * (width + 1): 0}  # state -> tiles placed
     layers: list[list[tuple[int, int]]] = []
     stored = 0
@@ -300,6 +300,11 @@ def reference_grid_sweep(ts: TileSet, height: int, width: int, mask, cap: int,
         stored += len(level)
         if stored > cap:
             return None, None, stored, p
+        # the states in key order: the pending east, then the souths of
+        # columns j+1, ..., w-1, 0, ..., j, with None above every colour
+        level = dict(sorted(level.items(), key=lambda item: [
+            ts.num_colors if c is None else c
+            for c in (item[0][0], *item[0][2 + j:], *item[0][1:2 + j])]))
         layers.append([(parent, k) for _, parent, k in level.values()])
         frontier = {key: got for key, (got, _, _) in level.items()}
     cells = np.empty(height * width, dtype=np.int32)

@@ -6,9 +6,10 @@ Each of ``exact_matrix.py``, ``cover_matrix.py``, ``lp_matrix.py`` and
 ``lp_error_matrix.py`` (the copies next to this file) runs once per
 checkout, the two runs side by side.  For each script one line says
 ``identical (N lines)`` or names the first line that differs and how many
-lines differ (a line missing from the shorter output counts), then shows
-both versions of that first line; the exit status is 1 if any output
-differs or any run fails, else 0.  It takes about as long as
+lines differ (a line missing from the shorter output counts), and how many
+of those differ only in their witness digests (16 hex digits, each one
+masked), then shows both versions of that first line; the exit status is 1
+if any output differs or any run fails, else 0.  It takes about as long as
 ``cover_matrix.py`` on one checkout, about a minute on two cores.  Its
 name keeps pytest from collecting it.
 """
@@ -16,10 +17,12 @@ name keeps pytest from collecting it.
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 
 SCRIPTS = ("exact_matrix.py", "cover_matrix.py", "lp_matrix.py", "lp_error_matrix.py")
+DIGEST = re.compile(r"\b[0-9a-f]{16}\b")
 
 
 def compare(script: str, roots: list[str]) -> bool:
@@ -38,7 +41,10 @@ def compare(script: str, roots: list[str]) -> bool:
         return True
     n = next((n for n, (a, b) in enumerate(zip(old, new)) if a != b), min(map(len, outs)))
     count = sum(a != b for a, b in zip(old, new)) + abs(len(old) - len(new))
-    print(f"{name}: line {n + 1} differs; {count} of {max(map(len, outs))} lines differ")
+    digests = sum(a != b and DIGEST.sub("#", a) == DIGEST.sub("#", b)
+                  for a, b in zip(old, new))
+    print(f"{name}: line {n + 1} differs; {count} of {max(map(len, outs))} lines differ, "
+          f"{digests} only in their witness digests")
     for sign, out in zip("-+", outs):
         print(f"  {sign} {out[n] if n < len(out) else '(end of output)'}")
     return False

@@ -431,10 +431,12 @@ def test_malformed_size_and_set_name_the_form(capsys):
 
 
 # Recorded from the commands below before the CLI's output code was
-# refactored; every run must keep writing these exact bytes.
+# refactored; every run must keep writing these exact bytes.  solve.tiling
+# was re-recorded when the rectangle sweep's states went to key order,
+# which makes the walk back read another valid witness.
 PINNED_FILES = {
     "solve.tiling":
-        "107c7b45fad69cf2e8d5bb577c45b32cf7953221354cd85b8daa4572f1b35db6",
+        "ed03b1c3158a28c1373ef4ee798245fde51631d12e3d3a6f96ef8e11eecb6ecf",
     "cover.tiling":
         "692434b5a6794e874ef780e2738458edfb150873f76bab27604523a1c497e1aa",
     "cover.svg":

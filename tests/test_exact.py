@@ -99,6 +99,10 @@ def test_grid_dimensions_must_be_integers(call):
     (wt.ForbidEdgeColor(1, 1, "e", -1), "color -1"),
     (wt.ForceTile(1, 5, 0), r"\(1, 5\)"),
     (wt.ForbidTile(4, 1, 0), r"\(4, 1\)"),
+    (wt.ForceTile(1.0, 1, 1), "ForceTile i must be an integer, got 1.0"),
+    (wt.ForceTile(1, 1, 1.0), "ForceTile k must be an integer, got 1.0"),
+    (wt.ForbidTile(2, 2.0, 0), "ForbidTile j must be an integer, got 2.0"),
+    (wt.ForceEdgeColor(1, 1, "n", 1.5), "ForceEdgeColor color must be an integer"),
 ])
 def test_decision_rejects_bad_cell_conditions(h, w, bc, fragment):
     # Checked before the wide grid is transposed, so the message names the
@@ -278,11 +282,11 @@ def sweeps(draw):
 def test_grid_sweep_merges_like_an_ordered_dict(key_limit, word_bits, sweep):
     # The merge rule, pinned: a child with more than slack voids is dropped,
     # a key keeps its first surviving child, with slack > 0 the first of
-    # those with the most tiles placed, and the states keep the order of
-    # their first child; the witness and the stored count follow.  Each
-    # way into the packed (key, deficit, index) merge runs: int64 keys,
-    # and the ranks of int64 keys whose word is too wide (a word limit of
-    # 0) and of Python ints (a key limit of 0).
+    # those with the most tiles placed, and each layer's states are in key
+    # order; the witness and the stored count follow.  Each way into the
+    # packed (key, deficit, index) merge runs: int64 keys, and the ranks of
+    # int64 keys whose word is too wide (a word limit of 0) and of Python
+    # ints (a key limit of 0).
     ts, h, w, mask, cap, slack = sweep
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact, "_KEY_LIMIT", key_limit)

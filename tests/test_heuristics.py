@@ -7,6 +7,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -445,6 +446,20 @@ def test_alg4_bad_init():
 def test_cover_rejects_a_grid_without_cells(h, w):
     with pytest.raises(ConfigurationError, match="grid dimensions must be positive"):
         cover(builtin_set("fig3"), h, w, "simple", seed=0)
+
+
+@pytest.mark.parametrize("seed", [None, 1.0, "7"])
+def test_cover_rejects_a_seed_that_is_not_an_integer(seed):
+    # None would seed from OS entropy, and the run could not be repeated.
+    with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        cover(builtin_set("fig3"), 2, 2, "simple", seed=seed)
+
+
+def test_cover_takes_a_numpy_integer_seed():
+    ts = builtin_set("ammann16")
+    run = cover(ts, 6, 6, "simple", seed=np.int64(3))
+    assert run.seed == 3 and type(run.seed) is int
+    assert run.tiling == cover(ts, 6, 6, "simple", seed=3).tiling
 
 
 def test_all_runs_sound_and_seeded():

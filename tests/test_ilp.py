@@ -124,6 +124,11 @@ def test_extension_compatibility_matrix():
     (0, 2, "decision", (), "grid dimensions must be positive"),
     (2, 2, "decision", ("not an extension",), "unknown extension 'not an extension'"),
     (2.0, 3, "decision", (), "grid dimensions must be integers"),
+    (3, 3, "decision", (ForceTile(1.0, 1, 1),), "ForceTile i must be an integer"),
+    (3, 3, "decision", (ForceTile(1, 1, 1.0),), "ForceTile k must be an integer"),
+    (3, 3, "decision", (ForbidTile(2, 2.0, 0),), "ForbidTile j must be an integer"),
+    (3, 3, "decision", (ForceEdgeColor(1, 1, "n", 1.5),),
+     "ForceEdgeColor color must be an integer, got 1.5"),
 ])
 def test_build_rejects_a_spec_it_cannot_model(h, w, formulation, exts, message):
     with pytest.raises(ConfigurationError, match=message):
@@ -711,6 +716,18 @@ def test_a_rows_expr_error_comes_before_the_next_rows_error(at, old, new, messag
         parse_lp("\n".join(lines) + "\n")
     lines[first[r]] = lines[first[r]].replace(": x_", ": z_", 1)
     with pytest.raises(ValueError, match=f"^line {first[r] + 1}: undeclared variable 'z_"):
+        parse_lp("\n".join(lines) + "\n")
+
+
+def test_a_name_error_right_after_a_full_batch_names_its_row():
+    # The row whose tokens fill the first batch flushes it, so the next
+    # row's name check fails with nothing queued.
+    m, lines, first, starts, ends = batched_model()
+    objective = len(" ".join(lines[1:lines.index("Subject To")]).split()) - 1
+    r = int(np.argmax(objective + ends >= ilp._BATCH)) + 1
+    assert objective + ends[r - 1] >= ilp._BATCH > objective + ends[r - 2]
+    lines[first[r]] = lines[first[r]].replace(": ", " ", 1)
+    with pytest.raises(ValueError, match=f"^line {first[r] + 1}: constraint without 'name:'"):
         parse_lp("\n".join(lines) + "\n")
 
 

@@ -11,6 +11,7 @@ from wangtiler import (CornerTile, StructuralError, Tile, TileSet, Tiling,
                        VOID, builtin_set, complete_stochastic_set,
                        corner_to_wang, validate_tiling, wang_to_corner)
 from wangtiler.fileio import dumps_tileset
+from wangtiler.tileset import decode_corners
 
 
 def test_tile_and_tileset_basics():
@@ -55,10 +56,28 @@ def test_tiling_accessors_and_immutability():
     (lambda: Tiling(np.empty((0, 3))), "non-empty 2D array"),
     (lambda: Tiling.filled(0, 3), "tiling dimensions must be positive"),
     (lambda: Tiling.filled(2.0, 3), "tiling dimensions must be integers"),
+    (lambda: Tile(0.5, 0, 0, 0), "edge colors must be non-negative integers"),
+    (lambda: Tile("a", 0, 0, 0), "edge colors must be non-negative integers"),
+    (lambda: CornerTile(0, 1.0, 0, 0), "corner colors must be non-negative integers"),
+    (lambda: TileSet([Tile(0, 1, 0, 1)], num_colors=2.5), "num_colors must be an integer"),
+    (lambda: complete_stochastic_set(2.0), "number of colors must be an integer"),
+    (lambda: corner_to_wang([CornerTile(0, 1, 1, 0)], 1.5),
+     "corner alphabet size must be an integer"),
+    (lambda: decode_corners(Tile(0, 0, 0, 0), 2.0), "corner alphabet size must be an integer"),
 ])
 def test_constructors_reject_what_they_cannot_hold(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+def test_numpy_integers_are_integers():
+    tile = Tile(np.int64(1), np.int32(0), 0, 0)
+    assert tile == Tile(1, 0, 0, 0)
+    ts = TileSet([tile], num_colors=np.int64(3))
+    assert ts.num_colors == 3 and type(ts.num_colors) is int
+    assert complete_stochastic_set(np.int64(1)).name == "complete1"
+    with pytest.raises(wt.ConfigurationError):  # which is a ValueError
+        Tile(0.5, 0, 0, 0)
 
 
 def test_validate_tiling_fig3_pair():
