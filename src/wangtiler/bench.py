@@ -12,7 +12,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, count, integer
 from .heuristics import CoverRun, cover
 from .tileset import TileSet, builtin_names, builtin_set, complete_stochastic_set
 
@@ -52,8 +52,9 @@ class BenchConfig:
     seed_base: int = 0
 
     def __post_init__(self):
-        if self.seeds < 1:
-            raise ConfigurationError("need at least one seed")
+        object.__setattr__(self, "seeds", count(self.seeds, "seeds"))
+        object.__setattr__(self, "seed_base", integer(
+            self.seed_base, f"seed_base must be an integer, got {self.seed_base!r}"))
 
 
 @dataclass(frozen=True)

@@ -96,28 +96,23 @@ def _svg_style(ts, args) -> RenderStyle:
     return style
 
 
-def _write_outputs(ts, tiling, args, style: RenderStyle) -> None:
-    svg = render_svg(ts, tiling, style) if args.svg else None
-    if args.output:
-        _write(args.output, fileio.dumps_tiling(tiling), "tiling")
-    if svg:
-        _write(args.svg, svg, "svg")
-
-
-def _write_witness(ts, res, args, style: RenderStyle, periodic: bool) -> int:
-    """Write a solver's witness, if any, and return the exit code of its
-    status.  The witness is validated first, tiled 2x2 on a torus to check
-    its wrap-around edges; a broken one is reported and not written."""
-    if res.witness is not None:
-        cells = res.witness.cells
-        report = validate_tiling(ts, Tiling(np.tile(cells, (2, 2)) if periodic
-                                            else cells))
-        if not report.is_valid:
-            sys.stderr.write(f"error: the witness breaks the edge "
-                             f"{report.mismatches[0]}\n")
-            return EXIT_INFEASIBLE
-        _write_outputs(ts, res.witness, args, style)
-    return _STATUS_EXIT[res.status]
+def _write_witness(ts, tiling, periodic: bool, output, svg=None, style=None,
+                   what: str = "tiling") -> int:
+    """Check a tiling, tiled 2x2 on a torus to check its wrap-around edges,
+    then write it to ``output`` and its render to ``svg``, where given, and
+    return EXIT_OK.  A broken tiling is reported, not written, and returns
+    EXIT_INFEASIBLE."""
+    report = validate_tiling(ts, Tiling(np.tile(tiling.cells, (2, 2))) if periodic
+                             else tiling)
+    if not report.is_valid:
+        sys.stderr.write(f"error: the witness breaks the edge {report.mismatches[0]}\n")
+        return EXIT_INFEASIBLE
+    text = render_svg(ts, tiling, style) if svg else None
+    if output:
+        _write(output, fileio.dumps_tiling(tiling), what)
+    if text:
+        _write(svg, text, "svg")
+    return EXIT_OK
 
 
 def cmd_solve(args) -> int:
@@ -130,7 +125,10 @@ def cmd_solve(args) -> int:
     where = "".join(f", {lead} {k} {v}" for k, v in res.stats.items()
                     if k in ("row", "column"))
     print(f"status: {res.status} (states {res.stats.get('states', 0)}{where})")
-    return _write_witness(ts, res, args, style, PeriodicFixed() in bcs)
+    if res.witness is None:  # only a VALID result has one
+        return _STATUS_EXIT[res.status]
+    return _write_witness(ts, res.witness, PeriodicFixed() in bcs, args.output,
+                          args.svg, style)
 
 
 def cmd_cover(args) -> int:
@@ -155,8 +153,7 @@ def cmd_cover(args) -> int:
         print(f"aggregate: min {row.min_placed} avg {row.avg_placed:.2f} "
               f"max {row.max_placed}")
     best = max(row.runs, key=lambda pair: pair[0].placed)[0]
-    _write_outputs(ts, best.tiling, args, style)
-    return EXIT_OK
+    return _write_witness(ts, best.tiling, False, args.output, args.svg, style)
 
 
 def cmd_torus(args) -> int:
@@ -177,9 +174,7 @@ def cmd_torus(args) -> int:
               f"{res.count} labeled tilings")
         for d, c in res.dim_counts:
             print(f"  {d[0]}x{d[1]}: {c}")
-    if args.output and res.witnesses:
-        _write(args.output, fileio.dumps_tiling(res.witnesses[0]), "witness")
-    return EXIT_OK
+    return _write_witness(ts, res.witnesses[0], True, args.output, what="witness")
 
 
 def cmd_pack(args) -> int:
@@ -189,7 +184,9 @@ def cmd_pack(args) -> int:
                      deadline=args.deadline)
     print(f"status: {res.status} (nodes {res.stats.get('nodes', 0)}, "
           f"{res.stats.get('seconds', 0.0):.2f}s)")
-    return _write_witness(ts, res, args, style, args.periodic)
+    if res.witness is None:  # only a VALID result has one
+        return _STATUS_EXIT[res.status]
+    return _write_witness(ts, res.witness, args.periodic, args.output, args.svg, style)
 
 
 _FORMULATION_ALIAS = {"decision": "decision", "maxrect": "max_rect",

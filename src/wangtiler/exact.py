@@ -49,7 +49,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigurationError, grid_dims, integer
+from .errors import BudgetExceededError, ConfigurationError, count, grid_dims
 from .extensions import Packing, PeriodicFixed, cell_rule, check_extension
 from .tileset import TileSet, Tiling, VOID
 
@@ -449,14 +449,12 @@ def smallest_torus(ts: TileSet, max_area: int) -> TorusResult | None:
     smallest periodic rectangle; counts every labeled solution of that area
     and keeps one witness per shape that has one.
     """
-    max_area = integer(max_area, "max_area must be an integer")
-    if max_area < 1:
-        raise ConfigurationError("max_area must be >= 1")
+    max_area = count(max_area, "max_area")
     for area in range(1, max_area + 1):
-        solved = [(dims, count, wits[0])
+        solved = [(dims, ways, wits[0])
                   for h in range(1, area + 1) if area % h == 0
                   for dims in [(h, area // h)]
-                  for count, wits in [count_torus(ts, *dims)] if count]
+                  for ways, wits in [count_torus(ts, *dims)] if ways]
         if solved:
             dims, counts, wits = zip(*solved)
             return TorusResult(area, dims[0], sum(counts), wits,
@@ -481,7 +479,8 @@ def pack_tiles(ts: TileSet, height: int, width: int, periodic: bool = False,
     wall-clock budget in seconds, at least 0; hitting it returns CAPPED.
     """
     height, width = grid_dims(height, width)
-    if deadline is not None and not deadline >= 0:  # NaN would never trip
+    # NaN would never trip, and a string cannot be compared
+    if not (deadline is None or isinstance(deadline, numbers.Real) and deadline >= 0):
         raise ConfigurationError(f"deadline must be >= 0 seconds, got {deadline}")
     check_extension(Packing(), ts, height, width)
     # ascending tile ids by the colors a cell's (west, north, south, east)

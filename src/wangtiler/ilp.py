@@ -62,6 +62,8 @@ from .tileset import VOID, TileSet, Tiling
 FORMULATIONS = ("decision", "max_rect", "max_cover", "max_csp")
 
 LE, EQ, GE = "<=", "=", ">="
+#: How far past its right-hand side a constraint's total may be and still hold.
+_EVAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -829,7 +831,7 @@ class Evaluation:
     violated: tuple[str, ...]
 
 
-def evaluate_assignment(m: IlpModel, t: Tiling, tol: float = 1e-9) -> Evaluation:
+def evaluate_assignment(m: IlpModel, t: Tiling) -> Evaluation:
     """Map a tiling onto the model's variables and check every constraint.
 
     Placements are read from the layout, not from names: the first h*w*|T|
@@ -872,9 +874,9 @@ def evaluate_assignment(m: IlpModel, t: Tiling, tol: float = 1e-9) -> Evaluation
         values[slack] = np.minimum(lower, var.upper)[slack]
 
     total = lhs()
-    ok = np.where(con.senses == LE, total <= con.rhs + tol,
-                  np.where(con.senses == GE, total >= con.rhs - tol,
-                           np.abs(total - con.rhs) <= tol))
+    ok = np.where(con.senses == LE, total <= con.rhs + _EVAL_TOL,
+                  np.where(con.senses == GE, total >= con.rhs - _EVAL_TOL,
+                           np.abs(total - con.rhs) <= _EVAL_TOL))
     violated = tuple(con.names[r] for r in np.flatnonzero(~ok).tolist())
     obj = m.objective
     objective = sum((obj.data * values[obj.indices]).tolist()) + obj.constant

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, StructuralError, integer
+from .errors import ConfigurationError, StructuralError, count, grid_dims, integer
 
 #: Cell marker for an intentionally empty position.
 VOID = -1
@@ -143,25 +143,26 @@ class TileSet:
 class Tiling:
     """A rectangular grid of tile ids with explicit VOID cells.
 
-    ``cells`` is a read-only ``(height, width)`` int array; ``cells[0, 0]``
-    corresponds to the 1-based coordinate (1, 1) at the top-left.
+    ``cells`` is a read-only ``(height, width)`` int32 array; ``cells[0, 0]``
+    corresponds to the 1-based coordinate (1, 1) at the top-left.  The cells
+    given must be integers (not floats, strings or bools) that fit int32.
     """
 
     def __init__(self, cells: np.ndarray | list):
-        arr = np.array(cells, dtype=np.int32)
+        arr = np.asarray(cells)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("cells must be a non-empty 2D array")
-        if (arr < VOID).any():
-            raise ValueError("cells must hold tile ids or VOID")
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"cells must be integer tile ids, got dtype {arr.dtype}")
+        if not VOID <= arr.min() <= arr.max() < 2**31:
+            raise ValueError("cells must hold tile ids or VOID that fit int32")
+        arr = arr.astype(np.int32)
         arr.setflags(write=False)
         self.cells = arr
 
     @classmethod
     def filled(cls, height: int, width: int, value: int = VOID) -> "Tiling":
-        message = "tiling dimensions must be integers"
-        height, width = integer(height, message), integer(width, message)
-        if height < 1 or width < 1:
-            raise ConfigurationError("tiling dimensions must be positive")
+        height, width = grid_dims(height, width, "tiling dimensions")
         return cls(np.full((height, width), value, dtype=np.int32))
 
     @property
@@ -174,6 +175,8 @@ class Tiling:
 
     def get(self, i: int, j: int) -> int:
         """Tile id (or VOID) at 1-based coordinate (i, j)."""
+        message = f"coordinates must be integers, got ({i!r}, {j!r})"
+        i, j = integer(i, message), integer(j, message)
         if not (1 <= i <= self.height and 1 <= j <= self.width):
             raise IndexError(f"coordinate ({i}, {j}) outside the grid")
         return int(self.cells[i - 1, j - 1])
@@ -241,9 +244,7 @@ def corner_to_wang(cts: Iterable[CornerTile], n_vc: int) -> TileSet:
     (``north = nw + ne*n_vc`` and so on), so corner agreement of adjacent
     tiles is exactly edge agreement of the converted tiles.
     """
-    n_vc = integer(n_vc, f"corner alphabet size must be an integer, got {n_vc!r}")
-    if n_vc < 1:
-        raise ValueError("corner alphabet size must be positive")
+    n_vc = count(n_vc, "corner alphabet size")
     tiles = []
     for ct in cts:
         if not isinstance(ct, CornerTile):
@@ -259,9 +260,7 @@ def corner_to_wang(cts: Iterable[CornerTile], n_vc: int) -> TileSet:
 
 def decode_corners(t: Tile, n_vc: int) -> CornerTile:
     """The corner tile that :func:`corner_to_wang` encodes as ``t``."""
-    n_vc = integer(n_vc, f"corner alphabet size must be an integer, got {n_vc!r}")
-    if n_vc < 1:
-        raise ValueError("corner alphabet size must be positive")
+    n_vc = count(n_vc, "corner alphabet size")
     nw, ne = t.north % n_vc, t.north // n_vc
     sw, se = t.south % n_vc, t.south // n_vc
     if t.west != nw + sw * n_vc or t.east != ne + se * n_vc:
@@ -276,9 +275,7 @@ def wang_to_corner(ts: TileSet, n_vc: int) -> list[CornerTile]:
 
 def complete_stochastic_set(n_c: int) -> TileSet:
     """All n_c**4 edge-color combinations, in lexicographic (n, w, s, e) order."""
-    n_c = integer(n_c, f"number of colors must be an integer, got {n_c!r}")
-    if n_c < 1:
-        raise ConfigurationError("number of colors must be positive")
+    n_c = count(n_c, "number of colors")
     rng = range(n_c)
     tiles = [Tile(n, w, s, e) for n, w, s, e in itertools.product(rng, rng, rng, rng)]
     return TileSet(tiles, num_colors=n_c, name=f"complete{n_c}")

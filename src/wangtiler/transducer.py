@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import count, integer
 from .tileset import CornerTile, TileSet
 
 HORIZONTAL = "horizontal"
@@ -111,6 +112,7 @@ def all_states_on_cycles(g: TransducerGraph) -> bool:
 
 def longest_path_at_least(g: TransducerGraph, length: int) -> bool:
     """Whether some walk of the given arc length exists in the graph."""
+    length = integer(length, f"length must be an integer, got {length!r}")
     if length <= 0:
         return bool(g.arcs)
     return any(reachable_sets(g, length))
@@ -118,8 +120,7 @@ def longest_path_at_least(g: TransducerGraph, length: int) -> bool:
 
 def reachable_sets(g: TransducerGraph, distance: int) -> list[frozenset[int]]:
     """For each state, the states reachable by walks of exactly ``distance`` arcs."""
-    if distance < 1:
-        raise ValueError("distance must be >= 1")
+    distance = count(distance, "distance")
     adj = g.successors()
     reach = [frozenset(vs) for vs in adj]
     for _ in range(distance - 1):

@@ -1,17 +1,19 @@
-"""Run the four same-output scripts on two checkouts and compare them.
+"""Run the five same-output scripts on two checkouts and compare them.
 
     python tests/same_output.py <parent root> <change root>
 
-Each of ``exact_matrix.py``, ``cover_matrix.py``, ``lp_matrix.py`` and
-``lp_error_matrix.py`` (the copies next to this file) runs once per
-checkout, the two runs side by side.  For each script one line says
-``identical (N lines)`` or names the first line that differs and how many
-lines differ (a line missing from the shorter output counts), and how many
-of those differ only in their witness digests (16 hex digits, each one
-masked), then shows both versions of that first line; the exit status is 1
-if any output differs or any run fails, else 0.  It takes about as long as
-``cover_matrix.py`` on one checkout, about a minute on two cores.  Its
-name keeps pytest from collecting it.
+Each of ``exact_matrix.py``, ``cover_matrix.py``, ``lp_matrix.py``,
+``lp_error_matrix.py`` and ``hard_matrix.py`` (the copies next to this
+file) runs once per checkout, the two runs side by side.  For each script
+one line says ``identical (N lines)`` or names the first line that differs
+and how many lines differ (a line missing from the shorter output counts),
+and how many of those differ only in their witness digests (16 hex digits,
+each one masked), then shows both versions of that first line; the exit
+status is 1 if any output differs or any run fails, else 0.  It takes
+about as long as ``cover_matrix.py`` and ``hard_matrix.py`` on one
+checkout, about two minutes on two cores; the two runs of
+``hard_matrix.py`` together peak near 1.8 GB.  Its name keeps pytest from
+collecting it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import re
 import subprocess
 import sys
 
-SCRIPTS = ("exact_matrix.py", "cover_matrix.py", "lp_matrix.py", "lp_error_matrix.py")
+SCRIPTS = ("exact_matrix.py", "cover_matrix.py", "lp_matrix.py", "lp_error_matrix.py",
+           "hard_matrix.py")
 DIGEST = re.compile(r"\b[0-9a-f]{16}\b")
 
 

@@ -73,3 +73,7 @@ def test_benchmark_deterministic():
 def test_benchmark_requires_seeds():
     with pytest.raises(ConfigurationError):
         run_benchmark(BenchConfig(sets=(), sizes=(), seeds=0))
+    for kw, message in (({"seeds": 2.0}, "seeds must be an integer, got 2.0"),
+                        ({"seed_base": 0.5}, "seed_base must be an integer, got 0.5")):
+        with pytest.raises(ConfigurationError, match=message):
+            BenchConfig(sets=(), sizes=(), **kw)

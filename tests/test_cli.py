@@ -357,6 +357,36 @@ def test_solve_rejects_a_broken_wrap_around(capsys, monkeypatch):
     assert code == 1 and err.startswith("error: the witness breaks the edge")
 
 
+def test_torus_rejects_a_broken_wrap_around(tmp_path, capsys, monkeypatch):
+    import wangtiler.cli as cli
+    out = tmp_path / "torus.tiling"
+    # fig3 tile 0 (north 0, south 1) cannot meet itself on the 1x1 torus,
+    # and the witness is checked whether or not it is written.
+    bad = wt.TorusResult(1, (1, 1), 1, (wt.Tiling([[0]]),), (((1, 1), 1),))
+    monkeypatch.setattr(cli, "smallest_torus", lambda *a, **k: bad)
+    for argv in ((), ("-o", str(out))):
+        code, text, err = run(capsys, "torus", "--tileset", "fig3", "--max-area", "1",
+                              *argv)
+        assert code == 1 and err.startswith("error: the witness breaks the edge")
+        assert "min area 1" in text and "written" not in text
+    assert not out.exists()
+
+
+def test_cover_rejects_a_broken_tiling(tmp_path, capsys, monkeypatch):
+    import dataclasses
+    import wangtiler.bench as bench
+    out, svg = tmp_path / "cover.tiling", tmp_path / "cover.svg"
+    # fig3 tile 0 has east 0, tile 1 has west 1: the edge between them breaks.
+    real = bench.cover
+    monkeypatch.setattr(bench, "cover", lambda *a: dataclasses.replace(
+        real(*a), tiling=wt.Tiling([[0, 1]]), placed=2))
+    for argv in ((), ("-o", str(out), "--svg", str(svg))):
+        code, _, err = run(capsys, "cover", "--tileset", "fig3", "--h", "1",
+                           "--w", "2", *argv)
+        assert code == 1 and err.startswith("error: the witness breaks the edge")
+    assert not out.exists() and not svg.exists()
+
+
 def test_pack_solves_complete3_9x9_torus(tmp_path, capsys):
     # Fewest candidates first solves this in about 30 000 nodes.
     out = tmp_path / "pack.tiling"
@@ -417,7 +447,7 @@ def test_cover_needs_a_seed(capsys):
     for seeds in ("0", "-1"):
         code, _, err = run(capsys, "cover", "--tileset", "fig3", "--h", "2",
                            "--w", "2", "--seeds", seeds)
-        assert code == 3 and err == "error: need at least one seed\n"
+        assert code == 3 and err == f"error: seeds must be positive, got {seeds}\n"
 
 
 def test_malformed_size_and_set_name_the_form(capsys):

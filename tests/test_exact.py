@@ -418,11 +418,12 @@ def test_periodic_decision_agrees_with_enumeration():
 
 
 def test_torus_bad_area():
-    with pytest.raises(ConfigurationError, match="max_area must be >= 1"):
+    with pytest.raises(ConfigurationError, match="max_area must be positive, got 0"):
         smallest_torus(builtin_set("fig3"), 0)
     for area in (2.0, None):
         with pytest.raises(ConfigurationError, match="max_area must be an integer"):
             smallest_torus(builtin_set("fig3"), area)
+    assert smallest_torus(builtin_set("fig3"), np.int64(1)).min_area == 1
 
 
 # -- packing -------------------------------------------------------------------
@@ -463,7 +464,7 @@ def test_pack_deadline_capped():
 
 def test_pack_rejects_an_unusable_deadline():
     ts = complete_stochastic_set(3)
-    for deadline in (float("nan"), -1):
+    for deadline in (float("nan"), -1, "5"):
         with pytest.raises(ConfigurationError, match="deadline"):
             pack_tiles(ts, 9, 9, periodic=True, deadline=deadline)
     assert pack_tiles(complete_stochastic_set(2), 4, 4,

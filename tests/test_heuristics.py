@@ -108,6 +108,7 @@ def test_max_row_cover_rejects_zero_width():
             for solve in (max_row_cover, build_layered_dag):
                 with pytest.raises(ConfigurationError, match=f"width must be {message}"):
                     solve(ts, width, [], [], kernel=kernel)
+    assert build_layered_dag(ts, np.int64(2), free(ts, 2), free(ts, 2)).width == 2
 
 
 def test_max_row_cover_rejects_vectors_of_the_wrong_length():

@@ -10,6 +10,7 @@ import wangtiler as wt
 from wangtiler import (CornerTile, StructuralError, Tile, TileSet, Tiling,
                        VOID, builtin_set, complete_stochastic_set,
                        corner_to_wang, validate_tiling, wang_to_corner)
+from wangtiler.bench import BenchConfig
 from wangtiler.fileio import dumps_tileset
 from wangtiler.tileset import decode_corners
 
@@ -64,6 +65,11 @@ def test_tiling_accessors_and_immutability():
     (lambda: corner_to_wang([CornerTile(0, 1, 1, 0)], 1.5),
      "corner alphabet size must be an integer"),
     (lambda: decode_corners(Tile(0, 0, 0, 0), 2.0), "corner alphabet size must be an integer"),
+    (lambda: Tiling([[0.5, 1]]), "cells must be integer tile ids, got dtype float64"),
+    (lambda: Tiling([["1", "0"]]), "cells must be integer tile ids"),
+    (lambda: Tiling([[True, False]]), "cells must be integer tile ids, got dtype bool"),
+    (lambda: Tiling([[2**40]]), "cells must hold tile ids or VOID that fit int32"),
+    (lambda: Tiling([[0, 1]]).get(1.0, 1), "coordinates must be integers"),
 ])
 def test_constructors_reject_what_they_cannot_hold(make, message):
     with pytest.raises(ValueError, match=message):
@@ -76,6 +82,13 @@ def test_numpy_integers_are_integers():
     ts = TileSet([tile], num_colors=np.int64(3))
     assert ts.num_colors == 3 and type(ts.num_colors) is int
     assert complete_stochastic_set(np.int64(1)).name == "complete1"
+    assert corner_to_wang([CornerTile(0, 1, 1, 0)], np.int64(2)).num_colors == 4
+    assert decode_corners(Tile(0, 0, 0, 0), np.int32(2)) == CornerTile(0, 0, 0, 0)
+    tiling = Tiling(np.array([[2, VOID]], dtype=np.int64))
+    assert tiling.cells.dtype == np.int32 and tiling.get(np.int64(1), np.int32(1)) == 2
+    assert Tiling.filled(np.int64(2), np.int32(1)).height == 2
+    config = BenchConfig(sets=(), sizes=(), seeds=np.int64(2), seed_base=np.int32(-1))
+    assert (config.seeds, config.seed_base) == (2, -1) and type(config.seeds) is int
     with pytest.raises(wt.ConfigurationError):  # which is a ValueError
         Tile(0.5, 0, 0, 0)
 

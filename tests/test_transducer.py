@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import wangtiler as wt
@@ -94,6 +95,9 @@ def test_longest_path_at_least():
     g = build_transducer(builtin_set("fig3"), HORIZONTAL)
     assert longest_path_at_least(g, 2)
     assert longest_path_at_least(g, 0) and longest_path_at_least(g, -3)
+    assert longest_path_at_least(g, np.int64(2))
+    with pytest.raises(wt.ConfigurationError, match="length must be an integer, got 2.5"):
+        longest_path_at_least(g, 2.5)
     one_way = build_transducer(TileSet([Tile(0, 0, 1, 1)], num_colors=2),
                                HORIZONTAL)
     assert longest_path_at_least(one_way, 1)
@@ -107,8 +111,11 @@ def test_reachable_sets_dual():
     assert reach1[1] == {0}
     reach2 = reachable_sets(g, 2)
     assert reach2[1] == {0, 1}
-    with pytest.raises(ValueError, match="distance must be >= 1"):
+    with pytest.raises(ValueError, match="distance must be positive"):
         reachable_sets(g, 0)
+    with pytest.raises(wt.ConfigurationError, match="distance must be an integer, got 2.0"):
+        reachable_sets(g, 2.0)
+    assert reachable_sets(g, np.int32(2)) == reach2
 
 
 def test_translate_single_tile():
