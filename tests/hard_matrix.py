@@ -23,7 +23,7 @@ Without ``--timings`` every line is deterministic, so ``same_output.py``
 compares them across checkouts.  ``--timings`` runs each instance in a
 fresh interpreter, one after the other, and ends its line with the wall
 time of the call and the peak resident set size of that process.  The
-whole list takes about 40 s on two cores, and the largest process (the
+whole list takes about 45 s on two cores, and the largest process (the
 finite2 100x100 decision) peaks near 900 MB.  Its name keeps pytest from
 collecting it.
 """
