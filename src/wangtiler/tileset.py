@@ -163,7 +163,7 @@ class Tiling:
     @classmethod
     def filled(cls, height: int, width: int, value: int = VOID) -> "Tiling":
         height, width = grid_dims(height, width, "tiling dimensions")
-        return cls(np.full((height, width), value, dtype=np.int32))
+        return cls(np.full((height, width), value))
 
     @property
     def height(self) -> int:

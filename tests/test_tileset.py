@@ -57,6 +57,7 @@ def test_tiling_accessors_and_immutability():
     (lambda: Tiling(np.empty((0, 3))), "non-empty 2D array"),
     (lambda: Tiling.filled(0, 3), "tiling dimensions must be positive"),
     (lambda: Tiling.filled(2.0, 3), "tiling dimensions must be integers"),
+    (lambda: Tiling.filled(2, 3, 0.5), "cells must be integer tile ids"),
     (lambda: Tile(0.5, 0, 0, 0), "edge colors must be non-negative integers"),
     (lambda: Tile("a", 0, 0, 0), "edge colors must be non-negative integers"),
     (lambda: CornerTile(0, 1.0, 0, 0), "corner colors must be non-negative integers"),
